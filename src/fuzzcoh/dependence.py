@@ -6,6 +6,11 @@ other channel.  Tau uses the tau-a convention (ties add zero
 concordance) over all sample pairs, so every entry is invariant under
 strictly monotone channel transforms and bounded regardless of heavy
 tails.
+
+One exact kernel serves block matrices and scalar ``kendall_tau``: it
+sums sign products over pairs s < t in fixed-size tiles, with O(m^2 L T^2)
+work for m channels, max lag L and T samples, and a working set fixed by
+the tile shape and m, not by T.
 """
 
 from __future__ import annotations
@@ -28,69 +33,81 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# scalar Kendall tau, O(n log n)
+# exact tiled Kendall kernel, O(m^2 L T^2) work, O(m * tile) memory
 # ---------------------------------------------------------------------------
 
-def _merge_count(a: list) -> tuple[list, int]:
-    """Merge-sort that counts strict inversions (a[i] > a[j] for i < j)."""
-    n = len(a)
-    if n <= 1:
-        return a, 0
-    mid = n // 2
-    left, cl = _merge_count(a[:mid])
-    right, cr = _merge_count(a[mid:])
-    merged = []
-    inv = cl + cr
-    i = j = 0
-    nl = len(left)
-    while i < nl and j < len(right):
-        if left[i] <= right[j]:  # ties go left first: not an inversion
-            merged.append(left[i])
-            i += 1
-        else:
-            inv += nl - i
-            merged.append(right[j])
-            j += 1
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    return merged, inv
+# A tile pairs TILE_ROWS first indices s with TILE_COLS second indices t;
+# its float32 sums are integers below TILE_ROWS * TILE_COLS < 2**24, hence
+# exact, and the float64 accumulator is exact below 2**53.  At 32 x 384 a
+# lag's GEMM operand (12k rows of m float32) stays below the size past which
+# sgemm ran at half speed per row on a 2-core Xeon with 2 MB L2 per core.
+TILE_ROWS = 32
+TILE_COLS = 384
 
 
-def _tie_pair_count(sorted_vals: np.ndarray) -> int:
-    """Number of index pairs with equal values, input sorted."""
-    _, counts = np.unique(sorted_vals, return_counts=True)
-    return int((counts * (counts - 1) // 2).sum())
+def _concordance_sums(data: np.ndarray, max_lag: int) -> np.ndarray:
+    """Exact integer sign-product sums over pairs s < t, shape (L+1, m, m).
+
+    Entry [l, j, k] sums sign(data[t, j] - data[s, j]) *
+    sign(data[t + l, k] - data[s + l, k]) over 0 <= s < t < T - l, i.e.
+    #concordant - #discordant of (data[:T-l, j], data[l:, k]).  Signs are
+    computed once per tile over rows [a, b + L) x cols [c, d + L); lag l
+    pairs the head [0:hb, 0:hw] with the tail shifted by l on both axes.
+    """
+    T, m = data.shape
+    if T >= 2**24:
+        raise DataError(f"{T} samples exceed the Kendall kernel's limit of 2**24 - 1")
+    # Dense ranks order pairs as the data do and are exact in float32, so
+    # clip(rank_t - rank_s, -1, 1) is the pair sign.
+    ranks = np.empty((T, m), dtype=np.float32)
+    for j in range(m):
+        ranks[:, j] = np.unique(data[:, j], return_inverse=True)[1]
+    acc = np.zeros((max_lag + 1, m, m))
+    tile = (TILE_ROWS + max_lag) * (TILE_COLS + max_lag) * m
+    sign_buf, head_buf = np.empty(tile, dtype=np.float32), np.empty(tile, dtype=np.float32)
+    for a in range(0, T - 1, TILE_ROWS):
+        b = min(a + TILE_ROWS, T)
+        rows = ranks[a : min(b + max_lag, T), None, :]
+        for c in range(a + 1, T, TILE_COLS):
+            d = min(c + TILE_COLS, T)
+            cols = ranks[c : min(d + max_lag, T)]
+            nr, nc = rows.shape[0], cols.shape[0]
+            signs = sign_buf[: nr * nc * m].reshape(nr, nc, m)
+            np.clip(np.subtract(cols, rows, out=signs), -1.0, 1.0, out=signs)
+            head = head_buf[: (b - a) * nc * m].reshape(b - a, nc, m)
+            np.copyto(head, signs[: b - a])
+            if c < b:  # the tile meets the diagonal: drop pairs with t <= s
+                nd = min(nc, b - c)
+                head[:, :nd][np.arange(c, c + nd) <= np.arange(a, b)[:, None]] = 0.0
+            for lag in range(max_lag + 1):
+                hb, hw = min(b, T - lag) - a, min(d, T - lag) - c
+                if hb <= 0 or hw <= 0:
+                    break
+                # Flat, the tail is the head offset by lag * (nc + 1); it wraps
+                # into the next row past column hw, where the head is zeroed.
+                head[:, hw:] = 0.0
+                k, off = hb * nc - lag, lag * (nc + 1)
+                acc[lag] += head.reshape(-1, m)[:k].T @ signs.reshape(-1, m)[off : off + k]
+    return acc
 
 
 def concordant_minus_discordant(x: np.ndarray, y: np.ndarray) -> int:
     """Exact integer (#concordant - #discordant) over all unordered pairs.
 
-    Sorts by (x, y), counts discordant pairs as strict inversions of the
-    y sequence via merge sort, and removes tied pairs by inclusion-
-    exclusion.  Equals the brute-force sum of sign(dx)*sign(dy) exactly,
-    ties included.
+    The lag-0 cross entry of the tiled kernel on the two columns; equals
+    the brute-force sum of sign(dx)*sign(dy) exactly, ties included.
     """
-    n = len(x)
-    order = np.lexsort((y, x))
-    xs = x[order]
-    ys = y[order]
-    _, discordant = _merge_count(list(ys))
-    n0 = n * (n - 1) // 2
-    ties_x = _tie_pair_count(xs)
-    ties_y = _tie_pair_count(np.sort(y))
-    # pairs tied in both coordinates (joint ties)
-    joint = np.rec.fromarrays([xs, ys])
-    ties_both = _tie_pair_count(joint)
-    return n0 - ties_x - ties_y + ties_both - 2 * discordant
+    return int(_concordance_sums(np.column_stack([x, y]), 0)[0, 0, 1])
 
 
 def kendall_tau(x, y) -> float:
     """Kendall's tau-a of two equal-length series.
 
     Returns (#concordant - #discordant) / C(n, 2) over all unordered
-    index pairs; tied pairs contribute zero.  Computed by an
-    O(n log n) inversion count that matches the O(n^2) definition
-    exactly.  A constant input series yields 0.0 (degenerate case).
+    index pairs; tied pairs contribute zero.  The numerator comes from
+    the tiled kernel in O(n^2) work: integer tile sums below 2**24 are
+    exact in float32 and add exactly in float64, matching the definition.
+    A constant input series yields 0.0 (degenerate case).
 
     Raises
     ------
@@ -186,34 +203,16 @@ class LaggedDependenceSet:
         }
 
 
-def _pairwise_sign_tensor(data: np.ndarray) -> np.ndarray:
-    """Per-channel pairwise sign matrices, shape (channels, T, T).
-
-    Entry [c, t, s] = sign(data[t, c] - data[s, c]).  float64 so the
-    downstream matmul accumulates exact small integers.
-    """
-    diff = data[:, None, :] - data[None, :, :]  # (T, T, m)
-    return np.ascontiguousarray(np.moveaxis(np.sign(diff), -1, 0))
-
-
 def lagged_tau_matrices(data: np.ndarray, max_lag: int) -> dict[int, np.ndarray]:
-    """All-pairs tau-a matrices for lags 0..max_lag, vectorized.
+    """All-pairs tau-a matrices for lags 0..max_lag from the tiled kernel.
 
     entry[j, k] at lag l is the tau of (data[t, j], data[t + l, k]) over
-    the aligned T - l samples, computed from pairwise sign products.
-    Exactly equals per-entry ``kendall_tau`` (integer accumulation).
+    the aligned n = T - l samples: the exact pair sum divided by C(n, 2),
+    so it equals per-entry ``kendall_tau`` bit for bit.
     """
     T = data.shape[0]
-    m = data.shape[1]
-    S = _pairwise_sign_tensor(data)
-    out = {}
-    for lag in range(max_lag + 1):
-        n = T - lag
-        head = np.ascontiguousarray(S[:, :n, :n]).reshape(m, -1)
-        tail = np.ascontiguousarray(S[:, lag:, lag:]).reshape(m, -1)
-        num = head @ tail.T  # (m, m); twice the pair sum, diagonal excluded
-        out[lag] = num / (n * (n - 1))
-    return out
+    sums = _concordance_sums(data, max_lag)
+    return {lag: sums[lag] / ((T - lag) * (T - lag - 1) // 2) for lag in range(max_lag + 1)}
 
 
 def dependence_set(block: MtsBlock, max_lag: int = 5) -> LaggedDependenceSet:

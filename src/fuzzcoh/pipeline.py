@@ -376,8 +376,15 @@ def _run_job(args) -> JobResult:
         design = design_bandpass(band, order=config.filter_order)
         dataset = filter_dataset(dataset, design)
     dep_fn = DEPENDENCE_FNS[config.dependence]
+    dep_sets = []  # one per block in call order, kept for the dump
+
+    def keep_dep_set(block, max_lag):
+        dep_sets.append(dep_fn(block, max_lag))
+        return dep_sets[-1]
+
     feature_set = extract_features(
-        dataset, max_lag=config.max_lag, dependence_fn=dep_fn,
+        dataset, max_lag=config.max_lag,
+        dependence_fn=keep_dep_set if config.dump_dependence else dep_fn,
         skip_degenerate=config.skip_degenerate,
     )
     features = feature_set.d_matrix
@@ -391,10 +398,7 @@ def _run_job(args) -> JobResult:
     connectivity = _connectivity_summary(partition, feature_set, dataset, band_name, pair_name)
     dump = None
     if config.dump_dependence:
-        dump = [
-            dep_fn(dataset.blocks[i], config.max_lag).to_json_dict(i)
-            for i in feature_set.block_indices
-        ]
+        dump = [dep_sets[i].to_json_dict(i) for i in feature_set.block_indices]
     return JobResult(
         band=band_name, pair_name=pair_name, feature_set=feature_set,
         partition=partition, validity=validity, evaluation=evaluation,

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import brute_force_tau, brute_force_tau_numerator
 
 from fuzzcoh import DataError, MtsBlock, dependence_set, kendall_tau, repair_psd, sine_transform
+from fuzzcoh import dependence
 from fuzzcoh.dependence import concordant_minus_discordant, lagged_tau_matrices
 
 
@@ -117,6 +119,47 @@ class TestDependenceSet:
                 for k in range(4):
                     expected = kendall_tau(block.data[:n, j], block.data[lag:, k])
                     assert taus[lag][j, k] == expected
+
+    @pytest.mark.parametrize("rows, cols", [(3, 5), (5, 2)])
+    def test_tiled_kernel_matches_oracle_across_tile_edges(self, monkeypatch, rows, cols):
+        # small tiles make short series cross many strip, tile and diagonal edges
+        monkeypatch.setattr(dependence, "TILE_ROWS", rows)
+        monkeypatch.setattr(dependence, "TILE_COLS", cols)
+        rng = np.random.default_rng(rows * 10 + cols)
+        for T in sorted({2, rows, rows + 1, max(2, cols - 1), cols + 1, rows + cols,
+                         4 * (rows + cols) + 1}):
+            data = np.column_stack([
+                rng.standard_normal(T),
+                rng.integers(0, 3, T).astype(float),  # heavy ties
+                np.round(2 * rng.standard_normal(T)),
+                np.full(T, 0.5),  # constant channel
+            ])
+            max_lag = min(7, T - 2)  # exceeds cols for the longer series
+            taus = lagged_tau_matrices(data, max_lag)
+            for lag in range(max_lag + 1):
+                n = T - lag
+                for j in range(4):
+                    for k in range(4):
+                        expected = (brute_force_tau_numerator(data[:n, j], data[lag:, k])
+                                    / (n * (n - 1) // 2))
+                        assert taus[lag][j, k] == expected, (T, lag, j, k)
+
+    def test_kernel_memory_does_not_grow_with_block_length(self):
+        # the full (m, T, T) sign tensor would need 1 GiB here
+        data = np.random.default_rng(0).standard_normal((4096, 8))
+        tracemalloc.start()
+        try:
+            lagged_tau_matrices(data, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
+
+    def test_kernel_rejects_series_past_exact_range(self):
+        # a zero-stride view: the length check runs before any data is read
+        data = np.broadcast_to(np.zeros(1), (2**24, 2))
+        with pytest.raises(DataError, match="2\\*\\*24"):
+            lagged_tau_matrices(data, 0)
 
     def test_monotone_transform_invariance(self):
         block = random_block(T=96, channels=4, seed=3)

@@ -8,7 +8,14 @@ import pytest
 
 from fuzzcoh import ConfigError, PipelineConfig, reproduce_sim, run_pipeline
 from fuzzcoh.cli import main
-from fuzzcoh.pipeline import read_features_csv, read_memberships_csv
+from fuzzcoh.dependence import dependence_set
+from fuzzcoh.pipeline import (
+    DEPENDENCE_FNS,
+    load_input,
+    read_features_csv,
+    read_memberships_csv,
+    write_json,
+)
 
 SIM_SMALL = {
     "n_blocks": 16,
@@ -153,17 +160,31 @@ class TestRunPipeline:
             run_pipeline(cfg)
         assert tree_digest(tmp_path / "seq") == tree_digest(tmp_path / "par")
 
-    def test_dependence_dump(self, tmp_path):
+    def test_dependence_dump(self, tmp_path, monkeypatch):
         cfg = PipelineConfig(
             seed=4, output_dir=str(tmp_path / "run"),
             sim={"n_blocks": 3, "block_length": 128, "proportions": [0.5, 0.5, 0.0]},
             bands=("raw",), n_clusters=2, fuzziness=2.0, n_restarts=2,
             dump_dependence=True, max_lag=2,
         )
+        calls = []
+
+        def counting(block, max_lag):
+            calls.append(block)
+            return dependence_set(block, max_lag)
+
+        monkeypatch.setitem(DEPENDENCE_FNS, "kendall", counting)
         run_pipeline(cfg)
-        dump = json.loads((tmp_path / "run" / "raw__all" / "dependence.json").read_text())
+        assert len(calls) == 3  # the dump reuses the feature pass, one call per block
+        path = tmp_path / "run" / "raw__all" / "dependence.json"
+        dump = json.loads(path.read_text())
         assert len(dump) == 3
         assert set(dump[0]["matrices"]) == {"-2", "-1", "0", "1", "2"}
+        # same bytes as dumping a fresh dependence set of every block
+        blocks = load_input(cfg).blocks
+        write_json(tmp_path / "fresh.json",
+                   [dependence_set(b, 2).to_json_dict(i) for i, b in enumerate(blocks)])
+        assert path.read_bytes() == (tmp_path / "fresh.json").read_bytes()
 
 
 class TestReproduceSim:
