@@ -20,11 +20,16 @@ __all__ = [
     "BandSpec",
     "FilterDesign",
     "DEFAULT_BANDS",
+    "RAW_BAND",
+    "band_edges",
     "default_band",
     "design_bandpass",
     "filter_block",
     "filter_dataset",
 ]
+
+# Band name of the unfiltered series.
+RAW_BAND = "raw"
 
 # Standard EEG band table at 128 Hz sampling; edges are config-overridable.
 DEFAULT_BANDS: dict[str, tuple[float, float]] = {
@@ -56,14 +61,27 @@ class BandSpec:
             )
 
 
+def band_edges(name: str, table: Optional[dict] = None) -> Optional[tuple[float, float]]:
+    """[low, high) Hz edges of a band name; ``None`` for the raw series.
+
+    ``table`` entries override or extend ``DEFAULT_BANDS``.
+    """
+    if name == RAW_BAND:
+        return None
+    merged = dict(DEFAULT_BANDS)
+    merged.update({k: tuple(v) for k, v in (table or {}).items()})
+    if name not in merged:
+        raise ConfigError(f"unknown band {name!r}; known: {sorted(merged) + [RAW_BAND]}")
+    return merged[name]
+
+
 def default_band(name: str, sample_rate_hz: float,
-                 table: Optional[dict[str, tuple[float, float]]] = None) -> BandSpec:
-    """Resolve a band name against a band table (default EEG table)."""
-    table = DEFAULT_BANDS if table is None else table
-    if name not in table:
-        raise ConfigError(f"unknown band {name!r}; known: {sorted(table)}")
-    low, high = table[name]
-    return BandSpec(name=name, low_hz=float(low), high_hz=float(high),
+                 table: Optional[dict] = None) -> Optional[BandSpec]:
+    """Resolve a band name (see ``band_edges``); ``None`` for the raw series."""
+    edges = band_edges(name, table)
+    if edges is None:
+        return None
+    return BandSpec(name=name, low_hz=float(edges[0]), high_hz=float(edges[1]),
                     sample_rate_hz=float(sample_rate_hz))
 
 
@@ -152,6 +170,5 @@ def filter_block(block: MtsBlock, design: FilterDesign) -> MtsBlock:
 
 
 def filter_dataset(dataset: MtsDataset, design: FilterDesign) -> MtsDataset:
-    """Filter every block; the result records the band it was filtered to."""
-    blocks = [filter_block(b, design) for b in dataset.blocks]
-    return dataset.with_blocks(blocks, band=design.band)
+    """Filter every block of a dataset."""
+    return dataset.with_blocks([filter_block(b, design) for b in dataset.blocks])

@@ -13,15 +13,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .bands import design_bandpass, filter_dataset
+from .bands import RAW_BAND, default_band, design_bandpass, filter_dataset
 from .canonical import extract_features
 from .clustering import DEFAULT_C_GRID, DEFAULT_M_GRID, FuzzyPartition, fcm_fit, grid_search
-from .evaluation import SWITCHING, assign, rand_index, simulation_accuracy
 from .exceptions import ConfigError, DataError, NumericError
 from .mts import load_csv, save_csv
 from .pipeline import (
     DEPENDENCE_FNS,
     PipelineConfig,
+    centers_payload,
+    evaluate_partition,
+    fsi_grid_payload,
     read_features_csv,
     read_memberships_csv,
     reproduce_sim,
@@ -36,7 +38,7 @@ from .simulate import SimConfig
 
 def _add_io_csv(parser):
     parser.add_argument("--input", required=True, help="input data CSV")
-    parser.add_argument("--metadata", help="JSON sidecar with block_length/labels/regions")
+    parser.add_argument("--metadata", help="JSON sidecar with block_length/labels/sample_rate_hz")
     parser.add_argument("--sample-rate", type=float, help="sampling rate in Hz")
     parser.add_argument("--block-length", type=int, help="samples per block")
     parser.add_argument("--groups", type=int, nargs=2, metavar=("P", "Q"),
@@ -70,10 +72,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_filter(args) -> int:
-    from .bands import default_band
-
     dataset = _load_dataset(args)
     band = default_band(args.band, dataset.sample_rate_hz)
+    if band is None:
+        raise ConfigError(f"filter needs a named band, got {args.band!r}")
     design = design_bandpass(band, order=args.order)
     filtered = filter_dataset(dataset, design)
     save_csv(filtered, args.output)
@@ -84,19 +86,15 @@ def _cmd_filter(args) -> int:
 
 def _cmd_features(args) -> int:
     dataset = _load_dataset(args)
-    band_name = args.band or "raw"
-    if args.band and args.band != "raw":
-        from .bands import default_band
-
-        design = design_bandpass(default_band(args.band, dataset.sample_rate_hz),
-                                 order=args.order)
-        dataset = filter_dataset(dataset, design)
+    band = default_band(args.band, dataset.sample_rate_hz)
+    if band is not None:
+        dataset = filter_dataset(dataset, design_bandpass(band, order=args.order))
     fs = extract_features(
         dataset, max_lag=args.max_lag,
         dependence_fn=DEPENDENCE_FNS[args.dependence],
         skip_degenerate=args.skip_degenerate,
     )
-    write_features_csv(args.output, fs, band_name)
+    write_features_csv(args.output, fs, args.band)
     msg = f"wrote {len(fs)} feature rows to {args.output}"
     if fs.excluded:
         msg += f" ({len(fs.excluded)} blocks excluded)"
@@ -109,11 +107,7 @@ def _cmd_cluster(args) -> int:
     part = fcm_fit(features, args.clusters, args.fuzziness,
                    seed=args.seed, n_restarts=args.restarts)
     write_memberships_csv(args.out_memberships, part, ids)
-    write_json(args.out_centers, {
-        "centers": part.centers, "fuzziness": part.fuzziness,
-        "n_clusters": part.n_clusters, "converged": part.converged,
-        "objective": part.objective,
-    })
+    write_json(args.out_centers, centers_payload(part))
     print(f"C={part.n_clusters} m={part.fuzziness} objective={part.objective:.6g} "
           f"converged={part.converged}")
     return 0
@@ -127,13 +121,7 @@ def _cmd_validate(args) -> int:
         m_values=args.m_grid or DEFAULT_M_GRID,
         seed=args.seed, n_restarts=args.restarts,
     )
-    write_json(args.output, {
-        "cells": [
-            {"C": c.n_clusters, "m": c.fuzziness, "FSI": c.fsi, "error": c.error}
-            for c in report.cells
-        ],
-        "selected": {"C": report.selected[0], "m": report.selected[1]},
-    })
+    write_json(args.output, fsi_grid_payload(report))
     print(f"selected C={report.selected[0]}, m={report.selected[1]} -> {args.output}")
     return 0
 
@@ -147,29 +135,11 @@ def _cmd_evaluate(args) -> int:
         objective_trace=(0.0,),
         iterations=0, converged=True, seed=0,
     )
-    truth_raw = json.loads(Path(args.truth).read_text())
-    kinds = truth_raw["kinds"] if isinstance(truth_raw, dict) else truth_raw
-    kinds = np.asarray([kinds[i] for i in ids], dtype=int)
-    payload: dict = {"threshold": args.threshold}
-    if SWITCHING in kinds and memberships.shape[1] == 2:
-        report = simulation_accuracy(part, kinds, threshold=args.threshold)
-        payload.update(
-            rule="threshold",
-            accuracy=report.accuracy,
-            rand_index=report.rand_index_pure,
-            rand_index_all=report.rand_index_all,
-            fuzzy_fraction=report.fuzzy_fraction,
-            protocol="simulation-threshold",
-        )
-    else:
-        hard = assign(part, rule="max").hard_labels(fuzzy_label=-1)
-        thr = assign(part, rule="threshold", threshold=args.threshold)
-        payload.update(
-            rule="max",
-            rand_index=rand_index(hard, kinds),
-            fuzzy_fraction=thr.fuzzy_fraction,
-            protocol="max-membership",
-        )
+    # a truth object from `simulate` is simulated; a bare label list is a recording
+    truth = json.loads(Path(args.truth).read_text())
+    simulated = isinstance(truth, dict)
+    payload = evaluate_partition(part, truth["kinds"] if simulated else truth, ids,
+                                 args.threshold, simulated=simulated)
     write_json(args.output, payload)
     print(json.dumps({k: v for k, v in payload.items() if k != "per_block"}, sort_keys=True))
     return 0
@@ -248,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("features", help="extract per-block canonical features")
     _add_io_csv(p)
-    p.add_argument("--band", help="band name or 'raw' (default raw)")
+    p.add_argument("--band", default=RAW_BAND, help="band name or 'raw' (default raw)")
     p.add_argument("--order", type=int, default=4)
     p.add_argument("--max-lag", type=int, default=5)
     p.add_argument("--dependence", choices=sorted(DEPENDENCE_FNS), default="kendall")
@@ -277,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="score memberships against truth")
     p.add_argument("--memberships", required=True)
-    p.add_argument("--truth", required=True, help="truth JSON with a 'kinds' list")
+    p.add_argument("--truth", required=True,
+                   help="truth JSON from `simulate` (a 'kinds' list) or a bare label list")
     p.add_argument("--threshold", type=float, default=0.7)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_evaluate)

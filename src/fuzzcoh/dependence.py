@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -27,6 +28,7 @@ __all__ = [
     "kendall_tau",
     "sine_transform",
     "dependence_set",
+    "build_dependence_set",
     "repair_psd",
     "LaggedDependenceSet",
 ]
@@ -215,14 +217,18 @@ def lagged_tau_matrices(data: np.ndarray, max_lag: int) -> dict[int, np.ndarray]
     return {lag: sums[lag] / ((T - lag) * (T - lag - 1) // 2) for lag in range(max_lag + 1)}
 
 
-def dependence_set(block: MtsBlock, max_lag: int = 5) -> LaggedDependenceSet:
-    """Estimate the block's lagged sine-tau dependence matrices.
+def build_dependence_set(
+    block: MtsBlock,
+    max_lag: int,
+    lag_matrices: Callable[[np.ndarray, int], dict[int, np.ndarray]],
+) -> LaggedDependenceSet:
+    """The dependence-set contract shared by every estimator.
 
-    For lag l >= 0 and channels (j, k) the entry is
-    sin(pi/2 * tau(Z_j(t), Z_k(t + l))) over the T - l aligned samples;
-    negative lags are filled by transposition and the lag-0 diagonal is
-    forced to exactly 1.  Constant channels produce zero entries and are
-    flagged rather than raising.
+    ``lag_matrices(data, max_lag)`` gives the estimator's matrices for
+    lags 0..max_lag.  This checks ``max_lag`` and the block length,
+    zeroes the rows and columns of constant channels at every lag (they
+    are flagged rather than raising), symmetrises the lag-0 matrix with
+    an exact unit diagonal and fills negative lags by transposition.
     """
     if max_lag < 0:
         raise DataError(f"max_lag must be >= 0, got {max_lag}")
@@ -237,18 +243,14 @@ def dependence_set(block: MtsBlock, max_lag: int = 5) -> LaggedDependenceSet:
         int(c) for c in range(block.n_channels)
         if np.all(data[:, c] == data[0, c])
     )
-    taus = lagged_tau_matrices(data, max_lag)
+    idx = list(degenerate)
     mats: dict[int, np.ndarray] = {}
-    for lag, tau in taus.items():
-        entry = np.sin(np.pi / 2.0 * tau)
+    for lag, entry in lag_matrices(data, max_lag).items():
+        entry[idx, :] = 0.0
+        entry[:, idx] = 0.0
         if lag == 0:
             entry = (entry + entry.T) / 2.0  # symmetric up to roundoff already
             np.fill_diagonal(entry, 1.0)
-            if degenerate:
-                idx = list(degenerate)
-                entry[idx, :] = 0.0
-                entry[:, idx] = 0.0
-                entry[idx, idx] = 1.0
         mats[lag] = entry
         if lag > 0:
             mats[-lag] = entry.T.copy()
@@ -256,6 +258,21 @@ def dependence_set(block: MtsBlock, max_lag: int = 5) -> LaggedDependenceSet:
         max_lag=max_lag, p=block.p, q=block.q,
         matrices=mats, degenerate_channels=degenerate,
     )
+
+
+def _sine_tau_matrices(data: np.ndarray, max_lag: int) -> dict[int, np.ndarray]:
+    return {lag: np.sin(np.pi / 2.0 * tau)
+            for lag, tau in lagged_tau_matrices(data, max_lag).items()}
+
+
+def dependence_set(block: MtsBlock, max_lag: int = 5) -> LaggedDependenceSet:
+    """Estimate the block's lagged sine-tau dependence matrices.
+
+    For lag l >= 0 and channels (j, k) the entry is
+    sin(pi/2 * tau(Z_j(t), Z_k(t + l))) over the T - l aligned samples;
+    the rest of the contract comes from ``build_dependence_set``.
+    """
+    return build_dependence_set(block, max_lag, _sine_tau_matrices)
 
 
 # ---------------------------------------------------------------------------

@@ -119,13 +119,10 @@ class MtsBlock:
 class MtsDataset:
     """An ordered collection of blocks sharing channel layout and rate.
 
-    ``band`` records which frequency band the data has been filtered to;
-    ``None`` means raw (unfiltered) data.  With ``strict=True`` (default)
-    all blocks must share the same length.
+    With ``strict=True`` (default) all blocks must share the same length.
     """
 
     blocks: tuple[MtsBlock, ...]
-    band: object = None  # Optional[BandSpec]; kept loose to avoid an import cycle
     strict: bool = True
 
     def __post_init__(self):
@@ -169,8 +166,8 @@ class MtsDataset:
         labs = tuple(b.label for b in self.blocks)
         return None if all(v is None for v in labs) else labs
 
-    def with_blocks(self, blocks: Sequence[MtsBlock], band=None) -> "MtsDataset":
-        return MtsDataset(blocks=tuple(blocks), band=band, strict=self.strict)
+    def with_blocks(self, blocks: Sequence[MtsBlock]) -> "MtsDataset":
+        return MtsDataset(blocks=tuple(blocks), strict=self.strict)
 
 
 @dataclass(frozen=True)
@@ -269,8 +266,6 @@ def load_csv(
     block_length: Optional[int] = None,
     block_column: Optional[str] = None,
     groups: Optional[tuple[int, int]] = None,
-    region_map: Optional[RegionMap] = None,
-    region_pair: Optional[tuple[str, str]] = None,
     labels: Optional[Sequence[int]] = None,
     metadata_path=None,
     strict: bool = True,
@@ -280,12 +275,12 @@ def load_csv(
     The file must have one header row naming the channels and a numeric
     body.  Blocks come either from a fixed ``block_length`` or from a
     ``block_column`` whose value identifies the block of each row.
-    Channel groups come either from ``groups=(p, q)`` (first p columns
-    are X, next q are Y) or from a ``region_map`` plus ``region_pair``.
+    Channel groups come from ``groups=(p, q)``: the first p columns are
+    X, the next q are Y.  ``select_regions`` regroups by channel name.
 
     An optional JSON metadata sidecar may supply ``block_length``,
-    ``labels``, ``regions`` and ``sample_rate_hz``; explicit keyword
-    arguments win over the sidecar.
+    ``labels`` and ``sample_rate_hz``; explicit keyword arguments win
+    over the sidecar.
     """
     path = Path(path)
     if not path.exists():
@@ -304,8 +299,6 @@ def load_csv(
         labels = meta.get("labels")
     if sample_rate_hz is None:
         sample_rate_hz = meta.get("sample_rate_hz")
-    if region_map is None and "regions" in meta:
-        region_map = RegionMap(regions=meta["regions"])
     if sample_rate_hz is None:
         raise ConfigError("sample_rate_hz missing (argument or metadata)")
 
@@ -327,29 +320,11 @@ def load_csv(
     else:
         parts = [values]
 
-    if region_map is not None:
-        if region_pair is None:
-            raise ConfigError("region_pair required when loading with a region map")
-        a, b = region_pair
-        for name in (a, b):
-            if name not in region_map.regions:
-                raise ConfigError(f"unknown region {name!r}")
-        if a == b:
-            raise ConfigError("region pair must name two different regions")
-        wanted = list(region_map.regions[a]) + list(region_map.regions[b])
-        missing = [ch for ch in wanted if ch not in header]
-        if missing:
-            raise ConfigError(f"channels named in regions but absent from CSV: {missing}")
-        cols = [header.index(ch) for ch in wanted]
-        parts = [part[:, cols] for part in parts]
-        header = wanted
-        p, q = len(region_map.regions[a]), len(region_map.regions[b])
-    elif groups is not None:
-        p, q = int(groups[0]), int(groups[1])
-        if p + q != len(header):
-            raise ConfigError(f"groups ({p},{q}) do not cover the {len(header)} channels")
-    else:
-        raise ConfigError("either groups=(p,q) or a region map is required")
+    if groups is None:
+        raise ConfigError("groups=(p,q) is required")
+    p, q = int(groups[0]), int(groups[1])
+    if p + q != len(header):
+        raise ConfigError(f"groups ({p},{q}) do not cover the {len(header)} channels")
 
     if labels is not None and len(labels) != len(parts):
         raise ConfigError(f"{len(labels)} labels for {len(parts)} blocks")
@@ -414,12 +389,8 @@ def select_regions(
     Channel order is deterministic: region-A channels in map order, then
     region-B channels.  Block structure and labels are preserved.
     """
+    RegionMap(regions=region_map.regions, pairs=(pair,))  # two different, known regions
     a, b = pair
-    if a == b:
-        raise ConfigError(f"region pair must name two different regions, got ({a!r}, {a!r})")
-    for name in (a, b):
-        if name not in region_map.regions:
-            raise ConfigError(f"unknown region {name!r}")
     names = dataset.channel_names
     if names is None:
         raise ConfigError("dataset has no channel names; cannot select regions")
@@ -429,7 +400,7 @@ def select_regions(
         raise ConfigError(f"channels named in regions but absent from dataset: {missing}")
     cols = [names.index(ch) for ch in wanted]
     p, q = len(region_map.regions[a]), len(region_map.regions[b])
-    blocks = [
+    return dataset.with_blocks([
         MtsBlock(
             data=block.data[:, cols],
             p=p,
@@ -439,5 +410,4 @@ def select_regions(
             label=block.label,
         )
         for block in dataset.blocks
-    ]
-    return MtsDataset(blocks=tuple(blocks), band=dataset.band, strict=dataset.strict)
+    ])

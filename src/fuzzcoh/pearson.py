@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dependence import LaggedDependenceSet
-from .exceptions import DataError
+from .dependence import LaggedDependenceSet, build_dependence_set
 from .mts import MtsBlock
 
 __all__ = ["pearson_dependence_set"]
@@ -34,36 +33,14 @@ def _lagged_correlation(data: np.ndarray, lag: int) -> np.ndarray:
     return np.clip(corr, -1.0, 1.0)
 
 
+def _correlation_matrices(data: np.ndarray, max_lag: int) -> dict[int, np.ndarray]:
+    return {lag: _lagged_correlation(data, lag) for lag in range(max_lag + 1)}
+
+
 def pearson_dependence_set(block: MtsBlock, max_lag: int = 5) -> LaggedDependenceSet:
     """Lagged Pearson analogue of the rank dependence set.
 
-    Same shape, symmetry and degeneracy contract: negative lags by
-    transposition, exact unit diagonal at lag 0, constant channels give
-    zero entries and a degeneracy flag.
+    Same shape, symmetry and degeneracy contract, from the shared
+    ``build_dependence_set``; constant channels give zero entries.
     """
-    if max_lag < 0:
-        raise DataError(f"max_lag must be >= 0, got {max_lag}")
-    T = block.n_samples
-    if T - max_lag < 8:
-        raise DataError(
-            f"block too short: {T} samples leave {T - max_lag} aligned pairs "
-            f"at lag {max_lag}, need at least 8"
-        )
-    data = block.data
-    degenerate = tuple(
-        int(c) for c in range(block.n_channels)
-        if np.all(data[:, c] == data[0, c])
-    )
-    mats: dict[int, np.ndarray] = {}
-    for lag in range(max_lag + 1):
-        corr = _lagged_correlation(data, lag)
-        if lag == 0:
-            corr = (corr + corr.T) / 2.0
-            np.fill_diagonal(corr, 1.0)
-        mats[lag] = corr
-        if lag > 0:
-            mats[-lag] = corr.T.copy()
-    return LaggedDependenceSet(
-        max_lag=max_lag, p=block.p, q=block.q,
-        matrices=mats, degenerate_channels=degenerate,
-    )
+    return build_dependence_set(block, max_lag, _correlation_matrices)

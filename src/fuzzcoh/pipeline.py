@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bands import DEFAULT_BANDS, BandSpec, design_bandpass, filter_dataset
+from .bands import RAW_BAND, BandSpec, band_edges, default_band, design_bandpass, filter_dataset
 from .canonical import FeatureSet, extract_features
 from .clustering import (
     DEFAULT_M_GRID,
@@ -39,13 +39,14 @@ __all__ = [
     "run_pipeline",
     "reproduce_sim",
     "RAW_BAND",
+    "evaluate_partition",
+    "centers_payload",
+    "fsi_grid_payload",
     "write_features_csv",
     "read_features_csv",
     "write_memberships_csv",
     "read_memberships_csv",
 ]
-
-RAW_BAND = "raw"
 
 DEPENDENCE_FNS = {
     "kendall": dependence_set,
@@ -80,7 +81,6 @@ class PipelineConfig:
     n_restarts: int = 10
     jobs: int = 1
     skip_degenerate: bool = False
-    strict: bool = True
     dump_dependence: bool = False
 
     def __post_init__(self):
@@ -105,6 +105,8 @@ class PipelineConfig:
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         object.__setattr__(self, "bands", tuple(self.bands))
+        if any(len(pair) != 2 for pair in self.pairs or ()):
+            raise ConfigError(f"each region pair needs two region names, got {self.pairs}")
         object.__setattr__(
             self, "pairs", tuple((str(a), str(b)) for a, b in (self.pairs or ()))
         )
@@ -114,15 +116,12 @@ class PipelineConfig:
             object.__setattr__(self, "m_grid", tuple(float(m) for m in self.m_grid))
         if self.groups is not None:
             object.__setattr__(self, "groups", (int(self.groups[0]), int(self.groups[1])))
-        # band names must resolve at validation time
-        table = dict(DEFAULT_BANDS)
-        if self.band_table:
-            table.update({k: tuple(v) for k, v in self.band_table.items()})
-        for name in self.bands:
-            if name != RAW_BAND and name not in table:
-                raise ConfigError(f"unknown band {name!r}; known: {sorted(table) + [RAW_BAND]}")
-        if self.regions is not None and not self.pairs:
-            raise ConfigError("regions given without any region pairs")
+        for name in self.bands:  # band names must resolve at validation time
+            band_edges(name, self.band_table)
+        if (self.regions is None) != (not self.pairs):
+            raise ConfigError("regions and region pairs must be given together")
+        if self.pairs:  # unknown or repeated regions fail here, before any input is read
+            RegionMap(regions=self.regions, pairs=self.pairs)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
@@ -139,14 +138,7 @@ class PipelineConfig:
         return cls.from_dict(json.loads(path.read_text(encoding="utf-8")))
 
     def resolve_band(self, name: str, sample_rate_hz: float) -> Optional[BandSpec]:
-        if name == RAW_BAND:
-            return None
-        table = dict(DEFAULT_BANDS)
-        if self.band_table:
-            table.update({k: tuple(v) for k, v in self.band_table.items()})
-        low, high = table[name]
-        return BandSpec(name=name, low_hz=float(low), high_hz=float(high),
-                        sample_rate_hz=sample_rate_hz)
+        return default_band(name, sample_rate_hz, self.band_table)
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +161,46 @@ def write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(_jsonable(payload), fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def write_rows_csv(path, rows: Sequence[dict]) -> None:
+    """The first row's keys as header, then one line per row.
+
+    Floats are written by ``format_float`` and None as an empty cell.
+    """
+    cols = list(rows[0])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(cols)
+        for row in rows:
+            writer.writerow([
+                "" if row[c] is None else
+                (format_float(row[c]) if isinstance(row[c], float) else row[c])
+                for c in cols
+            ])
+
+
+def centers_payload(partition: FuzzyPartition) -> dict:
+    """The centers.json payload of a fitted partition."""
+    return {
+        "centers": partition.centers,
+        "fuzziness": partition.fuzziness,
+        "n_clusters": partition.n_clusters,
+        "converged": partition.converged,
+        "iterations": partition.iterations,
+        "objective": partition.objective,
+    }
+
+
+def fsi_grid_payload(report: ValidityReport) -> dict:
+    """The fsi_grid.json payload: every (C, m) cell and the selection."""
+    return {
+        "cells": [
+            {"C": c.n_clusters, "m": c.fuzziness, "FSI": c.fsi, "error": c.error}
+            for c in report.cells
+        ],
+        "selected": {"C": report.selected[0], "m": report.selected[1]},
+    }
 
 
 def write_features_csv(path, feature_set: FeatureSet, band_name: str) -> None:
@@ -241,14 +273,19 @@ def load_input(config: PipelineConfig) -> MtsDataset:
         with open(config.csv, newline="", encoding="utf-8") as fh:
             n_cols = len(next(csv.reader(fh)))
         groups = (1, n_cols - 1)
-    return load_csv(
+    dataset = load_csv(
         config.csv,
         sample_rate_hz=config.sample_rate_hz,
         block_length=config.block_length,
         groups=groups,
         metadata_path=config.metadata,
-        strict=config.strict,
     )
+    if dataset.n_blocks == 1:
+        raise ConfigError(
+            f"{config.csv} gives 1 block of {dataset.blocks[0].n_samples} samples; "
+            "clustering needs at least 2: set block_length in the config or the sidecar"
+        )
+    return dataset
 
 
 def _cluster_and_validate(
@@ -269,14 +306,21 @@ def _cluster_and_validate(
     return part, fsi(features, part)
 
 
-def _evaluate(
+def evaluate_partition(
     partition: FuzzyPartition,
     labels: Optional[Sequence[Optional[int]]],
     block_ids: Sequence[int],
     threshold: float,
     simulated: bool = False,
 ) -> dict:
-    """Evaluation payload; protocol depends on the available truth."""
+    """The evaluation.json payload; the protocol depends on the truth.
+
+    Every payload holds the threshold-rule assignments.  With labels for
+    every block, a two-cluster partition of simulated data (or of any
+    truth with switching blocks) is scored by the 0.7-cutoff simulation
+    protocol; otherwise the maximum-membership rule is scored against
+    the labels.  ``labels`` is indexed by the block ids.
+    """
     thr_report = assign(partition, rule="threshold", threshold=threshold)
     max_report = assign(partition, rule="max")
     payload: dict = {
@@ -390,7 +434,7 @@ def _run_job(args) -> JobResult:
     features = feature_set.d_matrix
     partition, validity = _cluster_and_validate(features, config)
     labels = dataset.labels
-    evaluation = _evaluate(
+    evaluation = evaluate_partition(
         partition, labels, feature_set.block_indices, config.threshold,
         simulated=config.sim is not None,
     )
@@ -434,21 +478,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
         write_memberships_csv(
             job_dir / "memberships.csv", res.partition, res.feature_set.block_indices
         )
-        write_json(job_dir / "centers.json", {
-            "centers": res.partition.centers,
-            "fuzziness": res.partition.fuzziness,
-            "n_clusters": res.partition.n_clusters,
-            "converged": res.partition.converged,
-            "iterations": res.partition.iterations,
-            "objective": res.partition.objective,
-        })
-        write_json(job_dir / "fsi_grid.json", {
-            "cells": [
-                {"C": c.n_clusters, "m": c.fuzziness, "FSI": c.fsi, "error": c.error}
-                for c in res.validity.cells
-            ],
-            "selected": {"C": res.validity.selected[0], "m": res.validity.selected[1]},
-        })
+        write_json(job_dir / "centers.json", centers_payload(res.partition))
+        write_json(job_dir / "fsi_grid.json", fsi_grid_payload(res.validity))
         write_json(job_dir / "evaluation.json", res.evaluation)
         write_json(job_dir / "connectivity_summary.json", res.connectivity)
         if res.dependence_dump is not None:
@@ -463,8 +494,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
             "dependence": config.dependence,
             "C": res.partition.n_clusters,
             "m": res.partition.fuzziness,
-            "fsi": res.validity.cells[0].fsi if len(res.validity.cells) == 1
-                   else res.validity.fsi_value(*res.validity.selected),
+            "fsi": res.validity.fsi_value(*res.validity.selected),
             "rand_index": res.evaluation.get("rand_index"),
             "accuracy": res.evaluation.get("accuracy"),
             "fuzzy_series_pct": 100.0 * res.evaluation["fuzzy_fraction"],
@@ -474,17 +504,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     summary = {"seed": config.seed, "dependence": config.dependence, "runs": summary_rows}
     write_json(out_dir / "summary.json", summary)
-    with open(out_dir / "summary.csv", "w", newline="", encoding="utf-8") as fh:
-        cols = ["band", "pair", "dependence", "C", "m", "fsi",
-                "rand_index", "accuracy", "fuzzy_series_pct", "n_blocks", "n_excluded"]
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for row in summary_rows:
-            writer.writerow([
-                "" if row[c] is None else
-                (format_float(row[c]) if isinstance(row[c], float) else row[c])
-                for c in cols
-            ])
+    write_rows_csv(out_dir / "summary.csv", summary_rows)
     return summary
 
 
@@ -571,15 +591,7 @@ def reproduce_sim(
             })
 
     if out_csv is not None:
-        cols = list(rows[0].keys())
-        with open(out_csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(cols)
-            for row in rows:
-                writer.writerow([
-                    format_float(row[c]) if isinstance(row[c], float) else row[c]
-                    for c in cols
-                ])
+        write_rows_csv(out_csv, rows)
     return rows
 
 

@@ -394,7 +394,7 @@ def contaminate(
             noise = _noise(rng, family, (block.n_samples, len(cols)))
             data[:, cols] += scale * noise
         new_blocks.append(block.with_data(data))
-    return dataset.with_blocks(new_blocks, band=dataset.band)
+    return dataset.with_blocks(new_blocks)
 
 
 def write_truth(path, config: SimConfig, dataset: MtsDataset) -> None:

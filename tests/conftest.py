@@ -6,7 +6,19 @@ the library's fast paths are checked.  They must stay independent of
 the code paths they verify.
 """
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
+
+
+def tree_digest(root: Path) -> dict:
+    """sha256 of every file under ``root``, keyed by relative path."""
+    out = {}
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            out[str(path.relative_to(root))] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return out
 
 
 def brute_force_tau_numerator(x, y) -> int:

@@ -277,7 +277,7 @@ def test_criterion_10_full_size_runtime(tmp_path):
 
 
 def test_criterion_11_determinism(tmp_path):
-    from test_pipeline import tree_digest
+    from conftest import tree_digest
 
     digests = []
     for sub in ("first", "second"):

@@ -145,6 +145,17 @@ def test_metadata_sidecar_labels(tmp_path):
     assert ds.labels == (1, 0)
 
 
+def test_sidecar_regions_key_is_not_a_selector(tmp_path):
+    # regions come from the pipeline config; a sidecar key does not regroup
+    path = tmp_path / "d.csv"
+    write_csv(path, ["a", "b"], [[float(i), float(-i)] for i in range(8)])
+    meta = tmp_path / "d.json"
+    meta.write_text(json.dumps({"block_length": 4, "sample_rate_hz": 4.0,
+                                "regions": {"A": ["a"], "B": ["b"]}}))
+    ds = load_csv(path, groups=(1, 1), metadata_path=meta)
+    assert ds.n_blocks == 2 and ds.channel_names == ("a", "b")
+
+
 class TestRegions:
     MAP = RegionMap(regions={"LF": ("f1", "f2"), "RT": ("t1",), "OC": ("o1",)})
 

@@ -64,6 +64,22 @@ class TestPearsonSet:
             np.testing.assert_array_equal(dep.matrix(-lag), dep.matrix(lag).T)
         assert np.all(dep.matrix(1)[3, :] == 0.0)
 
+    def test_inexact_constant_channel_zeroed_at_every_lag(self):
+        # 0.1 repeated has an inexact float mean, so its centred values are
+        # tiny but nonzero; the shared contract still zeroes the channel
+        rng = np.random.default_rng(6)
+        data = rng.standard_cauchy((37, 4))
+        data[:, 1] = 0.1
+        for fn in (pearson_dependence_set, dependence_set):
+            dep = fn(block_from(data, p=2), 2)
+            assert dep.degenerate_channels == (1,)
+            for lag in range(-2, 3):
+                expected = 1.0 if lag == 0 else 0.0
+                mat = dep.matrix(lag)
+                assert np.all(np.delete(mat[1], 1) == 0.0)
+                assert np.all(np.delete(mat[:, 1], 1) == 0.0)
+                assert mat[1, 1] == expected
+
     def test_lagged_entries(self):
         # y(t) = x(t-1): linear correlation peaks at lag +1
         rng = np.random.default_rng(5)

@@ -1,10 +1,9 @@
 import csv
-import hashlib
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import tree_digest
 
 from fuzzcoh import ConfigError, PipelineConfig, reproduce_sim, run_pipeline
 from fuzzcoh.cli import main
@@ -22,14 +21,6 @@ SIM_SMALL = {
     "block_length": 256,
     "proportions": [0.5, 0.5, 0.0],
 }
-
-
-def tree_digest(root: Path) -> dict:
-    out = {}
-    for path in sorted(root.rglob("*")):
-        if path.is_file():
-            out[str(path.relative_to(root))] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return out
 
 
 class TestPipelineConfig:
@@ -59,6 +50,15 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError, match="pairs"):
             PipelineConfig(seed=0, output_dir="x", sim=SIM_SMALL,
                            regions={"A": ["X1"], "B": ["Y1"]})
+
+    def test_pairs_without_regions_rejected(self):
+        with pytest.raises(ConfigError, match="regions"):
+            PipelineConfig(seed=0, output_dir="x", sim=SIM_SMALL, pairs=[["A", "B"]])
+
+    def test_pair_with_unknown_region_rejected(self):
+        with pytest.raises(ConfigError, match="unknown region"):
+            PipelineConfig(seed=0, output_dir="x", sim=SIM_SMALL,
+                           regions={"A": ["X1"], "B": ["Y1"]}, pairs=[["A", "Z"]])
 
 
 class TestRunPipeline:
@@ -187,6 +187,21 @@ class TestRunPipeline:
         assert path.read_bytes() == (tmp_path / "fresh.json").read_bytes()
 
 
+    def test_one_block_csv_fails_before_dependence(self, tmp_path, monkeypatch):
+        data = tmp_path / "rec.csv"
+        rng = np.random.default_rng(0)
+        np.savetxt(data, rng.standard_normal((256, 4)), delimiter=",", header="a,b,c,d",
+                   comments="", fmt="%.6f")
+        cfg = PipelineConfig(seed=0, output_dir=str(tmp_path / "run"), csv=str(data),
+                             sample_rate_hz=128.0, groups=(2, 2))
+        calls = []
+        monkeypatch.setitem(DEPENDENCE_FNS, "kendall",
+                            lambda block, max_lag: calls.append(block))
+        with pytest.raises(ConfigError, match=r"1 block.*block_length"):
+            run_pipeline(cfg)
+        assert calls == []
+
+
 class TestReproduceSim:
     def test_rows_and_csv(self, tmp_path):
         out = tmp_path / "curves.csv"
@@ -297,6 +312,19 @@ class TestCli:
         rc = main(["pipeline", "--config", str(tmp_path / "missing.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("regions, pair", [
+        (None, "A--B"),                       # pairs without regions
+        ({"A": ["X1"], "B": ["Y1"]}, "AB"),   # no '--' separator
+    ])
+    def test_bad_pair_override_exit_code(self, tmp_path, regions, pair):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 0, "output_dir": str(tmp_path / "out"),
+                                        "sim": SIM_SMALL, "regions": regions,
+                                        "pairs": [["A", "B"]] if regions else []}))
+        rc = main(["pipeline", "--config", str(cfg_path), "--pair", pair])
+        assert rc == 2
+        assert not (tmp_path / "out").exists()
+
     def test_numeric_error_exit_code(self, tmp_path):
         # a flatlined channel aborts feature extraction without --skip-degenerate
         data = tmp_path / "flat.csv"
@@ -327,3 +355,74 @@ class TestCli:
         assert rc == 0
         feats, ids = read_features_csv(out)
         assert ids == [1, 2]
+
+
+class TestCrossEntryPoint:
+    """The CLI chain writes the same bytes as a pipeline job, file for file."""
+
+    @staticmethod
+    def cli_chain(tmp_path, io_args, truth, seed, grid):
+        out = tmp_path / "cli"
+        out.mkdir()
+        assert main(["features", *io_args, "--output", str(out / "features.csv")]) == 0
+        assert main([
+            "cluster", "--features", str(out / "features.csv"), "--clusters", "2",
+            "--fuzziness", "1.5", "--seed", str(seed), "--restarts", "2",
+            "--out-memberships", str(out / "memberships.csv"),
+            "--out-centers", str(out / "centers.json"),
+        ]) == 0
+        if grid:
+            assert main([
+                "validate", "--features", str(out / "features.csv"), "--c-grid", "2", "3",
+                "--m-grid", "1.5", "2.0", "--seed", str(seed), "--restarts", "2",
+                "--output", str(out / "fsi_grid.json"),
+            ]) == 0
+        assert main([
+            "evaluate", "--memberships", str(out / "memberships.csv"), "--truth", str(truth),
+            "--output", str(out / "evaluation.json"),
+        ]) == 0
+        return out
+
+    @pytest.mark.parametrize("proportions", [[0.4, 0.4, 0.2], [0.5, 0.5, 0.0]])
+    def test_simulated_truth(self, tmp_path, proportions):
+        sim = {"seed": 12, "n_blocks": 18, "block_length": 256, "proportions": proportions}
+        common = dict(seed=3, sim=sim, bands=("raw",), n_restarts=2)
+        run_pipeline(PipelineConfig(output_dir=str(tmp_path / "fit"), n_clusters=2,
+                                    fuzziness=1.5, **common))
+        run_pipeline(PipelineConfig(output_dir=str(tmp_path / "grid"), c_grid=(2, 3),
+                                    m_grid=(1.5, 2.0), **common))
+        (tmp_path / "sim.json").write_text(json.dumps(sim))
+        data, truth = tmp_path / "data.csv", tmp_path / "truth.json"
+        assert main(["simulate", "--config", str(tmp_path / "sim.json"),
+                     "--out-data", str(data), "--out-truth", str(truth)]) == 0
+        out = self.cli_chain(
+            tmp_path, ["--input", str(data), "--sample-rate", "128", "--block-length", "256",
+                       "--groups", "4", "4"], truth, seed=3, grid=True)
+        fit, grid = tmp_path / "fit" / "raw__all", tmp_path / "grid" / "raw__all"
+        for name, job in (("features.csv", fit), ("memberships.csv", fit),
+                          ("centers.json", fit), ("fsi_grid.json", grid),
+                          ("evaluation.json", fit)):
+            assert (out / name).read_bytes() == (job / name).read_bytes(), name
+        evaluation = json.loads((out / "evaluation.json").read_text())
+        assert evaluation["protocol"] == "simulation-threshold"
+        assert evaluation["accuracy"] is not None
+
+    def test_bare_label_list_against_csv_run(self, tmp_path):
+        from fuzzcoh import SimConfig, gen_dataset, save_csv
+
+        data, meta = tmp_path / "rec.csv", tmp_path / "rec.json"
+        dataset = gen_dataset(SimConfig(seed=8, n_blocks=16, block_length=256,
+                                        proportions=(0.5, 0.5, 0.0)))
+        save_csv(dataset, data, meta)
+        run_pipeline(PipelineConfig(
+            seed=5, output_dir=str(tmp_path / "run"), csv=str(data), metadata=str(meta),
+            groups=(4, 4), n_clusters=2, fuzziness=1.5, n_restarts=2,
+        ))
+        truth = tmp_path / "labels.json"
+        truth.write_text(json.dumps(json.loads(meta.read_text())["labels"]))
+        out = self.cli_chain(tmp_path, ["--input", str(data), "--metadata", str(meta),
+                                        "--groups", "4", "4"], truth, seed=5, grid=False)
+        job = tmp_path / "run" / "raw__all"
+        for name in ("features.csv", "memberships.csv", "centers.json", "evaluation.json"):
+            assert (out / name).read_bytes() == (job / name).read_bytes(), name
+        assert json.loads((out / "evaluation.json").read_text())["protocol"] == "max-membership"
