@@ -104,10 +104,6 @@ class FilterDesign:
         sos.flags.writeable = False
         object.__setattr__(self, "sos", sos)
 
-    @property
-    def n_sections(self) -> int:
-        return self.sos.shape[0]
-
     def min_block_length(self) -> int:
         # forward-backward needs padding room; 3x the per-section ba length
         return 3 * (2 * self.order + 1)

@@ -36,7 +36,6 @@ class CanonicalFeature:
     v: np.ndarray
     g_value: float
     best_lag: int
-    degenerate: bool = False
 
     def __post_init__(self):
         u = np.ascontiguousarray(self.u, dtype=np.float64)
@@ -136,8 +135,7 @@ def solve_canonical(dep: LaggedDependenceSet) -> CanonicalFeature:
     if u[np.argmax(np.abs(u))] < 0:
         u = -u
         v = -v
-    return CanonicalFeature(u=u, v=v, g_value=g, best_lag=lag,
-                            degenerate=bool(dep.degenerate_channels))
+    return CanonicalFeature(u=u, v=v, g_value=g, best_lag=lag)
 
 
 def extract_features(

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -17,7 +16,7 @@ from .bands import RAW_BAND, default_band, design_bandpass, filter_dataset
 from .canonical import extract_features
 from .clustering import DEFAULT_C_GRID, DEFAULT_M_GRID, FuzzyPartition, fcm_fit, grid_search
 from .exceptions import ConfigError, DataError, NumericError
-from .mts import load_csv, save_csv
+from .mts import load_csv, read_json, save_csv, write_json
 from .pipeline import (
     DEPENDENCE_FNS,
     PipelineConfig,
@@ -27,10 +26,10 @@ from .pipeline import (
     read_features_csv,
     read_memberships_csv,
     reproduce_sim,
+    require_blocks,
     run_pipeline,
     simulate_to_files,
     write_features_csv,
-    write_json,
     write_memberships_csv,
 )
 from .simulate import SimConfig
@@ -57,7 +56,7 @@ def _load_dataset(args):
 
 def _cmd_simulate(args) -> int:
     if args.config:
-        sim = SimConfig.from_dict(json.loads(Path(args.config).read_text()))
+        sim = SimConfig.from_dict(read_json(args.config, "simulation config"))
     else:
         sim = SimConfig(
             seed=args.seed,
@@ -85,7 +84,7 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_features(args) -> int:
-    dataset = _load_dataset(args)
+    dataset = require_blocks(_load_dataset(args), args.input)
     band = default_band(args.band, dataset.sample_rate_hz)
     if band is not None:
         dataset = filter_dataset(dataset, design_bandpass(band, order=args.order))
@@ -126,6 +125,26 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _read_truth(path, block_ids) -> tuple[list, bool]:
+    """Labels indexed by block id, and whether they are simulation kinds.
+
+    A truth object from `simulate` (a 'kinds' list) is simulated; a bare
+    label list is a recording.
+    """
+    truth = read_json(path, "truth file")
+    simulated = isinstance(truth, dict)
+    labels = truth.get("kinds") if simulated else truth
+    if not isinstance(labels, list):
+        raise ConfigError(f"{path}: truth must be a label list or an object with a 'kinds' list")
+    if len(labels) <= max(block_ids):
+        raise ConfigError(f"{path}: {len(labels)} labels, but memberships name block "
+                          f"{max(block_ids)}")
+    bad = [v for v in labels if v is not None and type(v) is not int]
+    if bad:
+        raise ConfigError(f"{path}: labels must be integers or null, got {bad[0]!r}")
+    return labels, simulated
+
+
 def _cmd_evaluate(args) -> int:
     memberships, ids = read_memberships_csv(args.memberships)
     part = FuzzyPartition(
@@ -135,11 +154,8 @@ def _cmd_evaluate(args) -> int:
         objective_trace=(0.0,),
         iterations=0, converged=True, seed=0,
     )
-    # a truth object from `simulate` is simulated; a bare label list is a recording
-    truth = json.loads(Path(args.truth).read_text())
-    simulated = isinstance(truth, dict)
-    payload = evaluate_partition(part, truth["kinds"] if simulated else truth, ids,
-                                 args.threshold, simulated=simulated)
+    labels, simulated = _read_truth(args.truth, ids)
+    payload = evaluate_partition(part, labels, ids, args.threshold, simulated=simulated)
     write_json(args.output, payload)
     print(json.dumps({k: v for k, v in payload.items() if k != "per_block"}, sort_keys=True))
     return 0

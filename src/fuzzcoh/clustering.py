@@ -7,8 +7,7 @@ objective and updates, unsquared inside the silhouette dissimilarities.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
 
@@ -91,12 +90,10 @@ class GridCell:
 
 @dataclass(frozen=True)
 class ValidityReport:
-    """Per-(C, m) validity values, the selection, and silhouettes."""
+    """Per-(C, m) validity values and the selected cell."""
 
     cells: tuple[GridCell, ...]
     selected: tuple[int, float]
-    silhouettes: np.ndarray  # (B, C) of the selected cell
-    degenerate_pairs: tuple[tuple[int, int], ...] = field(default_factory=tuple)
 
     def fsi_value(self, n_clusters: int, fuzziness: float) -> Optional[float]:
         for cell in self.cells:
@@ -230,8 +227,10 @@ def fsi(features, partition: FuzzyPartition) -> ValidityReport:
     distance to the other objects under cluster c and n the minimum such
     mean over the other clusters; s = (n - a) / max(a, n) with the
     all-zero case defined as 0.  The index averages e^m-weighted
-    silhouettes over objects.  Pairs whose weighted means are undefined
-    (zero total weight excluding b) score 0 and are reported.
+    silhouettes over objects.  A weighted mean is undefined when its
+    cluster has zero total weight excluding b; n ignores undefined
+    means, and a pair whose a, or every other mean, is undefined
+    scores 0.
     """
     x = np.ascontiguousarray(features, dtype=np.float64)
     e = partition.memberships
@@ -250,31 +249,19 @@ def fsi(features, partition: FuzzyPartition) -> ValidityReport:
     w = e ** m                      # (B, C)
     num = dist @ w                  # self-distance is 0, so j = b adds nothing
     den = w.sum(axis=0)[None, :] - w  # column totals excluding b
+    s = np.zeros((n, c))
     with np.errstate(invalid="ignore", divide="ignore"):
         avg = np.where(den > 0, num / den, np.nan)
-
-    s = np.zeros((n, c))
-    degenerate: list[tuple[int, int]] = []
-    for b in range(n):
-        for ci in range(c):
-            a = avg[b, ci]
-            others = np.delete(avg[b], ci)
-            others = others[~np.isnan(others)]
-            if math.isnan(a) or others.size == 0:
-                degenerate.append((b, ci))
-                continue
-            nb = float(others.min())
-            top = max(a, nb)
-            s[b, ci] = 0.0 if top == 0 else (nb - a) / top
+        for ci in range(c):  # one cluster column at a time, all objects at once
+            a = avg[:, ci]
+            # fmin skips undefined (NaN) means; nb stays NaN when every other
+            # mean is undefined or there is no other cluster
+            nb = np.fmin.reduce(np.delete(avg, ci, axis=1), axis=1, initial=np.nan)
+            top = np.maximum(a, nb)  # NaN propagates, so such pairs score 0
+            s[:, ci] = np.where(top > 0, (nb - a) / top, 0.0)
 
     value = float((w * s).sum() / n)
-    cell = GridCell(n_clusters=c, fuzziness=m, fsi=value)
-    return ValidityReport(
-        cells=(cell,),
-        selected=(c, m),
-        silhouettes=s,
-        degenerate_pairs=tuple(degenerate),
-    )
+    return ValidityReport(cells=(GridCell(n_clusters=c, fuzziness=m, fsi=value),), selected=(c, m))
 
 
 def grid_search(
@@ -298,25 +285,18 @@ def grid_search(
     if not c_values or not m_values:
         raise ConfigError("empty grid")
     cells: list[GridCell] = []
-    best = None  # (fsi, C, m, partition, report)
+    best = None  # (fsi, C, m, partition)
     for c, m in product(sorted(c_values), sorted(m_values)):
         try:
             part = fcm_fit(features, c, m, seed=seed, max_iter=max_iter,
                            tol=tol, n_restarts=n_restarts)
-            report = fsi(features, part)
-            value = report.cells[0].fsi
+            value = fsi(features, part).cells[0].fsi
             cells.append(GridCell(n_clusters=c, fuzziness=m, fsi=value))
             if best is None or value > best[0]:
-                best = (value, c, m, part, report)
+                best = (value, c, m, part)
         except (ConfigError, NumericError) as exc:
             cells.append(GridCell(n_clusters=c, fuzziness=m, fsi=None, error=str(exc)))
     if best is None:
         raise NumericError("every grid cell failed")
-    _, c, m, part, report = best
-    final = ValidityReport(
-        cells=tuple(cells),
-        selected=(c, m),
-        silhouettes=report.silhouettes,
-        degenerate_pairs=report.degenerate_pairs,
-    )
-    return final, part
+    _, c, m, part = best
+    return ValidityReport(cells=tuple(cells), selected=(c, m)), part

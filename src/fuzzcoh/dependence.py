@@ -144,7 +144,7 @@ def sine_transform(tau: float) -> float:
 
 @dataclass(frozen=True)
 class LaggedDependenceSet:
-    """Dependence matrices for lags -L..L with XX/XY/YX/YY block views.
+    """Dependence matrices for lags -L..L with XX/XY/YY block views.
 
     Entries lie in [-1, 1]; the matrix at -l is the transpose of the one
     at l; the lag-0 matrix is symmetric with unit diagonal.
@@ -189,9 +189,6 @@ class LaggedDependenceSet:
 
     def xy(self, lag: int) -> np.ndarray:
         return self.matrices[lag][: self.p, self.p :]
-
-    def yx(self, lag: int) -> np.ndarray:
-        return self.matrices[lag][self.p :, : self.p]
 
     def yy(self, lag: int) -> np.ndarray:
         return self.matrices[lag][self.p :, self.p :]

@@ -8,7 +8,6 @@ maximum-membership rule used on labeled recordings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,8 +36,6 @@ class AssignmentReport:
 
     assignments: tuple[Optional[int], ...]
     fuzzy_fraction: float
-    rule: str
-    threshold: Optional[float]
 
     def hard_labels(self, fuzzy_label: int) -> np.ndarray:
         """Assignments as integers with FUZZY mapped to ``fuzzy_label``."""
@@ -55,13 +52,10 @@ class RandReport:
     rand_index_pure: float
     rand_index_all: float
     n_pure: int
-    n_pure_correct: int
     n_switching: int
     n_switching_correct: int
     fuzzy_fraction: float
-    threshold: float
     label_map: tuple[int, int]
-    pair_counts: tuple[int, int, int]  # (agree-same, agree-diff, disagree)
 
 
 def assign(
@@ -79,44 +73,31 @@ def assign(
     e = partition.memberships
     n, c = e.shape
     arg = e.argmax(axis=1)  # argmax takes the lower index on ties
-    top = e.max(axis=1)
     if rule == "max":
         assignments = tuple(int(a) for a in arg)
-        fuzzy_fraction = 0.0
-        thr = None
     elif rule == "threshold":
         if not (1.0 / c < threshold < 1.0):
             raise ConfigError(
                 f"threshold must lie in (1/C, 1) = ({1.0 / c:.3f}, 1), got {threshold}"
             )
         assignments = tuple(
-            int(a) if t > threshold else None for a, t in zip(arg, top)
+            int(a) if t > threshold else None for a, t in zip(arg, e.max(axis=1))
         )
-        fuzzy_fraction = sum(a is None for a in assignments) / n
-        thr = threshold
     else:
         raise ConfigError(f"unknown rule {rule!r}; use 'threshold' or 'max'")
     return AssignmentReport(
-        assignments=assignments, fuzzy_fraction=fuzzy_fraction, rule=rule, threshold=thr
+        assignments=assignments, fuzzy_fraction=sum(a is None for a in assignments) / n
     )
 
 
-def _pair_counts(pred: np.ndarray, truth: np.ndarray) -> tuple[int, int, int]:
-    """Exact (agree-same, agree-diff, disagree) pair counts via contingency."""
-    n = len(pred)
-    _, pi = np.unique(pred, return_inverse=True)
-    _, ti = np.unique(truth, return_inverse=True)
-    table = np.zeros((pi.max() + 1, ti.max() + 1), dtype=np.int64)
-    np.add.at(table, (pi, ti), 1)
-    same_both = int((table * (table - 1) // 2).sum())
-    a = table.sum(axis=1)
-    b = table.sum(axis=0)
-    same_pred = int((a * (a - 1) // 2).sum())
-    same_truth = int((b * (b - 1) // 2).sum())
+def _agreement(table: np.ndarray) -> float:
+    """Rand index of a contingency table: agreeing pairs over all pairs."""
+    def pairs(counts) -> int:
+        return int((counts * (counts - 1) // 2).sum())
+
+    n = int(table.sum())
     total = n * (n - 1) // 2
-    agree_diff = total - same_pred - same_truth + same_both
-    disagree = total - same_both - agree_diff
-    return same_both, agree_diff, disagree
+    return (total - pairs(table.sum(axis=1)) - pairs(table.sum(axis=0)) + 2 * pairs(table)) / total
 
 
 def rand_index(pred: Sequence[int], truth: Sequence[int]) -> float:
@@ -129,11 +110,13 @@ def rand_index(pred: Sequence[int], truth: Sequence[int]) -> float:
     truth = np.asarray(truth)
     if pred.shape != truth.shape or pred.ndim != 1:
         raise ConfigError(f"label shapes differ: {pred.shape} vs {truth.shape}")
-    n = pred.size
-    if n < 2:
-        raise ConfigError(f"need at least 2 objects, got {n}")
-    same, diff, _ = _pair_counts(pred, truth)
-    return (same + diff) / (n * (n - 1) // 2)
+    if pred.size < 2:
+        raise ConfigError(f"need at least 2 objects, got {pred.size}")
+    _, pi = np.unique(pred, return_inverse=True)
+    _, ti = np.unique(truth, return_inverse=True)
+    table = np.zeros((pi.max() + 1, ti.max() + 1), dtype=np.int64)
+    np.add.at(table, (pi, ti), 1)
+    return _agreement(table)
 
 
 def simulation_accuracy(
@@ -164,51 +147,21 @@ def simulation_accuracy(
         raise ConfigError(f"truth kinds must be 0, 1 or {SWITCHING}, got extra {sorted(bad)}")
 
     report = assign(partition, rule="threshold", threshold=threshold)
-    pure = kinds != SWITCHING
-    switching = ~pure
-
-    best = None  # (n_correct, perm)
-    for perm in permutations((0, 1)):
-        ok = 0
-        for a, k in zip(report.assignments, kinds):
-            if k == SWITCHING:
-                ok += a is None
-            else:
-                ok += a is not None and perm[a] == k
-        if best is None or ok > best[0]:
-            best = (ok, perm)
-    n_correct, perm = best
-
-    n_pure_correct = sum(
-        a is not None and perm[a] == k
-        for a, k in zip(report.assignments, kinds)
-        if k != SWITCHING
-    )
-    n_switch_correct = sum(
-        a is None for a, k in zip(report.assignments, kinds) if k == SWITCHING
-    )
-
-    # FUZZY becomes its own label for pair counting (id 2 is free: C = 2)
-    hard = report.hard_labels(fuzzy_label=2)
-    ri_all = rand_index(hard, kinds) if len(kinds) >= 2 else 1.0
-    if pure.sum() >= 2:
-        ri_pure = rand_index(hard[pure], kinds[pure])
-        counts = _pair_counts(hard[pure], kinds[pure])
-        pair_counts = (counts[0], counts[1], counts[2])
-    else:
-        ri_pure = 1.0
-        pair_counts = (0, 0, 0)
-
+    # FUZZY takes the switching tag (free, as C = 2); every score below
+    # comes from the (assigned, truth) contingency table
+    hard = report.hard_labels(fuzzy_label=SWITCHING)
+    table = np.bincount(3 * hard + kinds, minlength=9).reshape(3, 3)
+    kept = int(np.trace(table))
+    swapped = int(table[1, 0] + table[0, 1] + table[2, 2])
+    pure = table[:, :SWITCHING]
+    n_pure = int(pure.sum())
     return RandReport(
-        accuracy=n_correct / len(kinds),
-        rand_index_pure=ri_pure,
-        rand_index_all=ri_all,
-        n_pure=int(pure.sum()),
-        n_pure_correct=int(n_pure_correct),
-        n_switching=int(switching.sum()),
-        n_switching_correct=int(n_switch_correct),
+        accuracy=max(kept, swapped) / len(kinds),
+        rand_index_pure=_agreement(pure) if n_pure >= 2 else 1.0,
+        rand_index_all=_agreement(table) if len(kinds) >= 2 else 1.0,
+        n_pure=n_pure,
+        n_switching=len(kinds) - n_pure,
+        n_switching_correct=int(table[SWITCHING, SWITCHING]),
         fuzzy_fraction=report.fuzzy_fraction,
-        threshold=threshold,
-        label_map=perm,
-        pair_counts=pair_counts,
+        label_map=(1, 0) if swapped > kept else (0, 1),
     )

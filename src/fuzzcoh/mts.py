@@ -1,4 +1,4 @@
-"""Core data model: time-series blocks, datasets, region maps, CSV ingestion.
+"""Core data model and file formats: blocks, datasets, region maps, CSV and JSON.
 
 A recording is a long multichannel matrix cut into fixed-length blocks.
 Within a block the series is treated as stationary; every downstream
@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -24,9 +25,14 @@ __all__ = [
     "MtsDataset",
     "RegionMap",
     "load_csv",
+    "read_block_table",
+    "read_header",
+    "read_json",
     "save_csv",
     "segment_rows",
     "select_regions",
+    "write_json",
+    "write_table",
 ]
 
 
@@ -117,13 +123,9 @@ class MtsBlock:
 
 @dataclass(frozen=True)
 class MtsDataset:
-    """An ordered collection of blocks sharing channel layout and rate.
-
-    With ``strict=True`` (default) all blocks must share the same length.
-    """
+    """An ordered collection of blocks sharing channel layout, rate and length."""
 
     blocks: tuple[MtsBlock, ...]
-    strict: bool = True
 
     def __post_init__(self):
         blocks = tuple(self.blocks)
@@ -135,10 +137,8 @@ class MtsDataset:
                 raise DataError(f"block {i} has (p,q)=({b.p},{b.q}), expected ({first.p},{first.q})")
             if b.sample_rate_hz != first.sample_rate_hz:
                 raise DataError(f"block {i} sample rate differs")
-            if self.strict and b.n_samples != first.n_samples:
-                raise DataError(
-                    f"strict mode: block {i} has {b.n_samples} samples, expected {first.n_samples}"
-                )
+            if b.n_samples != first.n_samples:
+                raise DataError(f"block {i} has {b.n_samples} samples, expected {first.n_samples}")
         object.__setattr__(self, "blocks", blocks)
 
     @property
@@ -167,7 +167,7 @@ class MtsDataset:
         return None if all(v is None for v in labs) else labs
 
     def with_blocks(self, blocks: Sequence[MtsBlock]) -> "MtsDataset":
-        return MtsDataset(blocks=tuple(blocks), strict=self.strict)
+        return MtsDataset(blocks=tuple(blocks))
 
 
 @dataclass(frozen=True)
@@ -207,38 +207,128 @@ class RegionMap:
 
 
 # ---------------------------------------------------------------------------
-# ingestion / export
+# file formats: every CSV and JSON file of the package is read and written here
 # ---------------------------------------------------------------------------
 
-def _parse_cell(text: str, row: int, col: int) -> float:
+def format_float(v: float) -> str:
+    """Canonical decimal formatting: shortest round-trip repr of a float.
+
+    Guarantees load -> save -> load reproduces float64 values bit for bit.
+    """
+    return repr(float(v))
+
+
+def _jsonable(obj):
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, np.ndarray):
+        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    return obj
+
+
+def write_json(path, payload) -> None:
+    """Sorted keys, two-space indent, trailing newline; numpy values as Python ones."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(_jsonable(payload), fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def read_json(path, what: str):
+    """Parsed JSON file; a missing or malformed file is a ``ConfigError``."""
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"{what} not found: {path}")
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+
+
+def write_table(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A header line, then one CSV line per row.
+
+    Floats are written by ``format_float`` and None as an empty cell.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            ["" if v is None else format_float(v) if isinstance(v, float) else v for v in row]
+            for row in rows
+        )
+
+
+def _open_csv(path):
+    if not Path(path).exists():
+        raise ConfigError(f"input file not found: {path}")
+    return open(path, newline="", encoding="utf-8")
+
+
+def _header(reader, path) -> list[str]:
+    try:
+        return [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+
+
+def read_header(path) -> list[str]:
+    """The column names of a CSV file."""
+    with _open_csv(path) as fh:
+        return _header(csv.reader(fh), path)
+
+
+def _parse_cell(text: str, path, row: int, col: int, block_id: bool) -> float:
     try:
         v = float(text)
     except ValueError:
-        raise DataError(f"non-numeric cell at row {row}, column {col}: {text!r}") from None
-    if not np.isfinite(v):
-        raise DataError(f"non-finite value at row {row}, column {col}: {text!r}")
+        raise DataError(f"{path}: non-numeric cell at row {row}, column {col}: {text!r}") from None
+    if not math.isfinite(v):
+        raise DataError(f"{path}: non-finite value at row {row}, column {col}: {text!r}")
+    if block_id and not (v.is_integer() and v >= 0):
+        raise DataError(f"{path}: bad block id at row {row}, column {col}: {text!r} "
+                        "(need an integer >= 0)")
     return v
 
 
-def _read_table(path: Path) -> tuple[list[str], np.ndarray]:
-    with open(path, newline="", encoding="utf-8") as fh:
+def _read_table(path, skip: Sequence[str] = (), block_ids: Sequence[str] = ()):
+    """Header and float body of a CSV file, every parsed cell checked.
+
+    Columns named in ``skip`` are neither parsed nor returned; those in
+    ``block_ids`` must hold integers >= 0.  A ragged row, a non-numeric
+    or non-finite cell, a bad block id, or an empty body raises a
+    ``DataError`` naming the row (from 1, after the header) and column
+    (from 0).
+    """
+    rows: list[list[float]] = []
+    with _open_csv(path) as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        n_cols = len(header)
-        rows: list[list[float]] = []
+        header = _header(reader, path)
+        cols = [(c, h in block_ids) for c, h in enumerate(header) if h not in skip]
         for r, line in enumerate(reader, start=1):
             if not line:
                 continue
-            if len(line) != n_cols:
-                raise DataError(f"row {r}: expected {n_cols} cells, got {len(line)}")
-            rows.append([_parse_cell(cell, r, c) for c, cell in enumerate(line)])
+            if len(line) != len(header):
+                raise DataError(f"{path}: row {r}: expected {len(header)} cells, got {len(line)}")
+            rows.append([_parse_cell(line[c], path, r, c, is_id) for c, is_id in cols])
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return header, np.asarray(rows, dtype=np.float64)
+    return [header[c] for c, _ in cols], np.asarray(rows, dtype=np.float64)
+
+
+def read_block_table(path, prefix: str) -> tuple[np.ndarray, list[int]]:
+    """The ``prefix`` columns and the integer ``block_id`` column of a per-block table.
+
+    A text ``band`` column (features.csv) is skipped by name.
+    """
+    header, values = _read_table(path, skip=("band",), block_ids=("block_id",))
+    cols = [c for c, h in enumerate(header) if h.startswith(prefix)]
+    if "block_id" not in header or not cols:
+        raise DataError(f"{path}: needs a block_id column and {prefix}* columns, got {header}")
+    return values[:, cols], [int(v) for v in values[:, header.index("block_id")]]
 
 
 def segment_rows(values: np.ndarray, block_length: int) -> list[np.ndarray]:
@@ -264,61 +354,32 @@ def load_csv(
     *,
     sample_rate_hz: Optional[float] = None,
     block_length: Optional[int] = None,
-    block_column: Optional[str] = None,
     groups: Optional[tuple[int, int]] = None,
-    labels: Optional[Sequence[int]] = None,
     metadata_path=None,
-    strict: bool = True,
 ) -> MtsDataset:
     """Load a channels-as-columns CSV into a segmented dataset.
 
     The file must have one header row naming the channels and a numeric
-    body.  Blocks come either from a fixed ``block_length`` or from a
-    ``block_column`` whose value identifies the block of each row.
-    Channel groups come from ``groups=(p, q)``: the first p columns are
-    X, the next q are Y.  ``select_regions`` regroups by channel name.
+    body.  Blocks come from a fixed ``block_length``; without one the
+    whole file is a single block.  Channel groups come from
+    ``groups=(p, q)``: the first p columns are X, the next q are Y.
+    ``select_regions`` regroups by channel name.
 
     An optional JSON metadata sidecar may supply ``block_length``,
     ``labels`` and ``sample_rate_hz``; explicit keyword arguments win
     over the sidecar.
     """
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"input file not found: {path}")
-
-    meta: dict = {}
-    if metadata_path is not None:
-        mpath = Path(metadata_path)
-        if not mpath.exists():
-            raise ConfigError(f"metadata file not found: {mpath}")
-        meta = json.loads(mpath.read_text(encoding="utf-8"))
-
+    meta = {} if metadata_path is None else read_json(metadata_path, "metadata file")
     if block_length is None:
         block_length = meta.get("block_length")
-    if labels is None:
-        labels = meta.get("labels")
+    labels = meta.get("labels")
     if sample_rate_hz is None:
         sample_rate_hz = meta.get("sample_rate_hz")
     if sample_rate_hz is None:
         raise ConfigError("sample_rate_hz missing (argument or metadata)")
 
     header, values = _read_table(path)
-
-    if block_column is not None:
-        if block_column not in header:
-            raise ConfigError(f"block column {block_column!r} not in header")
-        bc = header.index(block_column)
-        ids = values[:, bc]
-        keep = [i for i in range(len(header)) if i != bc]
-        values = values[:, keep]
-        header = [header[i] for i in keep]
-        # consecutive runs of equal ids form the blocks
-        change = np.flatnonzero(np.diff(ids)) + 1
-        parts = np.split(values, change)
-    elif block_length is not None:
-        parts = segment_rows(values, int(block_length))
-    else:
-        parts = [values]
+    parts = [values] if block_length is None else segment_rows(values, int(block_length))
 
     if groups is None:
         raise ConfigError("groups=(p,q) is required")
@@ -340,15 +401,7 @@ def load_csv(
         )
         for i, part in enumerate(parts)
     ]
-    return MtsDataset(blocks=tuple(blocks), strict=strict)
-
-
-def format_float(v: float) -> str:
-    """Canonical decimal formatting: shortest round-trip repr of a float.
-
-    Guarantees load -> save -> load reproduces float64 values bit for bit.
-    """
-    return repr(float(v))
+    return MtsDataset(blocks=tuple(blocks))
 
 
 def save_csv(dataset: MtsDataset, path, metadata_path=None) -> None:
@@ -358,16 +411,10 @@ def save_csv(dataset: MtsDataset, path, metadata_path=None) -> None:
     bit-identical float64 data.  When ``metadata_path`` is given, block
     length and labels are written there as JSON.
     """
-    path = Path(path)
     names = dataset.channel_names or tuple(
         f"ch{i}" for i in range(dataset.p + dataset.q)
     )
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for block in dataset.blocks:
-            for row in block.data:
-                writer.writerow([format_float(v) for v in row])
+    write_table(path, names, (row for block in dataset.blocks for row in block.data))
     if metadata_path is not None:
         meta = {
             "block_length": dataset.blocks[0].n_samples,
@@ -376,9 +423,7 @@ def save_csv(dataset: MtsDataset, path, metadata_path=None) -> None:
         labels = dataset.labels
         if labels is not None:
             meta["labels"] = list(labels)
-        Path(metadata_path).write_text(
-            json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        write_json(metadata_path, meta)
 
 
 def select_regions(

@@ -8,8 +8,6 @@ across reruns.
 
 from __future__ import annotations
 
-import csv
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bands import RAW_BAND, BandSpec, band_edges, default_band, design_bandpass, filter_dataset
+from .bands import RAW_BAND, band_edges, default_band, design_bandpass, filter_dataset
 from .canonical import FeatureSet, extract_features
 from .clustering import (
     DEFAULT_M_GRID,
@@ -30,9 +28,20 @@ from .clustering import (
 from .dependence import dependence_set
 from .evaluation import SWITCHING, assign, rand_index, simulation_accuracy
 from .exceptions import ConfigError
-from .mts import MtsDataset, RegionMap, format_float, load_csv, save_csv, select_regions
+from .mts import (
+    MtsDataset,
+    RegionMap,
+    load_csv,
+    read_block_table,
+    read_header,
+    read_json,
+    save_csv,
+    select_regions,
+    write_json,
+    write_table,
+)
 from .pearson import pearson_dependence_set
-from .simulate import SimConfig, gen_dataset
+from .simulate import SimConfig, gen_dataset, truth_payload
 
 __all__ = [
     "PipelineConfig",
@@ -104,6 +113,9 @@ class PipelineConfig:
             raise ConfigError("m_grid must be non-empty when given")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
+        for key, grid in (("n_clusters", "c_grid"), ("fuzziness", "m_grid")):
+            if getattr(self, key) is None and getattr(self, grid) is None:
+                raise ConfigError(f"{key} is null and no {grid} replaces it")
         object.__setattr__(self, "bands", tuple(self.bands))
         if any(len(pair) != 2 for pair in self.pairs or ()):
             raise ConfigError(f"each region pair needs two region names, got {self.pairs}")
@@ -132,52 +144,17 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        return cls.from_dict(json.loads(path.read_text(encoding="utf-8")))
-
-    def resolve_band(self, name: str, sample_rate_hz: float) -> Optional[BandSpec]:
-        return default_band(name, sample_rate_hz, self.band_table)
+        return cls.from_dict(read_json(path, "config file"))
 
 
 # ---------------------------------------------------------------------------
 # file formats
 # ---------------------------------------------------------------------------
 
-def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
-def write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(payload), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def write_rows_csv(path, rows: Sequence[dict]) -> None:
-    """The first row's keys as header, then one line per row.
-
-    Floats are written by ``format_float`` and None as an empty cell.
-    """
+    """The first row's keys as header, then one line per row."""
     cols = list(rows[0])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for row in rows:
-            writer.writerow([
-                "" if row[c] is None else
-                (format_float(row[c]) if isinstance(row[c], float) else row[c])
-                for c in cols
-            ])
+    write_table(path, cols, ([row[c] for c in cols] for row in rows))
 
 
 def centers_payload(partition: FuzzyPartition) -> dict:
@@ -204,61 +181,46 @@ def fsi_grid_payload(report: ValidityReport) -> dict:
 
 
 def write_features_csv(path, feature_set: FeatureSet, band_name: str) -> None:
-    n_dim = feature_set.d_matrix.shape[1] if len(feature_set) else 0
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["block_id", "band", "best_lag", "g_value"]
-            + [f"d_{i + 1}" for i in range(n_dim)]
-        )
-        for idx, feat in zip(feature_set.block_indices, feature_set.features):
-            writer.writerow(
-                [idx, band_name, feat.best_lag, format_float(feat.g_value)]
-                + [format_float(v) for v in feat.d]
-            )
+    n_dim = len(feature_set.features[0].d) if len(feature_set) else 0
+    write_table(
+        path,
+        ["block_id", "band", "best_lag", "g_value"] + [f"d_{i + 1}" for i in range(n_dim)],
+        ([idx, band_name, feat.best_lag, feat.g_value, *feat.d]
+         for idx, feat in zip(feature_set.block_indices, feature_set.features)),
+    )
 
 
 def read_features_csv(path) -> tuple[np.ndarray, list[int]]:
     """Feature matrix and block ids from a features.csv file."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        d_cols = [i for i, h in enumerate(header) if h.startswith("d_")]
-        rows, ids = [], []
-        for line in reader:
-            ids.append(int(line[0]))
-            rows.append([float(line[i]) for i in d_cols])
-    if not rows:
-        raise ConfigError(f"{path}: no feature rows")
-    return np.asarray(rows), ids
+    return read_block_table(path, "d_")
 
 
 def write_memberships_csv(path, partition: FuzzyPartition, block_ids: Sequence[int]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["block_id"] + [f"e_{c + 1}" for c in range(partition.n_clusters)]
-        )
-        for idx, row in zip(block_ids, partition.memberships):
-            writer.writerow([idx] + [format_float(v) for v in row])
+    write_table(
+        path,
+        ["block_id"] + [f"e_{c + 1}" for c in range(partition.n_clusters)],
+        ([idx, *row] for idx, row in zip(block_ids, partition.memberships)),
+    )
 
 
 def read_memberships_csv(path) -> tuple[np.ndarray, list[int]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        rows, ids = [], []
-        for line in reader:
-            ids.append(int(line[0]))
-            rows.append([float(v) for v in line[1:]])
-    if not rows:
-        raise ConfigError(f"{path}: no membership rows")
-    return np.asarray(rows), ids
+    """Membership matrix and block ids from a memberships.csv file."""
+    return read_block_table(path, "e_")
 
 
 # ---------------------------------------------------------------------------
 # pipeline stages
 # ---------------------------------------------------------------------------
+
+def require_blocks(dataset: MtsDataset, source) -> MtsDataset:
+    """The dataset, unless it is a single block: clustering needs at least two."""
+    if dataset.n_blocks == 1:
+        raise ConfigError(
+            f"{source} gives 1 block of {dataset.blocks[0].n_samples} samples; clustering "
+            "needs at least 2: set block_length (config, sidecar or --block-length)"
+        )
+    return dataset
+
 
 def load_input(config: PipelineConfig) -> MtsDataset:
     if config.sim is not None:
@@ -270,22 +232,14 @@ def load_input(config: PipelineConfig) -> MtsDataset:
         if not config.pairs:
             raise ConfigError("CSV input needs groups=(p, q) or regions with pairs")
         # provisional split; region selection re-partitions per job
-        with open(config.csv, newline="", encoding="utf-8") as fh:
-            n_cols = len(next(csv.reader(fh)))
-        groups = (1, n_cols - 1)
-    dataset = load_csv(
+        groups = (1, len(read_header(config.csv)) - 1)
+    return require_blocks(load_csv(
         config.csv,
         sample_rate_hz=config.sample_rate_hz,
         block_length=config.block_length,
         groups=groups,
         metadata_path=config.metadata,
-    )
-    if dataset.n_blocks == 1:
-        raise ConfigError(
-            f"{config.csv} gives 1 block of {dataset.blocks[0].n_samples} samples; "
-            "clustering needs at least 2: set block_length in the config or the sidecar"
-        )
-    return dataset
+    ), config.csv)
 
 
 def _cluster_and_validate(
@@ -322,7 +276,6 @@ def evaluate_partition(
     the labels.  ``labels`` is indexed by the block ids.
     """
     thr_report = assign(partition, rule="threshold", threshold=threshold)
-    max_report = assign(partition, rule="max")
     payload: dict = {
         "rule": "threshold",
         "threshold": threshold,
@@ -358,7 +311,7 @@ def evaluate_partition(
         )
     else:
         # labeled recordings: maximum-membership rule against the labels
-        hard = max_report.hard_labels(fuzzy_label=-1)
+        hard = assign(partition, rule="max").hard_labels(fuzzy_label=-1)
         payload.update(
             rand_index=rand_index(hard, truth),
             protocol="max-membership",
@@ -415,7 +368,7 @@ def _run_job(args) -> JobResult:
     if pair is not None:
         region_map = RegionMap(regions=config.regions)
         dataset = select_regions(dataset, region_map, pair)
-    band = config.resolve_band(band_name, dataset.sample_rate_hz)
+    band = default_band(band_name, dataset.sample_rate_hz, config.band_table)
     if band is not None:
         design = design_bandpass(band, order=config.filter_order)
         dataset = filter_dataset(dataset, design)
@@ -597,9 +550,7 @@ def reproduce_sim(
 
 def simulate_to_files(sim: SimConfig, data_csv, truth_json) -> MtsDataset:
     """Generate a dataset and write the data CSV plus the truth JSON."""
-    from .simulate import write_truth
-
     dataset = gen_dataset(sim)
     save_csv(dataset, data_csv)
-    write_truth(truth_json, sim, dataset)
+    write_json(truth_json, truth_payload(sim, dataset))
     return dataset

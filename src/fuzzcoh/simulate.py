@@ -9,13 +9,13 @@ indicator, which is what the fuzzy detection protocol must catch.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy import signal
 
+from .evaluation import SWITCHING
 from .exceptions import ConfigError, DataError
 from .mts import MtsBlock, MtsDataset
 
@@ -39,7 +39,7 @@ _NS_KINDS = 5
 _NS_BLOCK = 7
 _NS_CONTAM = 11
 
-_PURE0, _PURE1, _FUZZY = 0, 1, 2
+_PURE0, _PURE1 = 0, 1
 
 
 @dataclass(frozen=True)
@@ -289,7 +289,7 @@ def gen_block(config: SimConfig, kind: int, seed_key: Sequence[int]) -> MtsBlock
     noise from a stream derived from ``seed_key``; the block label
     records the kind.
     """
-    if kind not in (_PURE0, _PURE1, _FUZZY):
+    if kind not in (_PURE0, _PURE1, SWITCHING):
         raise ConfigError(f"kind must be 0, 1 or 2, got {kind}")
     a0, a1 = _mixing_for(config)
     rng = np.random.default_rng(list(seed_key))
@@ -343,7 +343,7 @@ def gen_dataset(config: SimConfig) -> MtsDataset:
     positions reproduces the sequential output exactly.
     """
     counts = apportion(config.n_blocks, config.proportions)
-    kinds = np.repeat([_PURE0, _PURE1, _FUZZY], counts)
+    kinds = np.repeat([_PURE0, _PURE1, SWITCHING], counts)
     shuffle_rng = np.random.default_rng([config.seed, _NS_KINDS])
     shuffle_rng.shuffle(kinds)
     blocks = [
@@ -395,9 +395,3 @@ def contaminate(
             data[:, cols] += scale * noise
         new_blocks.append(block.with_data(data))
     return dataset.with_blocks(new_blocks)
-
-
-def write_truth(path, config: SimConfig, dataset: MtsDataset) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(truth_payload(config, dataset), fh, sort_keys=True, indent=2)
-        fh.write("\n")

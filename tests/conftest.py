@@ -7,6 +7,7 @@ the code paths they verify.
 """
 
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,75 @@ def brute_force_rand_index(pred, truth) -> float:
             same_t = truth[i] == truth[j]
             agree += same_p == same_t
     return agree / total
+
+
+def brute_force_fsi(features, memberships, fuzziness) -> float:
+    """Fuzzy silhouette index with the silhouette taken object by object.
+
+    The weighted mean distances are the library's; the silhouette of
+    every (object, cluster) pair is then evaluated literally: a pair
+    whose own mean, or every other mean, is undefined scores 0, as does
+    one with max(a, n) == 0.
+    """
+    x = np.asarray(features, dtype=np.float64)
+    e = np.asarray(memberships, dtype=np.float64)
+    n, c = e.shape
+    dist = np.sqrt(np.maximum(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1), 0.0))
+    w = e ** fuzziness
+    num = dist @ w
+    den = w.sum(axis=0)[None, :] - w
+    with np.errstate(invalid="ignore", divide="ignore"):
+        avg = np.where(den > 0, num / den, np.nan)
+    s = np.zeros((n, c))
+    for b in range(n):
+        for ci in range(c):
+            a = avg[b, ci]
+            others = [v for k, v in enumerate(avg[b]) if k != ci and not math.isnan(v)]
+            if math.isnan(a) or not others:
+                continue
+            nb = float(min(others))
+            top = max(a, nb)
+            s[b, ci] = 0.0 if top == 0 else (nb - a) / top
+    return float((w * s).sum() / n)
+
+
+def brute_force_simulation_protocol(memberships, kinds, threshold=0.7) -> dict:
+    """The 0.7-cutoff protocol by enumeration of both cluster-to-kind maps.
+
+    A block is assigned to its argmax cluster (lower index on ties) when
+    its top membership exceeds the cutoff, else FUZZY.  Pure blocks count
+    correct under the map, switching blocks (kind 2) when FUZZY; the
+    first map with the most correct blocks wins.  FUZZY is the third
+    label of both pair-enumeration Rand indices.
+    """
+    assigned = []
+    for row in np.asarray(memberships, dtype=np.float64).tolist():
+        top = max(row)
+        assigned.append(row.index(top) if top > threshold else None)
+    kinds = [int(k) for k in kinds]
+    best = None
+    for label_map in ((0, 1), (1, 0)):
+        correct = sum(
+            (a is None) if k == 2 else (a is not None and label_map[a] == k)
+            for a, k in zip(assigned, kinds)
+        )
+        if best is None or correct > best[0]:
+            best = (correct, label_map)
+    hard = [2 if a is None else a for a in assigned]
+    pure = [i for i, k in enumerate(kinds) if k != 2]
+    return {
+        "accuracy": best[0] / len(kinds),
+        "label_map": best[1],
+        "n_pure": len(pure),
+        "n_switching": len(kinds) - len(pure),
+        "n_switching_correct": sum(a is None for a, k in zip(assigned, kinds) if k == 2),
+        "fuzzy_fraction": sum(a is None for a in assigned) / len(kinds),
+        "rand_index_all": brute_force_rand_index(hard, kinds) if len(kinds) >= 2 else 1.0,
+        "rand_index_pure": (
+            brute_force_rand_index([hard[i] for i in pure], [kinds[i] for i in pure])
+            if len(pure) >= 2 else 1.0
+        ),
+    }
 
 
 def grid_oracle_best_g(p0_xx, p0_yy, cross_by_lag, n_angle=100):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import two_blobs
+from conftest import brute_force_fsi, two_blobs
 
 from fuzzcoh import ConfigError, FuzzyPartition, fcm_fit, fsi, grid_search
 from fuzzcoh.clustering import DEFAULT_M_GRID, init_centers
@@ -96,7 +96,6 @@ class TestFsi:
         labels = np.array([0, 0, 0, 1, 1, 1])
         report = fsi(x, crisp_partition(x, labels, 2))
         assert report.cells[0].fsi == 0.0
-        assert np.all(report.silhouettes == 0.0)
 
     def test_uniform_memberships_score_lower(self):
         x, labels = two_blobs(10, 3, gap=20.0, sigma=0.5, seed=1)
@@ -128,6 +127,46 @@ class TestFsi:
             x = rng.standard_normal((12, 3))
             part = fcm_fit(x, 2, 2.0, seed=trial, n_restarts=2)
             assert -1.0 <= fsi(x, part).cells[0].fsi <= 1.0
+
+    @staticmethod
+    def random_case(rng, kind):
+        n, c = int(rng.integers(3, 30)), int(rng.integers(2, 7))
+        x = rng.standard_normal((n, int(rng.integers(1, 5))))
+        if kind == "tied":
+            x = np.round(x)  # many coincident points
+        elif kind == "identical":
+            x = np.ones_like(x)
+        e = rng.dirichlet(np.full(c, rng.choice([0.2, 1.0, 5.0])), size=n)
+        if kind in ("crisp", "identical"):
+            # one-hot rows over a few clusters, so some clusters stay empty
+            e = np.eye(c)[rng.integers(0, max(1, c - 2), n)]
+        elif kind == "rounded":
+            e = np.round(e, 1)
+            e[:, -1] = 1.0 - e[:, :-1].sum(axis=1)
+            e = np.where(e[:, -1:] < 0, np.full((n, c), 1.0 / c), e)
+        return x, FuzzyPartition(
+            memberships=e, centers=np.zeros((c, x.shape[1])),
+            fuzziness=float(rng.choice([1.2, 1.5, 2.0, 2.5])),
+            objective_trace=(1.0,), iterations=1, converged=True, seed=0,
+        )
+
+    @pytest.mark.parametrize("kind", ["dirichlet", "crisp", "rounded", "tied", "identical"])
+    def test_equals_brute_force_oracle(self, kind):
+        rng = np.random.default_rng(["dirichlet", "crisp", "rounded", "tied",
+                                     "identical"].index(kind))
+        for _ in range(150):
+            x, part = self.random_case(rng, kind)
+            assert fsi(x, part).cells[0].fsi == brute_force_fsi(
+                x, part.memberships, part.fuzziness)
+
+    def test_equals_brute_force_oracle_on_fits(self):
+        rng = np.random.default_rng(8)
+        for trial in range(30):
+            x = rng.standard_normal((int(rng.integers(8, 40)), 3))
+            part = fcm_fit(x, int(rng.integers(2, 6)), float(rng.uniform(1.1, 2.6)),
+                           seed=trial, n_restarts=2)
+            assert fsi(x, part).cells[0].fsi == brute_force_fsi(
+                x, part.memberships, part.fuzziness)
 
 
 class TestGridSearch:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import brute_force_rand_index
+from conftest import brute_force_rand_index, brute_force_simulation_protocol
 
 from fuzzcoh import (
     ConfigError,
@@ -145,3 +145,17 @@ class TestSimulationAccuracy:
         assert 0.0 <= report.rand_index_pure <= 1.0
         assert 0.0 <= report.rand_index_all <= 1.0
         assert report.n_pure == 3 and report.n_switching == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_enumeration_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(120):
+            n = int(rng.integers(1, 25))
+            e0 = rng.choice([rng.uniform(0, 1, n), np.round(rng.uniform(0, 1, n), 1),
+                             rng.choice([0.0, 0.3, 0.5, 0.7, 1.0], n)])
+            e = np.column_stack([e0, 1.0 - e0])
+            kinds = rng.choice([[0, 1, SWITCHING], [0, 1], [SWITCHING], [0]][int(rng.integers(4))],
+                               n)
+            report = simulation_accuracy(partition_from_memberships(e), kinds)
+            oracle = brute_force_simulation_protocol(e, kinds)
+            assert {k: getattr(report, k) for k in oracle} == oracle

@@ -41,8 +41,6 @@ def test_strict_mode_equal_lengths():
     b2 = MtsBlock(data=np.zeros((8, 2)), p=1, q=1, sample_rate_hz=1.0)
     with pytest.raises(DataError):
         MtsDataset(blocks=(b1, b2))
-    ds = MtsDataset(blocks=(b1, b2), strict=False)
-    assert ds.n_blocks == 2
 
 
 def test_minimal_csv(tmp_path):
@@ -122,18 +120,6 @@ def test_round_trip_bit_identical(tmp_path):
 def test_format_float_shortest_roundtrip():
     for v in [0.1, 1.0, -3.5e-17, 123456.789, 2.0 ** -52]:
         assert float(format_float(v)) == v
-
-
-def test_block_column_segmentation(tmp_path):
-    path = tmp_path / "blocks.csv"
-    rows = []
-    for blk in range(3):
-        for t in range(4):
-            rows.append([blk, blk + t * 0.5, blk - t * 0.25])
-    write_csv(path, ["trial", "a", "b"], rows)
-    ds = load_csv(path, sample_rate_hz=4.0, block_column="trial", groups=(1, 1))
-    assert ds.n_blocks == 3
-    assert ds.channel_names == ("a", "b")
 
 
 def test_metadata_sidecar_labels(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from conftest import tree_digest
 
 from fuzzcoh import ConfigError, PipelineConfig, reproduce_sim, run_pipeline
+from fuzzcoh.bands import default_band
 from fuzzcoh.cli import main
 from fuzzcoh.dependence import dependence_set
 from fuzzcoh.pipeline import (
@@ -43,7 +44,7 @@ class TestPipelineConfig:
             seed=0, output_dir="x", sim=SIM_SMALL,
             bands=("Mid",), band_table={"Mid": [10.0, 20.0]},
         )
-        band = cfg.resolve_band("Mid", 128.0)
+        band = default_band("Mid", 128.0, cfg.band_table)
         assert (band.low_hz, band.high_hz) == (10.0, 20.0)
 
     def test_regions_without_pairs_rejected(self):
@@ -59,6 +60,18 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError, match="unknown region"):
             PipelineConfig(seed=0, output_dir="x", sim=SIM_SMALL,
                            regions={"A": ["X1"], "B": ["Y1"]}, pairs=[["A", "Z"]])
+
+    def test_null_n_clusters_needs_c_grid(self):
+        with pytest.raises(ConfigError, match="n_clusters is null"):
+            PipelineConfig(seed=0, output_dir="x", sim=SIM_SMALL, n_clusters=None,
+                           m_grid=(1.5, 2.0))
+        PipelineConfig(seed=0, output_dir="x", sim=SIM_SMALL, n_clusters=None, c_grid=(2, 3))
+
+    def test_null_fuzziness_needs_m_grid(self):
+        with pytest.raises(ConfigError, match="fuzziness is null"):
+            PipelineConfig(seed=0, output_dir="x", sim=SIM_SMALL, fuzziness=None,
+                           c_grid=(2, 3))
+        PipelineConfig(seed=0, output_dir="x", sim=SIM_SMALL, fuzziness=None, m_grid=(1.5,))
 
 
 class TestRunPipeline:
@@ -355,6 +368,84 @@ class TestCli:
         assert rc == 0
         feats, ids = read_features_csv(out)
         assert ids == [1, 2]
+
+
+def write_file(path, text):
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def assert_one_error_line(capsys, match):
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.startswith("error:"), err
+    assert match in err, err
+
+
+class TestCliInputErrors:
+    """Malformed inputs end in exit code 2 and one `error:` line."""
+
+    def test_null_cluster_setting_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 0, "output_dir": str(tmp_path / "out"),
+                                   "sim": SIM_SMALL, "n_clusters": None}))
+        assert main(["pipeline", "--config", str(cfg)]) == 2
+        assert_one_error_line(capsys, "n_clusters is null")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("body, match", [
+        ("block_id,e_1,e_2\n0,0.9,0.1\n1,oops,0.5\n", "non-numeric cell at row 2, column 1"),
+        ("block_id,e_1,e_2\n0,0.9,0.1\n1.5,0.2,0.8\n", "bad block id at row 2, column 0"),
+        ("block_id,e_1,e_2\n-1,0.9,0.1\n1,0.2,0.8\n", "bad block id at row 1, column 0"),
+        ("block_id,e_1,e_2\n0,0.9,0.1\n1,inf,0.8\n", "non-finite value at row 2, column 1"),
+        ("block_id,e_1,e_2\n", "no data rows"),
+    ])
+    def test_malformed_memberships(self, tmp_path, capsys, body, match):
+        truth = tmp_path / "truth.json"
+        truth.write_text("[0, 1]")
+        rc = main(["evaluate", "--memberships", write_file(tmp_path / "m.csv", body),
+                   "--truth", str(truth), "--output", str(tmp_path / "ev.json")])
+        assert rc == 2
+        assert_one_error_line(capsys, match)
+
+    @pytest.mark.parametrize("command", ["cluster", "validate"])
+    def test_ragged_features(self, tmp_path, capsys, command):
+        body = ("block_id,band,best_lag,g_value,d_1,d_2\n0,raw,1,0.5,0.1,0.2\n"
+                "1,raw,1,0.5,0.3\n")
+        out = ["--out-memberships", str(tmp_path / "m.csv"), "--out-centers",
+               str(tmp_path / "c.json")] if command == "cluster" else [
+               "--output", str(tmp_path / "g.json")]
+        rc = main([command, "--features", write_file(tmp_path / "f.csv", body), *out])
+        assert rc == 2
+        assert_one_error_line(capsys, "row 2: expected 6 cells, got 5")
+
+    @pytest.mark.parametrize("truth, match", [
+        ({"labels": [0, 1, 0]}, "'kinds' list"),
+        ("labels", "'kinds' list"),
+        ([0, 1], "2 labels, but memberships name block 2"),
+        ([0, 1, 0.5], "integers or null, got 0.5"),
+    ])
+    def test_malformed_truth(self, tmp_path, capsys, truth, match):
+        mem = write_file(tmp_path / "m.csv",
+                         "block_id,e_1,e_2\n0,0.9,0.1\n1,0.2,0.8\n2,0.95,0.05\n")
+        (tmp_path / "truth.json").write_text(json.dumps(truth))
+        rc = main(["evaluate", "--memberships", mem, "--truth", str(tmp_path / "truth.json"),
+                   "--output", str(tmp_path / "ev.json")])
+        assert rc == 2
+        assert_one_error_line(capsys, match)
+        assert not (tmp_path / "ev.json").exists()
+
+    def test_one_block_features_fail_before_dependence(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "rec.csv"
+        np.savetxt(data, np.random.default_rng(0).standard_normal((256, 4)), delimiter=",",
+                   header="a,b,c,d", comments="", fmt="%.6f")
+        calls = []
+        monkeypatch.setitem(DEPENDENCE_FNS, "kendall",
+                            lambda block, max_lag: calls.append(block))
+        rc = main(["features", "--input", str(data), "--sample-rate", "128",
+                   "--groups", "2", "2", "--output", str(tmp_path / "f.csv")])
+        assert rc == 2 and calls == []
+        assert_one_error_line(capsys, "gives 1 block of 256 samples")
+        assert not (tmp_path / "f.csv").exists()
 
 
 class TestCrossEntryPoint:
