@@ -13,8 +13,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dependence import LaggedDependenceSet, dependence_set, repair_psd
-from .exceptions import DataError, DegenerateBlockError, NumericError
+from .dependence import MIN_ALIGNED, LaggedDependenceSet, dependence_set, repair_psd
+from .exceptions import ConfigError, DataError, DegenerateBlockError, NumericError
 from .mts import MtsDataset
 
 __all__ = ["CanonicalFeature", "FeatureSet", "solve_canonical", "extract_features"]
@@ -149,8 +149,16 @@ def extract_features(
     ``dependence_fn`` builds a block's lagged dependence set (the rank
     path by default; the linear-correlation foil plugs in here).  A
     block with a flatlined channel raises unless ``skip_degenerate`` is
-    set, in which case the block is excluded and reported.
+    set, in which case the block is excluded and reported.  A ``max_lag``
+    below 0, or one that leaves fewer than 8 aligned samples in a block,
+    raises ``ConfigError`` before any block is touched.
     """
+    n_samples = dataset.blocks[0].n_samples  # every block has this length
+    if not 0 <= max_lag <= n_samples - MIN_ALIGNED:
+        raise ConfigError(
+            f"max_lag must lie in [0, {n_samples - MIN_ALIGNED}] so that {n_samples}-sample "
+            f"blocks keep at least {MIN_ALIGNED} aligned samples, got {max_lag}"
+        )
     features: list[CanonicalFeature] = []
     kept: list[int] = []
     excluded: list[tuple[int, str]] = []

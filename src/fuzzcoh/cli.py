@@ -16,7 +16,7 @@ from .bands import RAW_BAND, default_band, design_bandpass, filter_dataset
 from .canonical import extract_features
 from .clustering import DEFAULT_C_GRID, DEFAULT_M_GRID, FuzzyPartition, fcm_fit, grid_search
 from .exceptions import ConfigError, DataError, NumericError
-from .mts import load_csv, read_json, save_csv, write_json
+from .mts import check_labels, load_csv, read_json, save_csv, write_json
 from .pipeline import (
     DEPENDENCE_FNS,
     PipelineConfig,
@@ -139,10 +139,7 @@ def _read_truth(path, block_ids) -> tuple[list, bool]:
     if len(labels) <= max(block_ids):
         raise ConfigError(f"{path}: {len(labels)} labels, but memberships name block "
                           f"{max(block_ids)}")
-    bad = [v for v in labels if v is not None and type(v) is not int]
-    if bad:
-        raise ConfigError(f"{path}: labels must be integers or null, got {bad[0]!r}")
-    return labels, simulated
+    return check_labels(labels, path), simulated
 
 
 def _cmd_evaluate(args) -> int:

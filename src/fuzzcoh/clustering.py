@@ -32,6 +32,7 @@ DEFAULT_M_GRID: tuple[float, ...] = (1.2, 1.5, 1.8, 2.0, 2.2, 2.5)
 
 _ROW_SUM_TOL = 1e-10
 _TRACE_SLACK = 1e-12
+_FIT_TOL = 1e-6  # a fit converges once no membership moves by this much
 
 
 @dataclass(frozen=True)
@@ -147,6 +148,11 @@ def _memberships_from_centers(features, centers, fuzziness):
     return e, d2
 
 
+def _require_restarts(n_restarts: int) -> None:
+    if n_restarts < 1:
+        raise ConfigError(f"n_restarts must be >= 1, got {n_restarts}")
+
+
 def _objective(e, d2, fuzziness):
     return float(((e ** fuzziness) * d2).sum())
 
@@ -157,7 +163,6 @@ def fcm_fit(
     fuzziness: float,
     seed: int = 0,
     max_iter: int = 300,
-    tol: float = 1e-6,
     n_restarts: int = 10,
     init: Optional[np.ndarray] = None,
 ) -> FuzzyPartition:
@@ -165,7 +170,7 @@ def fcm_fit(
 
     Alternates the weighted-mean center update and the closed-form
     membership update until the largest membership change drops below
-    ``tol`` or ``max_iter`` is hit.  Each restart derives its own stream
+    1e-6 or ``max_iter`` is hit.  Each restart derives its own stream
     from (seed, C, m, restart) and initializes centers at data points
     via squared-distance weighting; pass ``init`` to pin the initial
     centers of a single restart (used by equivariance checks).
@@ -173,8 +178,9 @@ def fcm_fit(
     Raises
     ------
     ConfigError
-        If C >= B, m <= 1, or the features are not finite.
+        If C >= B, m <= 1, n_restarts < 1, or the features are not finite.
     """
+    _require_restarts(n_restarts)
     x = np.ascontiguousarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ConfigError(f"features must be 2-D, got shape {x.shape}")
@@ -207,7 +213,7 @@ def fcm_fit(
             trace.append(_objective(e_new, d2, fuzziness))
             delta = np.abs(e_new - e).max()
             e = e_new
-            if delta < tol:
+            if delta < _FIT_TOL:
                 converged = True
                 break
         part = FuzzyPartition(
@@ -269,8 +275,6 @@ def grid_search(
     c_values: Sequence[int] = DEFAULT_C_GRID,
     m_values: Sequence[float] = DEFAULT_M_GRID,
     seed: int = 0,
-    max_iter: int = 300,
-    tol: float = 1e-6,
     n_restarts: int = 10,
 ) -> tuple[ValidityReport, FuzzyPartition]:
     """Fit every (C, m) cell and keep the highest-validity configuration.
@@ -284,12 +288,12 @@ def grid_search(
     m_values = tuple(m_values)
     if not c_values or not m_values:
         raise ConfigError("empty grid")
+    _require_restarts(n_restarts)  # a run-wide setting, not a per-cell failure
     cells: list[GridCell] = []
     best = None  # (fsi, C, m, partition)
     for c, m in product(sorted(c_values), sorted(m_values)):
         try:
-            part = fcm_fit(features, c, m, seed=seed, max_iter=max_iter,
-                           tol=tol, n_restarts=n_restarts)
+            part = fcm_fit(features, c, m, seed=seed, n_restarts=n_restarts)
             value = fsi(features, part).cells[0].fsi
             cells.append(GridCell(n_clusters=c, fuzziness=m, fsi=value))
             if best is None or value > best[0]:

@@ -214,6 +214,9 @@ def lagged_tau_matrices(data: np.ndarray, max_lag: int) -> dict[int, np.ndarray]
     return {lag: sums[lag] / ((T - lag) * (T - lag - 1) // 2) for lag in range(max_lag + 1)}
 
 
+MIN_ALIGNED = 8  # fewest aligned samples a lag may leave in a block
+
+
 def build_dependence_set(
     block: MtsBlock,
     max_lag: int,
@@ -230,10 +233,10 @@ def build_dependence_set(
     if max_lag < 0:
         raise DataError(f"max_lag must be >= 0, got {max_lag}")
     T = block.n_samples
-    if T - max_lag < 8:
+    if T - max_lag < MIN_ALIGNED:
         raise DataError(
             f"block too short: {T} samples leave {T - max_lag} aligned pairs "
-            f"at lag {max_lag}, need at least 8"
+            f"at lag {max_lag}, need at least {MIN_ALIGNED}"
         )
     data = block.data
     degenerate = tuple(
@@ -276,15 +279,19 @@ def dependence_set(block: MtsBlock, max_lag: int = 5) -> LaggedDependenceSet:
 # positive-semidefinite repair
 # ---------------------------------------------------------------------------
 
-def repair_psd(matrix: np.ndarray, eps: float = 1e-8, max_iter: int = 100) -> np.ndarray:
+_PSD_EPS = 1e-8
+_PSD_MAX_ITER = 100
+
+
+def repair_psd(matrix: np.ndarray) -> np.ndarray:
     """Nearest-style PSD repair: clip eigenvalues, restore the diagonal.
 
-    Eigenvalues below ``eps`` are clipped up to ``eps`` and the diagonal
+    Eigenvalues below ``_PSD_EPS`` are clipped up to it and the diagonal
     is rescaled back to its pre-repair values (a congruence with a
     positive diagonal, so semidefiniteness is preserved).  The clip and
-    rescale iterate until the minimum eigenvalue clears ``eps``, which
-    makes the operation exactly idempotent: an already-repaired matrix
-    is returned unchanged.
+    rescale iterate, at most ``_PSD_MAX_ITER`` times, until the minimum
+    eigenvalue clears ``_PSD_EPS``, which makes the operation exactly
+    idempotent: an already-repaired matrix is returned unchanged.
     """
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -295,17 +302,17 @@ def repair_psd(matrix: np.ndarray, eps: float = 1e-8, max_iter: int = 100) -> np
     if np.any(diag0 <= 0):
         raise DataError("PSD repair requires a strictly positive diagonal")
     out = a
-    for _ in range(max_iter):
+    for _ in range(_PSD_MAX_ITER):
         try:
             w, v = np.linalg.eigh(out)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"eigendecomposition failed during PSD repair: {exc}") from exc
-        if w.min() >= eps:
+        if w.min() >= _PSD_EPS:
             return out
-        w = np.clip(w, eps, None)
+        w = np.clip(w, _PSD_EPS, None)
         out = (v * w) @ v.T
         out = (out + out.T) / 2.0
         scale = np.sqrt(diag0 / np.diag(out))
         out = out * np.outer(scale, scale)
         out = (out + out.T) / 2.0
-    raise NumericError(f"PSD repair did not converge in {max_iter} iterations")
+    raise NumericError(f"PSD repair did not converge in {_PSD_MAX_ITER} iterations")

@@ -24,6 +24,7 @@ __all__ = [
     "MtsBlock",
     "MtsDataset",
     "RegionMap",
+    "check_labels",
     "load_csv",
     "read_block_table",
     "read_header",
@@ -248,6 +249,19 @@ def read_json(path, what: str):
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
 
 
+def check_labels(labels, source) -> list:
+    """``labels`` from a sidecar or truth file: a list of integers or nulls.
+
+    A null marks an unlabelled block.  Anything else is a ``ConfigError``.
+    """
+    if not isinstance(labels, list):
+        raise ConfigError(f"{source}: labels must be a list, got {labels!r}")
+    bad = [v for v in labels if v is not None and type(v) is not int]
+    if bad:
+        raise ConfigError(f"{source}: labels must be integers or null, got {bad[0]!r}")
+    return labels
+
+
 def write_table(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """A header line, then one CSV line per row.
 
@@ -373,6 +387,8 @@ def load_csv(
     if block_length is None:
         block_length = meta.get("block_length")
     labels = meta.get("labels")
+    if labels is not None:
+        check_labels(labels, metadata_path)
     if sample_rate_hz is None:
         sample_rate_hz = meta.get("sample_rate_hz")
     if sample_rate_hz is None:
@@ -397,7 +413,7 @@ def load_csv(
             q=q,
             sample_rate_hz=float(sample_rate_hz),
             channel_names=tuple(header),
-            label=None if labels is None else int(labels[i]),
+            label=None if labels is None else labels[i],
         )
         for i, part in enumerate(parts)
     ]

@@ -1,9 +1,9 @@
 """End-to-end pipeline: simulate/load, filter, features, cluster, score.
 
-Each (band, region-pair) combination is one job; jobs are independent
-and merge in job order, so results do not depend on scheduling.  All
-randomness flows from the config seed and file outputs are byte-stable
-across reruns.
+Each (band, region-pair) combination is one job that writes its own
+directory; jobs are independent and their summary rows merge in job
+order, so results do not depend on scheduling.  All randomness flows
+from the config seed and file outputs are byte-stable across reruns.
 """
 
 from __future__ import annotations
@@ -111,8 +111,9 @@ class PipelineConfig:
             raise ConfigError("c_grid must be non-empty when given")
         if self.m_grid is not None and not self.m_grid:
             raise ConfigError("m_grid must be non-empty when given")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
+        for key in ("jobs", "n_restarts"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         for key, grid in (("n_clusters", "c_grid"), ("fuzziness", "m_grid")):
             if getattr(self, key) is None and getattr(self, grid) is None:
                 raise ConfigError(f"{key} is null and no {grid} replaces it")
@@ -128,8 +129,19 @@ class PipelineConfig:
             object.__setattr__(self, "m_grid", tuple(float(m) for m in self.m_grid))
         if self.groups is not None:
             object.__setattr__(self, "groups", (int(self.groups[0]), int(self.groups[1])))
+        max_c = max(self.c_grid or (self.n_clusters,))
+        if max_c < 2:
+            raise ConfigError(f"need at least 2 clusters, got C = {max_c}")
+        if not 1.0 / max_c < self.threshold < 1.0:  # no C of the run could use it
+            raise ConfigError(f"threshold must lie in (1/C, 1) = ({1.0 / max_c:.3f}, 1) "
+                              f"for the largest C = {max_c}, got {self.threshold}")
         for name in self.bands:  # band names must resolve at validation time
             band_edges(name, self.band_table)
+        for key in ("bands", "pairs"):  # each job writes its own directory
+            values = getattr(self, key)
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ConfigError(f"{key} lists {repeated[0]!r} more than once")
         if (self.regions is None) != (not self.pairs):
             raise ConfigError("regions and region pairs must be given together")
         if self.pairs:  # unknown or repeated regions fail here, before any input is read
@@ -244,20 +256,18 @@ def load_input(config: PipelineConfig) -> MtsDataset:
 
 def _cluster_and_validate(
     features: np.ndarray, config: PipelineConfig
-) -> tuple[FuzzyPartition, ValidityReport]:
+) -> tuple[ValidityReport, FuzzyPartition]:
     if config.c_grid is not None or config.m_grid is not None:
-        c_values = config.c_grid or (config.n_clusters,)
-        m_values = config.m_grid or (config.fuzziness,)
-        report, part = grid_search(
-            features, c_values=c_values, m_values=m_values,
+        return grid_search(
+            features, c_values=config.c_grid or (config.n_clusters,),
+            m_values=config.m_grid or (config.fuzziness,),
             seed=config.seed, n_restarts=config.n_restarts,
         )
-        return part, report
     part = fcm_fit(
         features, config.n_clusters, config.fuzziness,
         seed=config.seed, n_restarts=config.n_restarts,
     )
-    return part, fsi(features, part)
+    return fsi(features, part), part
 
 
 def evaluate_partition(
@@ -326,19 +336,16 @@ def _connectivity_summary(
     band_name: str,
     pair_name: str,
 ) -> dict:
-    names = dataset.channel_names or tuple(
-        f"ch{i}" for i in range(dataset.p + dataset.q)
-    )
+    names = dataset.channel_names or tuple(f"ch{i}" for i in range(dataset.p + dataset.q))
     p = dataset.p
-    clusters = []
-    for c, center in enumerate(partition.centers):
-        clusters.append(
-            {
-                "cluster": c,
-                "x_weights": {names[i]: float(center[i]) for i in range(p)},
-                "y_weights": {names[p + i]: float(center[p + i]) for i in range(len(center) - p)},
-            }
-        )
+    clusters = [
+        {
+            "cluster": c,
+            "x_weights": {names[i]: float(w) for i, w in enumerate(center[:p])},
+            "y_weights": {names[p + i]: float(w) for i, w in enumerate(center[p:])},
+        }
+        for c, center in enumerate(partition.centers)
+    ]
     lags = [f.best_lag for f in feature_set.features]
     gs = [f.g_value for f in feature_set.features]
     return {
@@ -351,27 +358,14 @@ def _connectivity_summary(
     }
 
 
-@dataclass(frozen=True)
-class JobResult:
-    band: str
-    pair_name: str
-    feature_set: FeatureSet
-    partition: FuzzyPartition
-    validity: ValidityReport
-    evaluation: dict
-    connectivity: dict
-    dependence_dump: Optional[list] = None
-
-
-def _run_job(args) -> JobResult:
+def _run_job(args) -> dict:
+    """One (band, pair) job: writes ``<band>__<pair>/`` and returns its summary row."""
     dataset, band_name, pair, config = args
     if pair is not None:
-        region_map = RegionMap(regions=config.regions)
-        dataset = select_regions(dataset, region_map, pair)
+        dataset = select_regions(dataset, RegionMap(regions=config.regions), pair)
     band = default_band(band_name, dataset.sample_rate_hz, config.band_table)
     if band is not None:
-        design = design_bandpass(band, order=config.filter_order)
-        dataset = filter_dataset(dataset, design)
+        dataset = filter_dataset(dataset, design_bandpass(band, order=config.filter_order))
     dep_fn = DEPENDENCE_FNS[config.dependence]
     dep_sets = []  # one per block in call order, kept for the dump
 
@@ -384,32 +378,50 @@ def _run_job(args) -> JobResult:
         dependence_fn=keep_dep_set if config.dump_dependence else dep_fn,
         skip_degenerate=config.skip_degenerate,
     )
-    features = feature_set.d_matrix
-    partition, validity = _cluster_and_validate(features, config)
-    labels = dataset.labels
+    ids = feature_set.block_indices
+    validity, partition = _cluster_and_validate(feature_set.d_matrix, config)
     evaluation = evaluate_partition(
-        partition, labels, feature_set.block_indices, config.threshold,
-        simulated=config.sim is not None,
+        partition, dataset.labels, ids, config.threshold, simulated=config.sim is not None,
     )
     pair_name = "all" if pair is None else f"{pair[0]}--{pair[1]}"
-    connectivity = _connectivity_summary(partition, feature_set, dataset, band_name, pair_name)
-    dump = None
+    job_dir = Path(config.output_dir) / f"{band_name}__{pair_name}"
+    job_dir.mkdir(parents=True, exist_ok=True)
+    write_features_csv(job_dir / "features.csv", feature_set, band_name)
+    write_memberships_csv(job_dir / "memberships.csv", partition, ids)
+    write_json(job_dir / "centers.json", centers_payload(partition))
+    write_json(job_dir / "fsi_grid.json", fsi_grid_payload(validity))
+    write_json(job_dir / "evaluation.json", evaluation)
+    write_json(job_dir / "connectivity_summary.json", _connectivity_summary(
+        partition, feature_set, dataset, band_name, pair_name))
     if config.dump_dependence:
-        dump = [dep_sets[i].to_json_dict(i) for i in feature_set.block_indices]
-    return JobResult(
-        band=band_name, pair_name=pair_name, feature_set=feature_set,
-        partition=partition, validity=validity, evaluation=evaluation,
-        connectivity=connectivity, dependence_dump=dump,
-    )
+        write_json(job_dir / "dependence.json", [dep_sets[i].to_json_dict(i) for i in ids])
+    if feature_set.excluded:
+        write_json(job_dir / "excluded_blocks.json", [
+            {"block": b, "reason": r} for b, r in feature_set.excluded
+        ])
+    return {
+        "band": band_name,
+        "pair": pair_name,
+        "dependence": config.dependence,
+        "C": partition.n_clusters,
+        "m": partition.fuzziness,
+        "fsi": validity.fsi_value(*validity.selected),
+        "rand_index": evaluation.get("rand_index"),
+        "accuracy": evaluation.get("accuracy"),
+        "fuzzy_series_pct": 100.0 * evaluation["fuzzy_fraction"],
+        "n_blocks": len(feature_set),
+        "n_excluded": len(feature_set.excluded),
+    }
 
 
 def run_pipeline(config: PipelineConfig) -> dict:
-    """Run every (band, pair) job and write the artifact tree.
+    """Run every (band, pair) job, then write the run summary.
 
-    Per job: features.csv, memberships.csv, centers.json, fsi_grid.json,
-    evaluation.json, connectivity_summary.json under
-    ``<output_dir>/<band>__<pair>/``; a top-level summary.json and
-    summary.csv mirror the per-run table (band, pair, RI, m, fuzzy %).
+    Each job writes features.csv, memberships.csv, centers.json,
+    fsi_grid.json, evaluation.json and connectivity_summary.json under
+    ``<output_dir>/<band>__<pair>/``.  Once every job has succeeded, a
+    top-level summary.json and summary.csv hold the per-job rows (band,
+    pair, RI, m, fuzzy %) in job order: band-major, pair-minor.
     """
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -419,45 +431,13 @@ def run_pipeline(config: PipelineConfig) -> dict:
     units = [(dataset, band, pair, config) for band in config.bands for pair in pairs]
     if config.jobs > 1 and len(units) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(_run_job, units))  # ordered by job key
+            rows = list(pool.map(_run_job, units))  # ordered by job key
     else:
-        results = [_run_job(u) for u in units]
+        rows = [_run_job(u) for u in units]
 
-    summary_rows = []
-    for res in results:
-        job_dir = out_dir / f"{res.band}__{res.pair_name}"
-        job_dir.mkdir(parents=True, exist_ok=True)
-        write_features_csv(job_dir / "features.csv", res.feature_set, res.band)
-        write_memberships_csv(
-            job_dir / "memberships.csv", res.partition, res.feature_set.block_indices
-        )
-        write_json(job_dir / "centers.json", centers_payload(res.partition))
-        write_json(job_dir / "fsi_grid.json", fsi_grid_payload(res.validity))
-        write_json(job_dir / "evaluation.json", res.evaluation)
-        write_json(job_dir / "connectivity_summary.json", res.connectivity)
-        if res.dependence_dump is not None:
-            write_json(job_dir / "dependence.json", res.dependence_dump)
-        if res.feature_set.excluded:
-            write_json(job_dir / "excluded_blocks.json", [
-                {"block": b, "reason": r} for b, r in res.feature_set.excluded
-            ])
-        summary_rows.append({
-            "band": res.band,
-            "pair": res.pair_name,
-            "dependence": config.dependence,
-            "C": res.partition.n_clusters,
-            "m": res.partition.fuzziness,
-            "fsi": res.validity.fsi_value(*res.validity.selected),
-            "rand_index": res.evaluation.get("rand_index"),
-            "accuracy": res.evaluation.get("accuracy"),
-            "fuzzy_series_pct": 100.0 * res.evaluation["fuzzy_fraction"],
-            "n_blocks": len(res.feature_set),
-            "n_excluded": len(res.feature_set.excluded),
-        })
-
-    summary = {"seed": config.seed, "dependence": config.dependence, "runs": summary_rows}
+    summary = {"seed": config.seed, "dependence": config.dependence, "runs": rows}
     write_json(out_dir / "summary.json", summary)
-    write_rows_csv(out_dir / "summary.csv", summary_rows)
+    write_rows_csv(out_dir / "summary.csv", rows)
     return summary
 
 
@@ -473,17 +453,17 @@ def reproduce_sim(
     scale: float = 1.0,
     n_reps: int = 100,
     m_values: Sequence[float] = DEFAULT_M_GRID,
-    estimators: Sequence[str] = ("kendall", "pearson"),
     seed: int = 0,
     out_csv=None,
     sim_overrides: Optional[dict] = None,
 ) -> list[dict]:
-    """Replicated accuracy-versus-fuzziness curves for both estimators.
+    """Replicated accuracy-versus-fuzziness curves for every estimator.
 
     Runs ``n_reps`` independent replications of the chosen noise example
     at B = round(300 * scale) on the raw series (the study protocol
     applies no band filtering), scoring each fit with the threshold
-    protocol.  Returns one row per (m, estimator) with the mean and
+    protocol.  Returns one row per (m, estimator), estimators in
+    ``DEPENDENCE_FNS`` order (Kendall, then Pearson), with the mean and
     standard deviation of accuracy and of the pure-subset pair score.
     """
     if example not in EXAMPLE_NOISE:
@@ -492,43 +472,27 @@ def reproduce_sim(
         raise ConfigError(f"scale must lie in (0, 1], got {scale}")
     if n_reps < 1:
         raise ConfigError(f"n_reps must be >= 1, got {n_reps}")
-    for est in estimators:
-        if est not in DEPENDENCE_FNS:
-            raise ConfigError(f"unknown estimator {est!r}")
 
     n_blocks = max(5, round(300 * scale))
-    acc: dict = {(m, est): [] for m in m_values for est in estimators}
-    ri: dict = {(m, est): [] for m in m_values for est in estimators}
-    flag: dict = {(m, est): [] for m in m_values for est in estimators}
-
+    scores: dict = {(m, est): [] for m in m_values for est in DEPENDENCE_FNS}
     for rep in range(n_reps):
         rep_seed = int(np.random.SeedSequence([seed, rep]).generate_state(1)[0])
         overrides = dict(sim_overrides or {})
-        overrides.update(
-            seed=rep_seed, n_blocks=n_blocks, noise_family=EXAMPLE_NOISE[example]
-        )
-        sim = SimConfig.from_dict(overrides)
-        dataset = gen_dataset(sim)
+        overrides.update(seed=rep_seed, n_blocks=n_blocks, noise_family=EXAMPLE_NOISE[example])
+        dataset = gen_dataset(SimConfig.from_dict(overrides))
         kinds = np.array([b.label for b in dataset.blocks], dtype=int)
-        for est in estimators:
-            fs = extract_features(dataset, max_lag=5, dependence_fn=DEPENDENCE_FNS[est])
-            features = fs.d_matrix
+        for est, dep_fn in DEPENDENCE_FNS.items():
+            features = extract_features(dataset, max_lag=5, dependence_fn=dep_fn).d_matrix
             for m in m_values:
-                part = fcm_fit(features, 2, m, seed=rep_seed)
-                report = simulation_accuracy(part, kinds)
-                acc[(m, est)].append(report.accuracy)
-                ri[(m, est)].append(report.rand_index_pure)
+                report = simulation_accuracy(fcm_fit(features, 2, m, seed=rep_seed), kinds)
                 sw = report.n_switching
-                flag[(m, est)].append(
-                    report.n_switching_correct / sw if sw else 0.0
-                )
+                scores[(m, est)].append((report.accuracy, report.rand_index_pure,
+                                         report.n_switching_correct / sw if sw else 0.0))
 
     rows = []
     for m in m_values:
-        for est in estimators:
-            a = np.array(acc[(m, est)])
-            r = np.array(ri[(m, est)])
-            f = np.array(flag[(m, est)])
+        for est in DEPENDENCE_FNS:
+            a, r, f = (np.array(col) for col in zip(*scores[(m, est)]))
             rows.append({
                 "example": example,
                 "noise_family": EXAMPLE_NOISE[example],

@@ -41,6 +41,9 @@ _NS_CONTAM = 11
 
 _PURE0, _PURE1 = 0, 1
 
+# the latents default_mixing weights up on X and on Y in regime 0
+_DOMINANT_X, _DOMINANT_Y = 1, 3
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -205,15 +208,13 @@ def default_mixing(
     rng: np.random.Generator,
     gain: float = 3.0,
     signal_gain: float = 3.0,
-    dominant_x: int = 1,
-    dominant_y: int = 3,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Seeded random mixing matrices for the two regimes.
 
-    Regime 0 weights latent ``dominant_x`` (6 Hz by default) heavily on
-    the X group and ``dominant_y`` (20 Hz) on Y; regime 1 swaps the
-    group roles, reusing the same row patterns on the opposite group so
-    the two regimes are exact mirrors.  Rows are normalized to a common
+    Regime 0 weights latent 1 (6 Hz by default) heavily on the X group
+    and latent 3 (20 Hz) on Y; regime 1 swaps the group roles, reusing
+    the same row patterns on the opposite group so the two regimes are
+    exact mirrors.  Rows are normalized to a common
     norm of ``signal_gain``.  The mirror construction keeps a 50/50
     switching block exactly balanced between the regimes, which is what
     makes sub-cutoff memberships detectable.
@@ -221,9 +222,9 @@ def default_mixing(
     When the groups differ in size the patterns are recycled row-wise.
     """
     base_x = rng.uniform(0.5, 1.5, size=(n_x, n_latents))
-    base_x[:, dominant_x] *= gain
+    base_x[:, _DOMINANT_X] *= gain
     base_y = rng.uniform(0.5, 1.5, size=(n_y, n_latents))
-    base_y[:, dominant_y] *= gain
+    base_y[:, _DOMINANT_Y] *= gain
     base_x *= signal_gain / np.linalg.norm(base_x, axis=1, keepdims=True)
     base_y *= signal_gain / np.linalg.norm(base_y, axis=1, keepdims=True)
     a0 = np.vstack([base_x, base_y])

@@ -64,6 +64,14 @@ class TestFcmFit:
         with pytest.raises(ConfigError):
             fcm_fit(bad, 2, 2.0)
 
+    def test_zero_restarts_rejected(self):
+        x = np.random.default_rng(0).standard_normal((10, 2))
+        with pytest.raises(ConfigError, match="n_restarts must be >= 1, got 0"):
+            fcm_fit(x, 2, 2.0, n_restarts=0)
+        # a run-wide setting: the grid raises instead of recording failed cells
+        with pytest.raises(ConfigError, match="n_restarts must be >= 1, got 0"):
+            grid_search(x, c_values=(2, 3), m_values=(2.0,), n_restarts=0)
+
     def test_restart_determinism(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((30, 4))

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,24 @@ class TestPipelineConfig:
             PipelineConfig(seed=0, output_dir="x", sim=SIM_SMALL, fuzziness=None,
                            c_grid=(2, 3))
         PipelineConfig(seed=0, output_dir="x", sim=SIM_SMALL, fuzziness=None, m_grid=(1.5,))
+
+    @pytest.mark.parametrize("key, values, match", [
+        ("bands", ("raw", "Beta", "raw"), "bands lists 'raw' more than once"),
+        ("pairs", (("A", "B"), ("B", "A"), ("A", "B")), "pairs lists ('A', 'B') more than once"),
+    ])
+    def test_repeated_band_or_pair_rejected(self, key, values, match):
+        regions = {"A": ["X1"], "B": ["Y1"]}
+        with pytest.raises(ConfigError, match=re.escape(match)):
+            PipelineConfig(seed=0, output_dir="x", sim=SIM_SMALL, regions=regions,
+                           **{"pairs": [("A", "B")], key: values})
+
+    def test_threshold_checked_against_largest_c(self):
+        with pytest.raises(ConfigError, match=r"threshold must lie in \(1/C, 1\)"):
+            PipelineConfig(seed=0, output_dir="x", sim=SIM_SMALL, threshold=0.4)
+        with pytest.raises(ConfigError, match="threshold"):
+            PipelineConfig(seed=0, output_dir="x", sim=SIM_SMALL, threshold=1.0)
+        # a C = 3 cell of the grid accepts 0.4
+        PipelineConfig(seed=0, output_dir="x", sim=SIM_SMALL, threshold=0.4, c_grid=(2, 3))
 
 
 class TestRunPipeline:
@@ -213,6 +232,20 @@ class TestRunPipeline:
         with pytest.raises(ConfigError, match=r"1 block.*block_length"):
             run_pipeline(cfg)
         assert calls == []
+
+    def test_failed_job_leaves_no_summary(self, tmp_path, monkeypatch):
+        from fuzzcoh import NumericError, pipeline
+
+        def failing(dataset, design):
+            raise NumericError("filter failed")
+
+        monkeypatch.setattr(pipeline, "filter_dataset", failing)
+        cfg = PipelineConfig(seed=1, output_dir=str(tmp_path / "run"), sim=SIM_SMALL,
+                             bands=("raw", "Beta"), n_restarts=2)
+        with pytest.raises(NumericError, match="filter failed"):
+            run_pipeline(cfg)
+        # the raw job finished and wrote its directory; the summary needs every job
+        assert {p.name for p in (tmp_path / "run").iterdir()} == {"raw__all"}
 
 
 class TestReproduceSim:
@@ -446,6 +479,87 @@ class TestCliInputErrors:
         assert rc == 2 and calls == []
         assert_one_error_line(capsys, "gives 1 block of 256 samples")
         assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize("setting, match", [
+        ({"n_restarts": 0}, "n_restarts must be >= 1, got 0"),
+        ({"threshold": 1.5}, "threshold must lie in (1/C, 1) = (0.500, 1)"),
+        ({"bands": ["raw", "raw"]}, "bands lists 'raw' more than once"),
+        ({"max_lag": -1}, "max_lag must lie in [0, 248]"),
+        ({"max_lag": 250}, "keep at least 8 aligned samples, got 250"),
+    ])
+    def test_pipeline_setting_fails_before_dependence(self, tmp_path, capsys, monkeypatch,
+                                                      setting, match):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 0, "output_dir": str(tmp_path / "out"),
+                                   "sim": SIM_SMALL, **setting}))
+        calls = []
+        monkeypatch.setitem(DEPENDENCE_FNS, "kendall",
+                            lambda block, max_lag: calls.append(block))
+        assert main(["pipeline", "--config", str(cfg)]) == 2
+        assert calls == []
+        assert_one_error_line(capsys, match)
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    @pytest.mark.parametrize("command", ["cluster", "validate"])
+    def test_zero_restarts(self, tmp_path, capsys, command):
+        body = "block_id,band,best_lag,g_value,d_1,d_2\n" + "".join(
+            f"{i},raw,0,0.5,{i % 2}.{i},0.{i}\n" for i in range(6))
+        out = ["--out-memberships", str(tmp_path / "m.csv"), "--out-centers",
+               str(tmp_path / "c.json")] if command == "cluster" else [
+               "--output", str(tmp_path / "g.json")]
+        rc = main([command, "--features", write_file(tmp_path / "f.csv", body),
+                   "--restarts", "0", *out])
+        assert rc == 2
+        assert_one_error_line(capsys, "n_restarts must be >= 1, got 0")
+
+    @pytest.mark.parametrize("max_lag, match", [
+        ("-1", "max_lag must lie in [0, 24]"),
+        ("25", "32-sample blocks keep at least 8 aligned samples, got 25"),
+    ])
+    def test_features_max_lag_fails_before_dependence(self, tmp_path, capsys, monkeypatch,
+                                                      max_lag, match):
+        data = tmp_path / "rec.csv"
+        np.savetxt(data, np.random.default_rng(0).standard_normal((96, 4)), delimiter=",",
+                   header="a,b,c,d", comments="", fmt="%.6f")
+        calls = []
+        monkeypatch.setitem(DEPENDENCE_FNS, "kendall",
+                            lambda block, max_lag: calls.append(block))
+        rc = main(["features", "--input", str(data), "--sample-rate", "128",
+                   "--block-length", "32", "--groups", "2", "2", "--max-lag", max_lag,
+                   "--output", str(tmp_path / "f.csv")])
+        assert rc == 2 and calls == []
+        assert_one_error_line(capsys, match)
+        assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize("labels, match", [
+        ([0, 1.5, 1, 2], "labels must be integers or null, got 1.5"),
+        ("abcd", "labels must be a list, got 'abcd'"),
+        ([0, True, 1, 2], "labels must be integers or null, got True"),
+    ])
+    def test_malformed_sidecar_labels(self, tmp_path, capsys, labels, match):
+        data, meta = self.recording(tmp_path, labels)
+        rc = main(["filter", "--input", data, "--metadata", meta, "--groups", "2", "2",
+                   "--band", "Beta", "--output", str(tmp_path / "beta.csv")])
+        assert rc == 2
+        assert_one_error_line(capsys, match)
+        assert not (tmp_path / "beta.csv").exists()
+
+    def test_null_sidecar_label_is_unlabelled_block(self, tmp_path):
+        from fuzzcoh import load_csv
+
+        data, meta = self.recording(tmp_path, [0, None, 1, 2])
+        rc = main(["filter", "--input", data, "--metadata", meta, "--groups", "2", "2",
+                   "--band", "Beta", "--output", str(tmp_path / "beta.csv")])
+        assert rc == 0 and (tmp_path / "beta.csv").exists()
+        assert load_csv(data, groups=(2, 2), metadata_path=meta).labels == (0, None, 1, 2)
+
+    @staticmethod
+    def recording(tmp_path, labels):
+        data = tmp_path / "rec.csv"
+        np.savetxt(data, np.random.default_rng(0).standard_normal((4 * 64, 4)), delimiter=",",
+                   header="a,b,c,d", comments="", fmt="%.6f")
+        meta = {"block_length": 64, "sample_rate_hz": 128.0, "labels": labels}
+        return str(data), write_file(tmp_path / "rec.json", json.dumps(meta))
 
 
 class TestCrossEntryPoint:
