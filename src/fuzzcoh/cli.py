@@ -58,12 +58,8 @@ def _cmd_simulate(args) -> int:
     if args.config:
         sim = SimConfig.from_dict(read_json(args.config, "simulation config"))
     else:
-        sim = SimConfig(
-            seed=args.seed,
-            n_blocks=args.blocks,
-            block_length=args.block_length,
-            noise_family=args.noise,
-        )
+        sim = SimConfig(seed=args.seed, n_blocks=args.blocks, block_length=args.block_length,
+                        noise_family=args.noise)
     dataset = simulate_to_files(sim, args.out_data, args.out_truth)
     print(f"wrote {dataset.n_blocks} blocks x {dataset.blocks[0].n_samples} samples "
           f"to {args.out_data}; truth in {args.out_truth}")
@@ -159,28 +155,16 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    config = PipelineConfig.from_file(args.config)
-    overrides = {}
-    if args.band:
-        overrides["bands"] = tuple(args.band)
-    if args.pair:
-        overrides["pairs"] = tuple(tuple(p.split("--", 1)) for p in args.pair)
-    if args.dependence:
-        overrides["dependence"] = args.dependence
-    if args.threshold is not None:
-        overrides["threshold"] = args.threshold
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.jobs is not None:
-        overrides["jobs"] = args.jobs
-    if args.skip_degenerate:
-        overrides["skip_degenerate"] = True
-    if args.output_dir:
-        overrides["output_dir"] = args.output_dir
-    if overrides:
-        from dataclasses import replace
-
-        config = replace(config, **overrides)
+    raw = read_json(args.config, "config file")
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{args.config}: a pipeline config must be a JSON object")
+    overrides = dict(
+        bands=args.band, pairs=args.pair and [p.split("--", 1) for p in args.pair],
+        dependence=args.dependence, threshold=args.threshold, seed=args.seed, jobs=args.jobs,
+        skip_degenerate=args.skip_degenerate or None, output_dir=args.output_dir or None,
+    )
+    config = PipelineConfig.from_dict(
+        {**raw, **{k: v for k, v in overrides.items() if v is not None}})
     summary = run_pipeline(config)
     for row in summary["runs"]:
         print(f"{row['band']:>8} {row['pair']:>16}  C={row['C']} m={row['m']} "

@@ -1,4 +1,4 @@
-"""Core data model and file formats: blocks, datasets, region maps, CSV and JSON.
+"""Core data model and outside input: blocks, datasets, region maps, CSV, JSON, config fields.
 
 A recording is a long multichannel matrix cut into fixed-length blocks.
 Within a block the series is treated as stationary; every downstream
@@ -11,8 +11,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
+import typing
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -24,6 +26,7 @@ __all__ = [
     "MtsBlock",
     "MtsDataset",
     "RegionMap",
+    "check_fields",
     "check_labels",
     "load_csv",
     "read_block_table",
@@ -184,11 +187,11 @@ class RegionMap:
     pairs: tuple[tuple[str, str], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        regions = {str(k): tuple(v) for k, v in self.regions.items()}
-        if not regions:
+        check_fields(self)
+        if not self.regions:
             raise ConfigError("region map has no regions")
         seen: dict[str, str] = {}
-        for name, chans in regions.items():
+        for name, chans in self.regions.items():
             if not chans:
                 raise ConfigError(f"region {name!r} is empty")
             for ch in chans:
@@ -197,14 +200,11 @@ class RegionMap:
                         f"channel {ch!r} appears in regions {seen[ch]!r} and {name!r}"
                     )
                 seen[ch] = name
-        pairs = tuple((str(a), str(b)) for a, b in self.pairs)
-        for a, b in pairs:
-            if a not in regions or b not in regions:
+        for a, b in self.pairs:
+            if a not in self.regions or b not in self.regions:
                 raise ConfigError(f"pair ({a!r}, {b!r}) names an unknown region")
             if a == b:
                 raise ConfigError(f"pair regions must differ, got ({a!r}, {a!r})")
-        object.__setattr__(self, "regions", regions)
-        object.__setattr__(self, "pairs", pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +260,60 @@ def check_labels(labels, source) -> list:
     if bad:
         raise ConfigError(f"{source}: labels must be integers or null, got {bad[0]!r}")
     return labels
+
+
+def _checked(value, hint, name: str):
+    """``value`` checked against the annotation ``hint`` of the field ``name``."""
+    origin = typing.get_origin(hint)
+    if origin is typing.Union:  # Optional[X]
+        return None if value is None else _checked(value, typing.get_args(hint)[0], name)
+    if hint is np.ndarray:
+        try:
+            return _readonly(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{name} must be a numeric matrix, got {value!r}") from None
+    if origin is tuple:
+        args = typing.get_args(hint)
+        fixed = args[-1] is not Ellipsis
+        if not isinstance(value, (list, tuple)) or fixed and len(value) != len(args):
+            size = f" of {len(args)} entries" if fixed else ""
+            raise ConfigError(f"{name} must be a list{size}, got {value!r}")
+        kinds = args if fixed else args[:1] * len(value)
+        items = [_checked(v, t, f"{name}[{i}]") for i, (v, t) in enumerate(zip(value, kinds))]
+        return tuple(t(v) if t in (int, float) else v for v, t in zip(items, kinds))
+    if origin is dict and isinstance(value, dict):
+        kt, vt = typing.get_args(hint)
+        return {_checked(k, kt, name): _checked(v, vt, f"{name}[{k!r}]") for k, v in value.items()}
+    accepted = {int: numbers.Integral, float: numbers.Real}.get(hint, origin or hint)
+    if isinstance(value, accepted) and (hint is bool or not isinstance(value, bool)):
+        return value
+    raise ConfigError(f"{name} must be {hint.__name__}, got {value!r}")
+
+
+def check_fields(config) -> None:
+    """Check every field of a frozen config dataclass against its annotation.
+
+    An int field takes an integer and a float field a real number, never
+    a bool; str, bool and dict take exactly that type, and a typed dict's
+    keys and values are checked too; Optional allows null.  Lists become
+    tuples with int()/float() entries and ndarrays read-only float64
+    arrays; scalars are kept as given.  Anything else is a
+    ``ConfigError`` naming the field.
+    """
+    hints = typing.get_type_hints(type(config))
+    for f in fields(config):
+        object.__setattr__(config, f.name, _checked(getattr(config, f.name), hints[f.name], f.name))
+
+
+class JsonConfig:
+    """Base of the config dataclasses, which ``from_dict`` builds from a JSON object."""
+
+    @classmethod
+    def from_dict(cls, raw: dict):
+        try:
+            return cls(**raw)
+        except TypeError as exc:  # an unknown or missing key; check_fields types each value
+            raise ConfigError(f"bad config: {exc}") from exc
 
 
 def write_table(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -29,12 +29,13 @@ from .dependence import dependence_set
 from .evaluation import SWITCHING, assign, rand_index, simulation_accuracy
 from .exceptions import ConfigError
 from .mts import (
+    JsonConfig,
     MtsDataset,
     RegionMap,
+    check_fields,
     load_csv,
     read_block_table,
     read_header,
-    read_json,
     save_csv,
     select_regions,
     write_json,
@@ -64,7 +65,7 @@ DEPENDENCE_FNS = {
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(JsonConfig):
     """Validated run settings; see README for the JSON schema."""
 
     seed: int
@@ -76,9 +77,9 @@ class PipelineConfig:
     block_length: Optional[int] = None
     groups: Optional[tuple[int, int]] = None
     bands: tuple[str, ...] = (RAW_BAND,)
-    band_table: Optional[dict] = None
+    band_table: Optional[dict[str, tuple[float, float]]] = None
     filter_order: int = 4
-    regions: Optional[dict] = None
+    regions: Optional[dict[str, tuple[str, ...]]] = None
     pairs: tuple[tuple[str, str], ...] = field(default_factory=tuple)
     max_lag: int = 5
     n_clusters: Optional[int] = 2
@@ -95,40 +96,30 @@ class PipelineConfig:
     def __post_init__(self):
         if self.seed is None:
             raise ConfigError("a seed is mandatory (no wall-clock seeding)")
+        check_fields(self)
+        for key, low in (("seed", 0), ("jobs", 1), ("n_restarts", 1)):
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
         if (self.csv is None) == (self.sim is None):
             raise ConfigError("exactly one input source required: 'csv' or 'sim'")
         if self.csv is not None and not Path(self.csv).exists():
             raise ConfigError(f"input file not found: {self.csv}")
         if self.metadata is not None and not Path(self.metadata).exists():
             raise ConfigError(f"metadata file not found: {self.metadata}")
+        if self.sim is not None:  # a bad sim block fails here, before any input is read
+            _sim_config(self)
         if self.dependence not in DEPENDENCE_FNS:
             raise ConfigError(
                 f"dependence must be one of {sorted(DEPENDENCE_FNS)}, got {self.dependence!r}"
             )
         if not self.bands:
             raise ConfigError("at least one band required")
-        if self.c_grid is not None and not self.c_grid:
-            raise ConfigError("c_grid must be non-empty when given")
-        if self.m_grid is not None and not self.m_grid:
-            raise ConfigError("m_grid must be non-empty when given")
-        for key in ("jobs", "n_restarts"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        for key in ("c_grid", "m_grid"):
+            if getattr(self, key) == ():
+                raise ConfigError(f"{key} must be non-empty when given")
         for key, grid in (("n_clusters", "c_grid"), ("fuzziness", "m_grid")):
             if getattr(self, key) is None and getattr(self, grid) is None:
                 raise ConfigError(f"{key} is null and no {grid} replaces it")
-        object.__setattr__(self, "bands", tuple(self.bands))
-        if any(len(pair) != 2 for pair in self.pairs or ()):
-            raise ConfigError(f"each region pair needs two region names, got {self.pairs}")
-        object.__setattr__(
-            self, "pairs", tuple((str(a), str(b)) for a, b in (self.pairs or ()))
-        )
-        if self.c_grid is not None:
-            object.__setattr__(self, "c_grid", tuple(int(c) for c in self.c_grid))
-        if self.m_grid is not None:
-            object.__setattr__(self, "m_grid", tuple(float(m) for m in self.m_grid))
-        if self.groups is not None:
-            object.__setattr__(self, "groups", (int(self.groups[0]), int(self.groups[1])))
         max_c = max(self.c_grid or (self.n_clusters,))
         if max_c < 2:
             raise ConfigError(f"need at least 2 clusters, got C = {max_c}")
@@ -146,17 +137,6 @@ class PipelineConfig:
             raise ConfigError("regions and region pairs must be given together")
         if self.pairs:  # unknown or repeated regions fail here, before any input is read
             RegionMap(regions=self.regions, pairs=self.pairs)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "PipelineConfig":
-        try:
-            return cls(**raw)
-        except TypeError as exc:
-            raise ConfigError(f"bad pipeline config: {exc}") from exc
-
-    @classmethod
-    def from_file(cls, path) -> "PipelineConfig":
-        return cls.from_dict(read_json(path, "config file"))
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +214,14 @@ def require_blocks(dataset: MtsDataset, source) -> MtsDataset:
     return dataset
 
 
+def _sim_config(config: PipelineConfig) -> SimConfig:
+    """The run's ``sim`` block as a SimConfig; its seed defaults to the run seed."""
+    return SimConfig.from_dict({"seed": config.seed, **config.sim})
+
+
 def load_input(config: PipelineConfig) -> MtsDataset:
     if config.sim is not None:
-        sim_dict = dict(config.sim)
-        sim_dict.setdefault("seed", config.seed)
-        return gen_dataset(SimConfig.from_dict(sim_dict))
+        return gen_dataset(_sim_config(config))
     groups = config.groups
     if groups is None:
         if not config.pairs:
@@ -358,6 +341,10 @@ def _connectivity_summary(
     }
 
 
+def _pair_name(pair: Optional[tuple[str, str]]) -> str:
+    return "all" if pair is None else f"{pair[0]}--{pair[1]}"
+
+
 def _run_job(args) -> dict:
     """One (band, pair) job: writes ``<band>__<pair>/`` and returns its summary row."""
     dataset, band_name, pair, config = args
@@ -383,7 +370,7 @@ def _run_job(args) -> dict:
     evaluation = evaluate_partition(
         partition, dataset.labels, ids, config.threshold, simulated=config.sim is not None,
     )
-    pair_name = "all" if pair is None else f"{pair[0]}--{pair[1]}"
+    pair_name = _pair_name(pair)
     job_dir = Path(config.output_dir) / f"{band_name}__{pair_name}"
     job_dir.mkdir(parents=True, exist_ok=True)
     write_features_csv(job_dir / "features.csv", feature_set, band_name)
@@ -421,13 +408,18 @@ def run_pipeline(config: PipelineConfig) -> dict:
     fsi_grid.json, evaluation.json and connectivity_summary.json under
     ``<output_dir>/<band>__<pair>/``.  Once every job has succeeded, a
     top-level summary.json and summary.csv hold the per-job rows (band,
-    pair, RI, m, fuzzy %) in job order: band-major, pair-minor.
+    pair, RI, m, fuzzy %) in job order: band-major, pair-minor.  An
+    ``output_dir`` holding a ``<x>__<y>/`` directory that is not a job
+    of this run is refused before any input is read; nothing is deleted.
     """
     out_dir = Path(config.output_dir)
+    pairs: list[Optional[tuple[str, str]]] = list(config.pairs) or [None]
+    jobs = {f"{band}__{_pair_name(pair)}" for band in config.bands for pair in pairs}
+    foreign = sorted(p for p in out_dir.glob("?*__?*") if p.is_dir() and p.name not in jobs)
+    if foreign:
+        raise ConfigError(f"output_dir holds {foreign[0]}, which is not a job of this run")
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = load_input(config)
-
-    pairs: list[Optional[tuple[str, str]]] = list(config.pairs) or [None]
     units = [(dataset, band, pair, config) for band in config.bands for pair in pairs]
     if config.jobs > 1 and len(units) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:

@@ -9,7 +9,7 @@ indicator, which is what the fuzzy detection protocol must catch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -17,7 +17,7 @@ from scipy import signal
 
 from .evaluation import SWITCHING
 from .exceptions import ConfigError, DataError
-from .mts import MtsBlock, MtsDataset
+from .mts import JsonConfig, MtsBlock, MtsDataset, check_fields
 
 __all__ = [
     "SimConfig",
@@ -46,8 +46,13 @@ _DOMINANT_X, _DOMINANT_Y = 1, 3
 
 
 @dataclass(frozen=True)
-class SimConfig:
+class SimConfig(JsonConfig):
     """Generator settings; every field has a reproducible default.
+
+    The annotations are the field table, checked by ``mts.check_fields``
+    when the config is built.  Without the two mixing matrices, of shape
+    (n_x + n_y, len(target_freqs)), ``default_mixing`` draws a pair; it
+    needs at least four target frequencies.
 
     ``damping`` places the AR(2) characteristic roots at modulus
     ``damping`` (> 1) so each latent's spectrum peaks at its target
@@ -79,6 +84,10 @@ class SimConfig:
     burn_in: int = 500
 
     def __post_init__(self):
+        check_fields(self)
+        for key in ("seed", "burn_in"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
         if self.damping <= 1.0:
             raise ConfigError(f"damping must exceed 1 for stationarity, got {self.damping}")
         if self.noise_family not in NOISE_FAMILIES:
@@ -104,57 +113,16 @@ class SimConfig:
             raise ConfigError("need n_blocks >= 1 and block_length >= 2")
         if self.n_x < 1 or self.n_y < 1:
             raise ConfigError("need n_x >= 1 and n_y >= 1")
-        object.__setattr__(self, "target_freqs", tuple(float(f) for f in self.target_freqs))
-        object.__setattr__(self, "proportions", tuple(float(v) for v in self.proportions))
-        for name in ("mixing_a0", "mixing_a1"):
-            a = getattr(self, name)
-            if a is not None:
-                a = np.ascontiguousarray(a, dtype=np.float64)
-                expected = (self.n_x + self.n_y, len(self.target_freqs))
-                if a.shape != expected:
-                    raise ConfigError(f"{name} has shape {a.shape}, expected {expected}")
-                a.flags.writeable = False
-                object.__setattr__(self, name, a)
         if (self.mixing_a0 is None) != (self.mixing_a1 is None):
             raise ConfigError("give both mixing matrices or neither")
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "SimConfig":
-        known = dict(raw)
+        expected = (self.n_x + self.n_y, len(self.target_freqs))
         for name in ("mixing_a0", "mixing_a1"):
-            if known.get(name) is not None:
-                known[name] = np.asarray(known[name], dtype=np.float64)
-        for name in ("target_freqs", "proportions"):
-            if name in known:
-                known[name] = tuple(known[name])
-        try:
-            return cls(**known)
-        except TypeError as exc:
-            raise ConfigError(f"bad simulation config: {exc}") from exc
-
-    def to_dict(self) -> dict:
-        out = {
-            "seed": self.seed,
-            "n_blocks": self.n_blocks,
-            "block_length": self.block_length,
-            "sample_rate_hz": self.sample_rate_hz,
-            "damping": self.damping,
-            "target_freqs": list(self.target_freqs),
-            "n_x": self.n_x,
-            "n_y": self.n_y,
-            "mixing_gain": self.mixing_gain,
-            "signal_gain": self.signal_gain,
-            "noise_family": self.noise_family,
-            "noise_scale": self.noise_scale,
-            "proportions": list(self.proportions),
-            "fuzzy_switch_prob": self.fuzzy_switch_prob,
-            "fuzzy_switch_rate": self.fuzzy_switch_rate,
-            "burn_in": self.burn_in,
-        }
-        if self.mixing_a0 is not None:
-            out["mixing_a0"] = self.mixing_a0.tolist()
-            out["mixing_a1"] = self.mixing_a1.tolist()
-        return out
+            a = getattr(self, name)
+            if a is not None and a.shape != expected:
+                raise ConfigError(f"{name} has shape {a.shape}, expected {expected}")
+        need = 1 if self.mixing_a0 is not None else _DOMINANT_Y + 1  # default_mixing's index
+        if len(self.target_freqs) < need:
+            raise ConfigError(f"target_freqs needs {need} or more entries, got {self.target_freqs}")
 
 
 def ar2_coefficients(freq_hz: float, damping: float, sample_rate_hz: float) -> tuple[float, float]:
@@ -359,7 +327,7 @@ def truth_payload(config: SimConfig, dataset: MtsDataset) -> dict:
     return {
         "kinds": [int(b.label) for b in dataset.blocks],
         "proportions": list(config.proportions),
-        "config": config.to_dict(),
+        "config": {k: v for k, v in asdict(config).items() if v is not None},
     }
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -177,3 +178,12 @@ class TestRegions:
     def test_empty_region_rejected(self):
         with pytest.raises(ConfigError, match="empty"):
             RegionMap(regions={"A": (), "B": ("t1",)})
+
+    @pytest.mark.parametrize("regions, pairs, match", [
+        ({"A": "f1", "B": ("t1",)}, (), "regions['A'] must be a list, got 'f1'"),
+        ({"A": ("f1", 2), "B": ("t1",)}, (), "regions['A'][1] must be str, got 2"),
+        ({"A": ("f1",), "B": ("t1",)}, (("A", "B", "C"),), "pairs[0] must be a list of 2"),
+    ])
+    def test_malformed_map_rejected(self, regions, pairs, match):
+        with pytest.raises(ConfigError, match=re.escape(match)):
+            RegionMap(regions=regions, pairs=pairs)

@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -91,6 +92,63 @@ class TestPipelineConfig:
             PipelineConfig(seed=0, output_dir="x", sim=SIM_SMALL, threshold=1.0)
         # a C = 3 cell of the grid accepts 0.4
         PipelineConfig(seed=0, output_dir="x", sim=SIM_SMALL, threshold=0.4, c_grid=(2, 3))
+
+
+    @pytest.mark.parametrize("setting, match", [
+        ({"seed": "7"}, "seed must be int, got '7'"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"skip_degenerate": "no"}, "skip_degenerate must be bool, got 'no'"),
+        ({"jobs": 1.5}, "jobs must be int, got 1.5"),
+        ({"jobs": True}, "jobs must be int, got True"),
+        ({"c_grid": "23"}, "c_grid must be a list, got '23'"),
+        ({"c_grid": [2, 3.0]}, "c_grid[1] must be int, got 3.0"),
+        ({"max_lag": 2.5}, "max_lag must be int, got 2.5"),
+        ({"n_clusters": 2.5}, "n_clusters must be int, got 2.5"),
+        ({"n_restarts": 2.0}, "n_restarts must be int, got 2.0"),
+        ({"sim": {**SIM_SMALL, "n_blocks": 12.5}}, "n_blocks must be int, got 12.5"),
+        ({"sim": {**SIM_SMALL, "seed": -1}}, "seed must be >= 0, got -1"),
+        ({"fuzziness": "2"}, "fuzziness must be float, got '2'"),
+        ({"output_dir": 5}, "output_dir must be str, got 5"),
+        ({"sim": [1, 2]}, "sim must be dict, got [1, 2]"),
+        ({"m_grid": "1.5"}, "m_grid must be a list, got '1.5'"),
+        ({"filter_order": 2.5}, "filter_order must be int, got 2.5"),
+        ({"bands": "Beta"}, "bands must be a list, got 'Beta'"),
+        ({"groups": [4]}, "groups must be a list of 2 entries, got [4]"),
+        ({"regions": {"A": ["X1"], "B": ["Y1"]}, "pairs": [["A"]]},
+         "pairs[0] must be a list of 2 entries, got ['A']"),
+        ({"regions": {"A": "X1", "B": ["Y1"]}, "pairs": [["A", "B"]]},
+         "regions['A'] must be a list, got 'X1'"),
+        ({"bands": ["Beta"], "band_table": {"Beta": "ab"}},
+         "band_table['Beta'] must be a list of 2 entries, got 'ab'"),
+        ({"bands": ["Beta"], "band_table": {"Beta": [12, "30"]}},
+         "band_table['Beta'][1] must be float, got '30'"),
+    ])
+    def test_wrong_type_rejected_when_built(self, tmp_path, setting, match):
+        raw = {"seed": 0, "output_dir": str(tmp_path / "out"), "sim": SIM_SMALL, **setting}
+        with pytest.raises(ConfigError, match=re.escape(match)):
+            PipelineConfig(**raw)
+        with pytest.raises(ConfigError, match=re.escape(match)):
+            PipelineConfig.from_dict(raw)
+        assert not (tmp_path / "out").exists()
+
+    def test_fields_normalised(self):
+        cfg = PipelineConfig.from_dict({
+            "seed": np.int64(3), "output_dir": "x", "sim": SIM_SMALL, "bands": ["raw"],
+            "c_grid": [np.int64(2), 3], "m_grid": [2, 1.5], "fuzziness": 2, "groups": [4, 4],
+            "regions": {"A": ["X1"], "B": ["Y1"]}, "pairs": [["A", "B"]],
+        })
+        assert (cfg.bands, cfg.pairs, cfg.groups) == (("raw",), (("A", "B"),), (4, 4))
+        assert [type(c) for c in cfg.c_grid] == [int, int]
+        assert [type(m) for m in cfg.m_grid] == [float, float] and cfg.m_grid == (2.0, 1.5)
+        assert cfg.regions == {"A": ("X1",), "B": ("Y1",)}
+        assert type(cfg.fuzziness) is int  # scalars are stored as given
+
+    def test_replaced_seed_reseeds_the_simulation(self):
+        cfg = PipelineConfig(seed=0, output_dir="x", sim=SIM_SMALL)
+        first, second = load_input(cfg), load_input(replace(cfg, seed=9))
+        assert not np.array_equal(first.blocks[0].data, second.blocks[0].data)
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            replace(cfg, seed=-1)
 
 
 class TestRunPipeline:
@@ -232,6 +290,22 @@ class TestRunPipeline:
         with pytest.raises(ConfigError, match=r"1 block.*block_length"):
             run_pipeline(cfg)
         assert calls == []
+
+    def test_output_dir_with_another_runs_job_refused(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        both = PipelineConfig(seed=1, output_dir=str(out), sim=SIM_SMALL,
+                              bands=("raw", "Beta"), n_restarts=2)
+        run_pipeline(both)
+        before = tree_digest(out)
+        run_pipeline(both)  # a rerun of the same jobs owns every directory
+        assert tree_digest(out) == before
+        calls = []
+        monkeypatch.setitem(DEPENDENCE_FNS, "kendall",
+                            lambda block, max_lag: calls.append(block))
+        with pytest.raises(ConfigError, match=r"Beta__all, which is not a job of this run"):
+            run_pipeline(replace(both, bands=("raw",)))
+        assert calls == []
+        assert tree_digest(out) == before
 
     def test_failed_job_leaves_no_summary(self, tmp_path, monkeypatch):
         from fuzzcoh import NumericError, pipeline
@@ -486,6 +560,8 @@ class TestCliInputErrors:
         ({"bands": ["raw", "raw"]}, "bands lists 'raw' more than once"),
         ({"max_lag": -1}, "max_lag must lie in [0, 248]"),
         ({"max_lag": 250}, "keep at least 8 aligned samples, got 250"),
+        ({"seed": "7"}, "seed must be int, got '7'"),
+        ({"sim": {**SIM_SMALL, "noise": "normal"}}, "unexpected keyword argument 'noise'"),
     ])
     def test_pipeline_setting_fails_before_dependence(self, tmp_path, capsys, monkeypatch,
                                                       setting, match):
@@ -499,6 +575,24 @@ class TestCliInputErrors:
         assert calls == []
         assert_one_error_line(capsys, match)
         assert not (tmp_path / "out" / "summary.json").exists()
+
+    @pytest.mark.parametrize("flags, match", [
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+        (["--jobs", "0"], "jobs must be >= 1, got 0"),
+        (["--band", "Beta", "--band", "Beta"], "bands lists 'Beta' more than once"),
+    ])
+    def test_overrides_pass_the_config_checks(self, tmp_path, capsys, flags, match):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 0, "output_dir": str(tmp_path / "out"),
+                                   "sim": SIM_SMALL}))
+        assert main(["pipeline", "--config", str(cfg), *flags]) == 2
+        assert_one_error_line(capsys, match)
+        assert not (tmp_path / "out").exists()
+
+    def test_config_not_an_object(self, tmp_path, capsys):
+        cfg = write_file(tmp_path / "cfg.json", "[1, 2]")
+        assert main(["pipeline", "--config", cfg, "--seed", "1"]) == 2
+        assert_one_error_line(capsys, "a pipeline config must be a JSON object")
 
     @pytest.mark.parametrize("command", ["cluster", "validate"])
     def test_zero_restarts(self, tmp_path, capsys, command):

@@ -1,10 +1,20 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from scipy import signal
 
 from fuzzcoh import ConfigError, SimConfig, contaminate, gen_ar2, gen_block, gen_dataset, save_csv
 from fuzzcoh.dependence import kendall_tau
-from fuzzcoh.simulate import apportion, ar2_coefficients, default_mixing, switching_indicator
+from fuzzcoh.mts import write_json
+from fuzzcoh.simulate import (
+    apportion,
+    ar2_coefficients,
+    default_mixing,
+    switching_indicator,
+    truth_payload,
+)
 
 
 class TestAr2:
@@ -141,6 +151,60 @@ class TestGenBlock:
     def test_mixing_shape_validation(self):
         with pytest.raises(ConfigError, match="shape"):
             SimConfig(seed=0, mixing_a0=np.ones((3, 5)), mixing_a1=np.ones((3, 5)))
+
+
+class TestSimConfig:
+    @pytest.mark.parametrize("setting, match", [
+        ({"n_blocks": 12.5}, "n_blocks must be int, got 12.5"),
+        ({"seed": "7"}, "seed must be int, got '7'"),
+        ({"seed": True}, "seed must be int, got True"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"burn_in": -5}, "burn_in must be >= 0, got -5"),
+        ({"damping": "1.1"}, "damping must be float, got '1.1'"),
+        ({"noise_family": 3}, "noise_family must be str, got 3"),
+        ({"target_freqs": 10.0}, "target_freqs must be a list, got 10.0"),
+        ({"target_freqs": [2.0, "6"]}, "target_freqs[1] must be float, got '6'"),
+        ({"target_freqs": [2.0, 6.0, 10.0]}, "target_freqs needs 4 or more entries"),
+        ({"target_freqs": [], "mixing_a0": [[]] * 8, "mixing_a1": [[]] * 8},
+         "target_freqs needs 1 or more entries"),
+        ({"proportions": [0.5, 0.5]}, "proportions must be a list of 3 entries"),
+        ({"mixing_a0": [["a"]], "mixing_a1": [["b"]]}, "mixing_a0 must be a numeric matrix"),
+    ])
+    def test_bad_field_rejected_when_built(self, setting, match):
+        raw = {"seed": 0, "n_blocks": 4, "block_length": 64, **setting}
+        with pytest.raises(ConfigError, match=re.escape(match)):
+            SimConfig(**raw)
+        with pytest.raises(ConfigError, match=re.escape(match)):
+            SimConfig.from_dict(raw)
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ConfigError, match="unexpected keyword argument 'noise'"):
+            SimConfig.from_dict({"seed": 0, "noise": "normal"})
+
+    def test_fields_normalised(self):
+        a0, a1 = default_mixing(4, 4, 5, np.random.default_rng(0))
+        cfg = SimConfig.from_dict({"seed": np.int64(2), "sample_rate_hz": 128,
+                                   "target_freqs": [2, 6, 10, 20, 40], "proportions": [1, 0, 0],
+                                   "mixing_a0": a0.tolist(), "mixing_a1": a1})
+        assert cfg.target_freqs == (2.0, 6.0, 10.0, 20.0, 40.0)
+        assert all(type(v) is float for v in cfg.target_freqs + cfg.proportions)
+        assert type(cfg.sample_rate_hz) is int  # scalars are stored as given
+        for a in (cfg.mixing_a0, cfg.mixing_a1):
+            assert a.dtype == np.float64 and not a.flags.writeable
+        np.testing.assert_array_equal(cfg.mixing_a0, a0)
+
+    @pytest.mark.parametrize("mixing", [False, True])
+    def test_truth_echo_rebuilds_the_config(self, tmp_path, mixing):
+        matrices = default_mixing(4, 4, 5, np.random.default_rng(0)) if mixing else (None, None)
+        cfg = SimConfig(seed=3, n_blocks=4, block_length=64, noise_family="student_t3",
+                        mixing_a0=matrices[0], mixing_a1=matrices[1])
+        dataset = gen_dataset(cfg)
+        write_json(tmp_path / "truth.json", truth_payload(cfg, dataset))
+        echo = json.loads((tmp_path / "truth.json").read_text())["config"]
+        assert ("mixing_a0" in echo) == ("mixing_a1" in echo) == mixing
+        again = gen_dataset(SimConfig.from_dict(echo))
+        for a, b in zip(dataset.blocks, again.blocks):
+            np.testing.assert_array_equal(a.data, b.data)
 
 
 class TestGenDataset:
