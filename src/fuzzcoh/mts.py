@@ -9,12 +9,13 @@ estimator works block by block.  Channels are split into an X group
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import numbers
 import typing
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -290,19 +291,20 @@ def _checked(value, hint, name: str):
     raise ConfigError(f"{name} must be {hint.__name__}, got {value!r}")
 
 
+_type_hints = functools.cache(typing.get_type_hints)  # evaluates a class's annotations once
+
+
 def check_fields(config) -> None:
     """Check every field of a frozen config dataclass against its annotation.
 
-    An int field takes an integer and a float field a real number, never
-    a bool; str, bool and dict take exactly that type, and a typed dict's
-    keys and values are checked too; Optional allows null.  Lists become
-    tuples with int()/float() entries and ndarrays read-only float64
-    arrays; scalars are kept as given.  Anything else is a
-    ``ConfigError`` naming the field.
+    int takes an integer and float a real number, never a bool; str, bool
+    and dict take exactly that type, a typed dict's entries checked too;
+    Optional allows null.  Lists become tuples with int()/float() entries,
+    ndarrays read-only float64 arrays; scalars stay as given.  Anything
+    else is a ``ConfigError`` naming the field.
     """
-    hints = typing.get_type_hints(type(config))
-    for f in fields(config):
-        object.__setattr__(config, f.name, _checked(getattr(config, f.name), hints[f.name], f.name))
+    for name, hint in _type_hints(type(config)).items():
+        object.__setattr__(config, name, _checked(getattr(config, name), hint, name))
 
 
 class JsonConfig:

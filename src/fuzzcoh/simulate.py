@@ -49,10 +49,9 @@ _DOMINANT_X, _DOMINANT_Y = 1, 3
 class SimConfig(JsonConfig):
     """Generator settings; every field has a reproducible default.
 
-    The annotations are the field table, checked by ``mts.check_fields``
-    when the config is built.  Without the two mixing matrices, of shape
-    (n_x + n_y, len(target_freqs)), ``default_mixing`` draws a pair; it
-    needs at least four target frequencies.
+    The annotations are the field table (``mts.check_fields``).  Without
+    mixing matrices, of shape (n_x + n_y, len(target_freqs)), a pair is
+    drawn by ``default_mixing``, which needs four or more target frequencies.
 
     ``damping`` places the AR(2) characteristic roots at modulus
     ``damping`` (> 1) so each latent's spectrum peaks at its target
