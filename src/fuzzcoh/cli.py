@@ -10,11 +10,9 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .bands import RAW_BAND, default_band, design_bandpass, filter_dataset
 from .canonical import extract_features
-from .clustering import DEFAULT_C_GRID, DEFAULT_M_GRID, FuzzyPartition, fcm_fit, grid_search
+from .clustering import DEFAULT_C_GRID, DEFAULT_M_GRID, fcm_fit, grid_search
 from .exceptions import ConfigError, DataError, NumericError
 from .mts import check_labels, load_csv, read_json, save_csv, write_json
 from .pipeline import (
@@ -140,15 +138,8 @@ def _read_truth(path, block_ids) -> tuple[list, bool]:
 
 def _cmd_evaluate(args) -> int:
     memberships, ids = read_memberships_csv(args.memberships)
-    part = FuzzyPartition(
-        memberships=memberships,
-        centers=np.zeros((memberships.shape[1], 1)),
-        fuzziness=2.0,
-        objective_trace=(0.0,),
-        iterations=0, converged=True, seed=0,
-    )
     labels, simulated = _read_truth(args.truth, ids)
-    payload = evaluate_partition(part, labels, ids, args.threshold, simulated=simulated)
+    payload = evaluate_partition(memberships, labels, ids, args.threshold, simulated=simulated)
     write_json(args.output, payload)
     print(json.dumps({k: v for k, v in payload.items() if k != "per_block"}, sort_keys=True))
     return 0

@@ -73,10 +73,6 @@ class FuzzyPartition:
         return self.centers.shape[0]
 
     @property
-    def n_objects(self) -> int:
-        return self.memberships.shape[0]
-
-    @property
     def objective(self) -> float:
         return self.objective_trace[-1]
 
@@ -191,7 +187,7 @@ def fcm_fit(
         raise ConfigError(f"need at least 2 clusters, got {n_clusters}")
     if n_clusters >= n:
         raise ConfigError(f"need more objects than clusters: B={n}, C={n_clusters}")
-    if fuzziness <= 1.0:
+    if not fuzziness > 1.0:  # NaN too
         raise ConfigError(f"fuzziness must exceed 1, got {fuzziness}")
 
     restarts = 1 if init is not None else n_restarts
@@ -226,8 +222,8 @@ def fcm_fit(
     return best
 
 
-def fsi(features, partition: FuzzyPartition) -> ValidityReport:
-    """Membership-weighted silhouette index of a fitted partition.
+def fsi(features, partition: FuzzyPartition) -> float:
+    """Membership-weighted silhouette index of a fitted partition, as a float.
 
     For object b and cluster c, a is the membership-weighted mean
     distance to the other objects under cluster c and n the minimum such
@@ -266,8 +262,7 @@ def fsi(features, partition: FuzzyPartition) -> ValidityReport:
             top = np.maximum(a, nb)  # NaN propagates, so such pairs score 0
             s[:, ci] = np.where(top > 0, (nb - a) / top, 0.0)
 
-    value = float((w * s).sum() / n)
-    return ValidityReport(cells=(GridCell(n_clusters=c, fuzziness=m, fsi=value),), selected=(c, m))
+    return float((w * s).sum() / n)
 
 
 def grid_search(
@@ -294,7 +289,7 @@ def grid_search(
     for c, m in product(sorted(c_values), sorted(m_values)):
         try:
             part = fcm_fit(features, c, m, seed=seed, n_restarts=n_restarts)
-            value = fsi(features, part).cells[0].fsi
+            value = fsi(features, part)
             cells.append(GridCell(n_clusters=c, fuzziness=m, fsi=value))
             if best is None or value > best[0]:
                 best = (value, c, m, part)

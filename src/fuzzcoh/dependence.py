@@ -146,72 +146,68 @@ def sine_transform(tau: float) -> float:
 class LaggedDependenceSet:
     """Dependence matrices for lags -L..L with XX/XY/YY block views.
 
-    Entries lie in [-1, 1]; the matrix at -l is the transpose of the one
-    at l; the lag-0 matrix is symmetric with unit diagonal.
+    ``lags`` is one read-only (L+1, m, m) array, m = p + q, holding the
+    matrices at lags 0..L; the matrix at -l is the transpose of the one
+    at l, so ``matrix(-l)`` returns ``lags[l].T``.  Entries lie in
+    [-1, 1]; the lag-0 matrix is symmetric with unit diagonal.
     ``degenerate_channels`` lists constant channels whose entries were
     zeroed.
     """
 
-    max_lag: int
     p: int
     q: int
-    matrices: dict[int, np.ndarray]
+    lags: np.ndarray  # (L+1, m, m)
     degenerate_channels: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         m = self.p + self.q
-        mats = {}
-        for lag in range(-self.max_lag, self.max_lag + 1):
-            if lag not in self.matrices:
-                raise DataError(f"missing matrix for lag {lag}")
-            a = np.ascontiguousarray(self.matrices[lag], dtype=np.float64)
-            if a.shape != (m, m):
-                raise DataError(f"lag {lag} matrix has shape {a.shape}, expected ({m},{m})")
-            if np.abs(a).max() > 1.0 + 1e-12:
-                raise DataError(f"lag {lag} matrix has entries outside [-1, 1]")
-            a.flags.writeable = False
-            mats[lag] = a
-        p0 = mats[0]
-        if not np.array_equal(p0, p0.T):
+        a = np.ascontiguousarray(self.lags, dtype=np.float64)
+        if a.ndim != 3 or a.shape[0] < 1 or a.shape[1:] != (m, m):
+            raise DataError(f"lags has shape {a.shape}, expected (L+1, {m}, {m})")
+        if np.abs(a).max() > 1.0 + 1e-12:
+            raise DataError("dependence entries outside [-1, 1]")
+        if not np.array_equal(a[0], a[0].T):
             raise DataError("lag-0 matrix must be symmetric")
-        if not np.all(np.diag(p0) == 1.0):
+        if not np.all(np.diag(a[0]) == 1.0):
             raise DataError("lag-0 matrix must have unit diagonal")
-        for lag in range(1, self.max_lag + 1):
-            if not np.array_equal(mats[-lag], mats[lag].T):
-                raise DataError(f"matrix at lag {-lag} must equal the transpose at lag {lag}")
-        object.__setattr__(self, "matrices", mats)
+        a.flags.writeable = False
+        object.__setattr__(self, "lags", a)
+
+    @property
+    def max_lag(self) -> int:
+        return self.lags.shape[0] - 1
 
     def matrix(self, lag: int) -> np.ndarray:
-        return self.matrices[lag]
+        return self.lags[lag] if lag >= 0 else self.lags[-lag].T
 
     def xx(self, lag: int) -> np.ndarray:
-        return self.matrices[lag][: self.p, : self.p]
+        return self.matrix(lag)[: self.p, : self.p]
 
     def xy(self, lag: int) -> np.ndarray:
-        return self.matrices[lag][: self.p, self.p :]
+        return self.matrix(lag)[: self.p, self.p :]
 
     def yy(self, lag: int) -> np.ndarray:
-        return self.matrices[lag][self.p :, self.p :]
+        return self.matrix(lag)[self.p :, self.p :]
 
     def to_json_dict(self, block_index: int) -> dict:
+        lags = range(-self.max_lag, self.max_lag + 1)
         return {
             "block": block_index,
             "max_lag": self.max_lag,
-            "matrices": {str(l): self.matrices[l].tolist() for l in sorted(self.matrices)},
+            "matrices": {str(l): self.matrix(l).tolist() for l in lags},
             "degenerate_channels": list(self.degenerate_channels),
         }
 
 
-def lagged_tau_matrices(data: np.ndarray, max_lag: int) -> dict[int, np.ndarray]:
+def lagged_tau_matrices(data: np.ndarray, max_lag: int) -> np.ndarray:
     """All-pairs tau-a matrices for lags 0..max_lag from the tiled kernel.
 
-    entry[j, k] at lag l is the tau of (data[t, j], data[t + l, k]) over
+    Shape (L+1, m, m): entry [l, j, k] is the tau of (data[t, j], data[t + l, k]) over
     the aligned n = T - l samples: the exact pair sum divided by C(n, 2),
     so it equals per-entry ``kendall_tau`` bit for bit.
     """
-    T = data.shape[0]
-    sums = _concordance_sums(data, max_lag)
-    return {lag: sums[lag] / ((T - lag) * (T - lag - 1) // 2) for lag in range(max_lag + 1)}
+    n = data.shape[0] - np.arange(max_lag + 1)
+    return _concordance_sums(data, max_lag) / (n * (n - 1) // 2)[:, None, None]
 
 
 MIN_ALIGNED = 8  # fewest aligned samples a lag may leave in a block
@@ -220,15 +216,16 @@ MIN_ALIGNED = 8  # fewest aligned samples a lag may leave in a block
 def build_dependence_set(
     block: MtsBlock,
     max_lag: int,
-    lag_matrices: Callable[[np.ndarray, int], dict[int, np.ndarray]],
+    lag_matrices: Callable[[np.ndarray, int], np.ndarray],
 ) -> LaggedDependenceSet:
     """The dependence-set contract shared by every estimator.
 
-    ``lag_matrices(data, max_lag)`` gives the estimator's matrices for
-    lags 0..max_lag.  This checks ``max_lag`` and the block length,
-    zeroes the rows and columns of constant channels at every lag (they
-    are flagged rather than raising), symmetrises the lag-0 matrix with
-    an exact unit diagonal and fills negative lags by transposition.
+    ``lag_matrices(data, max_lag)`` gives the estimator's (L+1, m, m)
+    array of matrices for lags 0..max_lag.  This checks ``max_lag`` and
+    the block length, zeroes the rows and columns of constant channels
+    at every lag (they are flagged rather than raising) and symmetrises
+    the lag-0 matrix with an exact unit diagonal, all in place on that
+    array; negative lags are transposed views, never copies.
     """
     if max_lag < 0:
         raise DataError(f"max_lag must be >= 0, got {max_lag}")
@@ -243,26 +240,16 @@ def build_dependence_set(
         int(c) for c in range(block.n_channels)
         if np.all(data[:, c] == data[0, c])
     )
-    idx = list(degenerate)
-    mats: dict[int, np.ndarray] = {}
-    for lag, entry in lag_matrices(data, max_lag).items():
-        entry[idx, :] = 0.0
-        entry[:, idx] = 0.0
-        if lag == 0:
-            entry = (entry + entry.T) / 2.0  # symmetric up to roundoff already
-            np.fill_diagonal(entry, 1.0)
-        mats[lag] = entry
-        if lag > 0:
-            mats[-lag] = entry.T.copy()
-    return LaggedDependenceSet(
-        max_lag=max_lag, p=block.p, q=block.q,
-        matrices=mats, degenerate_channels=degenerate,
-    )
+    lags = lag_matrices(data, max_lag)
+    lags[:, degenerate, :] = 0.0
+    lags[:, :, degenerate] = 0.0
+    lags[0] = (lags[0] + lags[0].T) / 2.0  # symmetric up to roundoff already
+    np.fill_diagonal(lags[0], 1.0)
+    return LaggedDependenceSet(p=block.p, q=block.q, lags=lags, degenerate_channels=degenerate)
 
 
-def _sine_tau_matrices(data: np.ndarray, max_lag: int) -> dict[int, np.ndarray]:
-    return {lag: np.sin(np.pi / 2.0 * tau)
-            for lag, tau in lagged_tau_matrices(data, max_lag).items()}
+def _sine_tau_matrices(data: np.ndarray, max_lag: int) -> np.ndarray:
+    return np.sin(np.pi / 2.0 * lagged_tau_matrices(data, max_lag))
 
 
 def dependence_set(block: MtsBlock, max_lag: int = 5) -> LaggedDependenceSet:

@@ -1,4 +1,4 @@
-"""Turn fuzzy partitions into assignments and score them against truth.
+"""Turn fuzzy memberships into assignments and score them against truth.
 
 Two assignment rules: the 0.7-cutoff rule used by the simulation
 protocol (sub-cutoff blocks keep a FUZZY status) and the plain
@@ -12,7 +12,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .clustering import FuzzyPartition
 from .exceptions import ConfigError
 
 __all__ = [
@@ -59,18 +58,18 @@ class RandReport:
 
 
 def assign(
-    partition: FuzzyPartition,
+    memberships,
     rule: str = "threshold",
     threshold: float = 0.7,
 ) -> AssignmentReport:
     """Assign each block to a cluster, or to FUZZY under the cutoff rule.
 
-    ``threshold`` rule: block -> argmax cluster iff its maximum
-    membership strictly exceeds the cutoff, else FUZZY (equality counts
-    as FUZZY).  ``max`` rule: always argmax, ties to the lower cluster
-    index.
+    ``memberships`` is the (B, C) membership matrix.  ``threshold``
+    rule: block -> argmax cluster iff its maximum membership strictly
+    exceeds the cutoff, else FUZZY (equality counts as FUZZY).  ``max``
+    rule: always argmax, ties to the lower cluster index.
     """
-    e = partition.memberships
+    e = np.asarray(memberships, dtype=np.float64)
     n, c = e.shape
     arg = e.argmax(axis=1)  # argmax takes the lower index on ties
     if rule == "max":
@@ -120,11 +119,11 @@ def rand_index(pred: Sequence[int], truth: Sequence[int]) -> float:
 
 
 def simulation_accuracy(
-    partition: FuzzyPartition,
+    memberships,
     kinds: Sequence[int],
     threshold: float = 0.7,
 ) -> RandReport:
-    """Score a two-cluster partition against pure-0/pure-1/switching truth.
+    """Score (B, 2) memberships against pure-0/pure-1/switching truth.
 
     A pure block counts correct when the cutoff rule assigns it to its
     own cluster (after the accuracy-maximizing 2-permutation match of
@@ -133,20 +132,17 @@ def simulation_accuracy(
     over the pure subset only, and over all blocks with FUZZY/switching
     treated as a third label.
     """
-    if partition.n_clusters != 2:
-        raise ConfigError(
-            f"simulation protocol is binary; partition has C={partition.n_clusters}"
-        )
+    n, c = np.shape(memberships)
+    if c != 2:
+        raise ConfigError(f"simulation protocol is binary; partition has C={c}")
     kinds = np.asarray(kinds, dtype=int)
-    if kinds.shape[0] != partition.n_objects:
-        raise ConfigError(
-            f"{kinds.shape[0]} truth entries for {partition.n_objects} blocks"
-        )
+    if kinds.shape[0] != n:
+        raise ConfigError(f"{kinds.shape[0]} truth entries for {n} blocks")
     bad = set(np.unique(kinds)) - {0, 1, SWITCHING}
     if bad:
         raise ConfigError(f"truth kinds must be 0, 1 or {SWITCHING}, got extra {sorted(bad)}")
 
-    report = assign(partition, rule="threshold", threshold=threshold)
+    report = assign(memberships, rule="threshold", threshold=threshold)
     # FUZZY takes the switching tag (free, as C = 2); every score below
     # comes from the (assigned, truth) contingency table
     hard = report.hard_labels(fuzzy_label=SWITCHING)

@@ -268,11 +268,14 @@ def _checked(value, hint, name: str):
     origin = typing.get_origin(hint)
     if origin is typing.Union:  # Optional[X]
         return None if value is None else _checked(value, typing.get_args(hint)[0], name)
-    if hint is np.ndarray:
+    if hint is np.ndarray:  # integer or float entries only: no bools, no numeric strings
         try:
-            return _readonly(value)
+            entries = np.asarray(value, dtype=object).ravel()
+            if all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in entries):
+                return _readonly(value)
         except (TypeError, ValueError):
-            raise ConfigError(f"{name} must be a numeric matrix, got {value!r}") from None
+            pass
+        raise ConfigError(f"{name} must be a numeric matrix, got {value!r}")
     if origin is tuple:
         args = typing.get_args(hint)
         fixed = args[-1] is not Ellipsis
@@ -435,18 +438,23 @@ def load_csv(
     ``groups=(p, q)``: the first p columns are X, the next q are Y.
     ``select_regions`` regroups by channel name.
 
-    An optional JSON metadata sidecar may supply ``block_length``,
-    ``labels`` and ``sample_rate_hz``; explicit keyword arguments win
-    over the sidecar.
+    An optional JSON metadata sidecar may supply ``block_length`` (an
+    integer), ``sample_rate_hz`` (a number) and ``labels``; a value of
+    another type is a ``ConfigError`` naming the sidecar and the key,
+    and other keys are ignored.  Explicit keyword arguments win over the
+    sidecar.
     """
     meta = {} if metadata_path is None else read_json(metadata_path, "metadata file")
+    meta = _checked(meta, dict, f"{metadata_path}: the sidecar")
+    for key, hint in (("block_length", int), ("sample_rate_hz", float)):
+        meta[key] = _checked(meta.get(key), Optional[hint], f"{metadata_path}: {key}")
     if block_length is None:
-        block_length = meta.get("block_length")
+        block_length = meta["block_length"]
     labels = meta.get("labels")
     if labels is not None:
         check_labels(labels, metadata_path)
     if sample_rate_hz is None:
-        sample_rate_hz = meta.get("sample_rate_hz")
+        sample_rate_hz = meta["sample_rate_hz"]
     if sample_rate_hz is None:
         raise ConfigError("sample_rate_hz missing (argument or metadata)")
 

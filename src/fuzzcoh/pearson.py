@@ -33,8 +33,8 @@ def _lagged_correlation(data: np.ndarray, lag: int) -> np.ndarray:
     return np.clip(corr, -1.0, 1.0)
 
 
-def _correlation_matrices(data: np.ndarray, max_lag: int) -> dict[int, np.ndarray]:
-    return {lag: _lagged_correlation(data, lag) for lag in range(max_lag + 1)}
+def _correlation_matrices(data: np.ndarray, max_lag: int) -> np.ndarray:
+    return np.stack([_lagged_correlation(data, lag) for lag in range(max_lag + 1)])
 
 
 def pearson_dependence_set(block: MtsBlock, max_lag: int = 5) -> LaggedDependenceSet:

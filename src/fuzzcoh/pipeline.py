@@ -17,17 +17,11 @@ import numpy as np
 
 from .bands import RAW_BAND, band_edges, default_band, design_bandpass, filter_dataset
 from .canonical import FeatureSet, extract_features
-from .clustering import (
-    DEFAULT_M_GRID,
-    FuzzyPartition,
-    ValidityReport,
-    fcm_fit,
-    fsi,
-    grid_search,
-)
+from .clustering import DEFAULT_M_GRID, FuzzyPartition, ValidityReport, fcm_fit, grid_search
+from .clustering import fsi  # noqa: F401  not called here; bench/tracing.py patches pipeline.fsi
 from .dependence import dependence_set
 from .evaluation import SWITCHING, assign, rand_index, simulation_accuracy
-from .exceptions import ConfigError
+from .exceptions import ConfigError, DataError
 from .mts import (
     JsonConfig,
     MtsDataset,
@@ -120,9 +114,13 @@ class PipelineConfig(JsonConfig):
         for key, grid in (("n_clusters", "c_grid"), ("fuzziness", "m_grid")):
             if getattr(self, key) is None and getattr(self, grid) is None:
                 raise ConfigError(f"{key} is null and no {grid} replaces it")
-        max_c = max(self.c_grid or (self.n_clusters,))
-        if max_c < 2:
-            raise ConfigError(f"need at least 2 clusters, got C = {max_c}")
+        c_values, m_values = _grid(self)
+        if min(c_values) < 2:
+            raise ConfigError(f"need at least 2 clusters, got C = {min(c_values)}")
+        bad_m = [m for m in m_values if not m > 1.0]  # NaN too
+        if bad_m:
+            raise ConfigError(f"fuzziness must exceed 1, got {bad_m[0]}")
+        max_c = max(c_values)
         if not 1.0 / max_c < self.threshold < 1.0:  # no C of the run could use it
             raise ConfigError(f"threshold must lie in (1/C, 1) = ({1.0 / max_c:.3f}, 1) "
                               f"for the largest C = {max_c}, got {self.threshold}")
@@ -196,8 +194,18 @@ def write_memberships_csv(path, partition: FuzzyPartition, block_ids: Sequence[i
 
 
 def read_memberships_csv(path) -> tuple[np.ndarray, list[int]]:
-    """Membership matrix and block ids from a memberships.csv file."""
-    return read_block_table(path, "e_")
+    """Membership matrix and block ids from a memberships.csv file.
+
+    Each row's entries must lie in [0, 1] and sum to 1 within 1e-10;
+    the first row that does not is a ``DataError`` naming it.
+    """
+    e, ids = read_block_table(path, "e_")
+    bad = (e.min(axis=1) < 0.0) | (e.max(axis=1) > 1.0) | (np.abs(e.sum(axis=1) - 1.0) > 1e-10)
+    if bad.any():
+        r = int(bad.argmax())
+        raise DataError(f"{path}: row {r + 1}: memberships must lie in [0, 1] and sum to 1 "
+                        f"within 1e-10, got {e[r].tolist()}")
+    return e, ids
 
 
 # ---------------------------------------------------------------------------
@@ -237,38 +245,27 @@ def load_input(config: PipelineConfig) -> MtsDataset:
     ), config.csv)
 
 
-def _cluster_and_validate(
-    features: np.ndarray, config: PipelineConfig
-) -> tuple[ValidityReport, FuzzyPartition]:
-    if config.c_grid is not None or config.m_grid is not None:
-        return grid_search(
-            features, c_values=config.c_grid or (config.n_clusters,),
-            m_values=config.m_grid or (config.fuzziness,),
-            seed=config.seed, n_restarts=config.n_restarts,
-        )
-    part = fcm_fit(
-        features, config.n_clusters, config.fuzziness,
-        seed=config.seed, n_restarts=config.n_restarts,
-    )
-    return fsi(features, part), part
+def _grid(config: PipelineConfig) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """The run's C and m values; a single (C, m) is a one-cell grid."""
+    return config.c_grid or (config.n_clusters,), config.m_grid or (config.fuzziness,)
 
 
 def evaluate_partition(
-    partition: FuzzyPartition,
+    memberships: np.ndarray,
     labels: Optional[Sequence[Optional[int]]],
     block_ids: Sequence[int],
     threshold: float,
     simulated: bool = False,
 ) -> dict:
-    """The evaluation.json payload; the protocol depends on the truth.
+    """The evaluation.json payload of (B, C) memberships; the protocol depends on the truth.
 
     Every payload holds the threshold-rule assignments.  With labels for
-    every block, a two-cluster partition of simulated data (or of any
+    every block, two-cluster memberships of simulated data (or of any
     truth with switching blocks) is scored by the 0.7-cutoff simulation
     protocol; otherwise the maximum-membership rule is scored against
     the labels.  ``labels`` is indexed by the block ids.
     """
-    thr_report = assign(partition, rule="threshold", threshold=threshold)
+    thr_report = assign(memberships, rule="threshold", threshold=threshold)
     payload: dict = {
         "rule": "threshold",
         "threshold": threshold,
@@ -282,7 +279,7 @@ def evaluate_partition(
                 "max_membership": float(m),
             }
             for b, a, m in zip(
-                block_ids, thr_report.assignments, partition.memberships.max(axis=1)
+                block_ids, thr_report.assignments, memberships.max(axis=1)
             )
         ],
     }
@@ -292,8 +289,8 @@ def evaluate_partition(
     if any(v is None for v in truth):
         return payload
     truth = truth.astype(int)
-    if (simulated or SWITCHING in truth) and partition.n_clusters == 2:
-        report = simulation_accuracy(partition, truth, threshold=threshold)
+    if (simulated or SWITCHING in truth) and memberships.shape[1] == 2:
+        report = simulation_accuracy(memberships, truth, threshold=threshold)
         payload.update(
             accuracy=report.accuracy,
             rand_index=report.rand_index_pure,
@@ -304,7 +301,7 @@ def evaluate_partition(
         )
     else:
         # labeled recordings: maximum-membership rule against the labels
-        hard = assign(partition, rule="max").hard_labels(fuzzy_label=-1)
+        hard = assign(memberships, rule="max").hard_labels(fuzzy_label=-1)
         payload.update(
             rand_index=rand_index(hard, truth),
             protocol="max-membership",
@@ -366,10 +363,13 @@ def _run_job(args) -> dict:
         skip_degenerate=config.skip_degenerate,
     )
     ids = feature_set.block_indices
-    validity, partition = _cluster_and_validate(feature_set.d_matrix, config)
-    evaluation = evaluate_partition(
-        partition, dataset.labels, ids, config.threshold, simulated=config.sim is not None,
-    )
+    c_values, m_values = _grid(config)
+    if len(ids) <= min(c_values):
+        raise ConfigError(f"need more objects than clusters: B={len(ids)}, C={min(c_values)}")
+    validity, partition = grid_search(feature_set.d_matrix, c_values, m_values,
+                                      seed=config.seed, n_restarts=config.n_restarts)
+    evaluation = evaluate_partition(partition.memberships, dataset.labels, ids,
+                                    config.threshold, simulated=config.sim is not None)
     pair_name = _pair_name(pair)
     job_dir = Path(config.output_dir) / f"{band_name}__{pair_name}"
     job_dir.mkdir(parents=True, exist_ok=True)
@@ -476,7 +476,8 @@ def reproduce_sim(
         for est, dep_fn in DEPENDENCE_FNS.items():
             features = extract_features(dataset, max_lag=5, dependence_fn=dep_fn).d_matrix
             for m in m_values:
-                report = simulation_accuracy(fcm_fit(features, 2, m, seed=rep_seed), kinds)
+                report = simulation_accuracy(fcm_fit(features, 2, m, seed=rep_seed).memberships,
+                                             kinds)
                 sw = report.n_switching
                 scores[(m, est)].append((report.accuracy, report.rand_index_pure,
                                          report.n_switching_correct / sw if sw else 0.0))

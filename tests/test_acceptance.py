@@ -61,7 +61,7 @@ def run_desk_scale(seed, noise, m, estimator="kendall", n_blocks=60, features=No
         features = (feats, kinds)
     feats, kinds = features
     part = fcm_fit(feats, 2, m, seed=seed)
-    return simulation_accuracy(part, kinds), features
+    return simulation_accuracy(part.memberships, kinds), features
 
 
 def test_criterion_1_kendall_oracle_equivalence():
@@ -138,7 +138,7 @@ def test_criterion_4_fsi_sanity():
     from test_clustering import crisp_partition
 
     x, labels = two_blobs(20, 8, gap=1.0, sigma=0.01, seed=4)  # gap/sigma = 100
-    crisp = fsi(x, crisp_partition(x, labels, 2)).cells[0].fsi
+    crisp = fsi(x, crisp_partition(x, labels, 2))
     from fuzzcoh import FuzzyPartition
 
     uniform = FuzzyPartition(
@@ -146,7 +146,7 @@ def test_criterion_4_fsi_sanity():
         centers=np.vstack([x.mean(axis=0), x.mean(axis=0) + 0.01]),
         fuzziness=2.0, objective_trace=(1.0,), iterations=1, converged=True, seed=0,
     )
-    uniform_fsi = fsi(x, uniform).cells[0].fsi
+    uniform_fsi = fsi(x, uniform)
 
     selections = []
     for m in DEFAULT_M_GRID:
@@ -246,10 +246,10 @@ def test_criterion_9_contamination_stability():
                 float(np.linalg.norm(f_clean - f_dirty, axis=1).mean())
             )
             acc_clean = simulation_accuracy(
-                fcm_fit(f_clean, 2, 1.5, seed=seed), kinds
+                fcm_fit(f_clean, 2, 1.5, seed=seed).memberships, kinds
             ).accuracy
             acc_dirty = simulation_accuracy(
-                fcm_fit(f_dirty, 2, 1.5, seed=seed), kinds
+                fcm_fit(f_dirty, 2, 1.5, seed=seed).memberships, kinds
             ).accuracy
             drop[est].append(acc_clean - acc_dirty)
     move_k = float(np.mean(move["kendall"]))

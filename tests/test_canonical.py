@@ -17,9 +17,7 @@ def scalar_dep(xy0, xy1, yx1=0.1):
     """p=q=1 dependence set with chosen cross entries at lags 0 and 1."""
     m0 = np.array([[1.0, xy0], [xy0, 1.0]])
     m1 = np.array([[0.05, xy1], [yx1, 0.05]])
-    return LaggedDependenceSet(
-        max_lag=1, p=1, q=1, matrices={0: m0, 1: m1, -1: m1.T},
-    )
+    return LaggedDependenceSet(p=1, q=1, lags=np.stack([m0, m1]))
 
 
 def stationary_var_instance(p, q, max_lag, seed):
@@ -35,17 +33,16 @@ def stationary_var_instance(p, q, max_lag, seed):
     cov0 = sla.solve_discrete_lyapunov(a, np.eye(m))
     cov0 = (cov0 + cov0.T) / 2
     scale = 1.0 / np.sqrt(np.diag(cov0))
-    mats = {}
+    mats = []
     cov = cov0
     r0 = np.clip(cov0 * np.outer(scale, scale), -1.0, 1.0)
     r0 = np.triu(r0) + np.triu(r0, 1).T  # bitwise symmetric
     np.fill_diagonal(r0, 1.0)
-    mats[0] = r0
+    mats.append(r0)
     for lag in range(1, max_lag + 1):
         cov = a @ cov  # Gamma(lag) = A Gamma(lag-1); entry = cov(Z_t, Z_{t+lag})
-        mats[lag] = np.clip((cov * np.outer(scale, scale)).T, -1.0, 1.0)
-        mats[-lag] = mats[lag].T
-    return LaggedDependenceSet(max_lag=max_lag, p=p, q=q, matrices=mats)
+        mats.append(np.clip((cov * np.outer(scale, scale)).T, -1.0, 1.0))
+    return LaggedDependenceSet(p=p, q=q, lags=np.stack(mats))
 
 
 class TestSolveCanonical:
@@ -88,15 +85,13 @@ class TestSolveCanonical:
         feat = solve_canonical(dep)
         assert feat.u[np.argmax(np.abs(feat.u))] > 0
         # flipping every cross matrix flips (u, v) jointly; d is unchanged
-        flipped = {
-            lag: (-m if lag != 0 else m.copy()) for lag, m in dep.matrices.items()
-        }
-        m0 = flipped[0].copy()
+        flipped = -dep.lags
+        m0 = dep.lags[0].copy()
         m0[:2, 2:] *= -1
         m0[2:, :2] *= -1
         flipped[0] = m0
         feat2 = solve_canonical(
-            LaggedDependenceSet(max_lag=1, p=2, q=2, matrices=flipped)
+            LaggedDependenceSet(p=2, q=2, lags=flipped)
         )
         assert feat2.g_value == pytest.approx(feat.g_value, abs=1e-12)
         np.testing.assert_allclose(feat2.d, feat.d, atol=1e-9)
@@ -113,9 +108,7 @@ class TestSolveCanonical:
         m0 = np.eye(2)
         m0[0, 1] = m0[1, 0] = 0.5
         m1 = np.array([[0.0, 0.5], [0.0, 0.0]])
-        dep = LaggedDependenceSet(
-            max_lag=1, p=1, q=1, matrices={0: m0, 1: m1, -1: m1.T}
-        )
+        dep = LaggedDependenceSet(p=1, q=1, lags=np.stack([m0, m1]))
         # identical 0.5 cross at lags 0 and +1: lag 0 wins
         assert solve_canonical(dep).best_lag == 0
 

@@ -59,6 +59,8 @@ class TestFcmFit:
             fcm_fit(x, 3, 2.0)  # C >= B
         with pytest.raises(ConfigError):
             fcm_fit(np.zeros((10, 2)), 2, 1.0)  # m <= 1
+        with pytest.raises(ConfigError, match="fuzziness must exceed 1, got nan"):
+            fcm_fit(np.zeros((10, 2)), 2, float("nan"))
         bad = np.zeros((10, 2))
         bad[0, 0] = np.inf
         with pytest.raises(ConfigError):
@@ -96,45 +98,45 @@ def crisp_partition(features, labels, n_clusters, m=2.0, eps=1e-6):
 class TestFsi:
     def test_distant_blobs_high_index(self):
         x, labels = two_blobs(10, 3, gap=50.0, sigma=0.5, seed=0)
-        report = fsi(x, crisp_partition(x, labels, 2))
-        assert report.cells[0].fsi >= 0.9
+        value = fsi(x, crisp_partition(x, labels, 2))
+        assert value >= 0.9
 
     def test_identical_points_zero(self):
         x = np.ones((6, 2))
         labels = np.array([0, 0, 0, 1, 1, 1])
-        report = fsi(x, crisp_partition(x, labels, 2))
-        assert report.cells[0].fsi == 0.0
+        value = fsi(x, crisp_partition(x, labels, 2))
+        assert value == 0.0
 
     def test_uniform_memberships_score_lower(self):
         x, labels = two_blobs(10, 3, gap=20.0, sigma=0.5, seed=1)
-        crisp = fsi(x, crisp_partition(x, labels, 2)).cells[0].fsi
+        crisp = fsi(x, crisp_partition(x, labels, 2))
         e = np.full((20, 2), 0.5)
         centers = np.array([x.mean(axis=0), x.mean(axis=0) + 0.1])
         uniform = FuzzyPartition(
             memberships=e, centers=centers, fuzziness=2.0,
             objective_trace=(1.0,), iterations=1, converged=True, seed=0,
         )
-        assert fsi(x, uniform).cells[0].fsi < crisp
+        assert fsi(x, uniform) < crisp
 
     def test_label_permutation_invariance(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((15, 2))
         part = fcm_fit(x, 3, 1.5, seed=0, n_restarts=2)
-        value = fsi(x, part).cells[0].fsi
+        value = fsi(x, part)
         perm = [2, 0, 1]
         swapped = FuzzyPartition(
             memberships=part.memberships[:, perm], centers=part.centers[perm],
             fuzziness=part.fuzziness, objective_trace=part.objective_trace,
             iterations=part.iterations, converged=part.converged, seed=part.seed,
         )
-        assert fsi(x, swapped).cells[0].fsi == pytest.approx(value, abs=1e-12)
+        assert fsi(x, swapped) == pytest.approx(value, abs=1e-12)
 
     def test_in_range(self):
         rng = np.random.default_rng(6)
         for trial in range(10):
             x = rng.standard_normal((12, 3))
             part = fcm_fit(x, 2, 2.0, seed=trial, n_restarts=2)
-            assert -1.0 <= fsi(x, part).cells[0].fsi <= 1.0
+            assert -1.0 <= fsi(x, part) <= 1.0
 
     @staticmethod
     def random_case(rng, kind):
@@ -164,7 +166,7 @@ class TestFsi:
                                      "identical"].index(kind))
         for _ in range(150):
             x, part = self.random_case(rng, kind)
-            assert fsi(x, part).cells[0].fsi == brute_force_fsi(
+            assert fsi(x, part) == brute_force_fsi(
                 x, part.memberships, part.fuzziness)
 
     def test_equals_brute_force_oracle_on_fits(self):
@@ -173,7 +175,7 @@ class TestFsi:
             x = rng.standard_normal((int(rng.integers(8, 40)), 3))
             part = fcm_fit(x, int(rng.integers(2, 6)), float(rng.uniform(1.1, 2.6)),
                            seed=trial, n_restarts=2)
-            assert fsi(x, part).cells[0].fsi == brute_force_fsi(
+            assert fsi(x, part) == brute_force_fsi(
                 x, part.memberships, part.fuzziness)
 
 
@@ -192,7 +194,7 @@ class TestGridSearch:
         direct = fcm_fit(x, 2, 1.8, seed=3)
         np.testing.assert_array_equal(part.memberships, direct.memberships)
         assert report.cells[0].fsi == pytest.approx(
-            fsi(x, direct).cells[0].fsi, abs=1e-15
+            fsi(x, direct), abs=1e-15
         )
 
     def test_failed_cells_recorded(self):

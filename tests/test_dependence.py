@@ -1,11 +1,20 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import brute_force_tau, brute_force_tau_numerator
 
-from fuzzcoh import DataError, MtsBlock, dependence_set, kendall_tau, repair_psd, sine_transform
+from fuzzcoh import (
+    DataError,
+    LaggedDependenceSet,
+    MtsBlock,
+    dependence_set,
+    kendall_tau,
+    repair_psd,
+    sine_transform,
+)
 from fuzzcoh import dependence
 from fuzzcoh.dependence import concordant_minus_discordant, lagged_tau_matrices
 
@@ -191,6 +200,11 @@ class TestDependenceSet:
         assert np.all(dep.matrix(0)[1, [0, 2]] == 0.0)
         assert dep.matrix(0)[1, 1] == 1.0
         assert np.all(dep.matrix(1)[1, :] == 0.0)
+
+    @pytest.mark.parametrize("lags", [np.eye(4), np.stack([np.eye(3)] * 2)])
+    def test_lags_shape_checked(self, lags):
+        with pytest.raises(DataError, match=re.escape("expected (L+1, 4, 4)")):
+            LaggedDependenceSet(p=2, q=2, lags=lags)
 
     def test_too_short_block(self):
         block = random_block(T=10, channels=2)

@@ -4,7 +4,6 @@ from conftest import brute_force_rand_index, brute_force_simulation_protocol
 
 from fuzzcoh import (
     ConfigError,
-    FuzzyPartition,
     SWITCHING,
     assign,
     rand_index,
@@ -12,41 +11,35 @@ from fuzzcoh import (
 )
 
 
-def partition_from_memberships(e, m=2.0):
-    e = np.asarray(e, dtype=float)
-    centers = np.zeros((e.shape[1], 2))
-    centers[:, 0] = np.arange(e.shape[1])
-    return FuzzyPartition(
-        memberships=e, centers=centers, fuzziness=m,
-        objective_trace=(1.0,), iterations=1, converged=True, seed=0,
-    )
+def as_memberships(e):
+    return np.asarray(e, dtype=float)
 
 
 class TestAssign:
     def test_crisp_above_threshold(self):
-        part = partition_from_memberships([[0.95, 0.05]])
+        part = as_memberships([[0.95, 0.05]])
         report = assign(part, rule="threshold", threshold=0.7)
         assert report.assignments == (0,)
         assert report.fuzzy_fraction == 0.0
 
     def test_sub_threshold_is_fuzzy(self):
-        part = partition_from_memberships([[0.6, 0.4]])
+        part = as_memberships([[0.6, 0.4]])
         report = assign(part, rule="threshold", threshold=0.7)
         assert report.assignments == (None,)
         assert report.fuzzy_fraction == 1.0
 
     def test_equality_counts_as_fuzzy(self):
-        part = partition_from_memberships([[0.7, 0.3]])
+        part = as_memberships([[0.7, 0.3]])
         report = assign(part, rule="threshold", threshold=0.7)
         assert report.assignments == (None,)
 
     def test_max_rule_tie_low_index(self):
-        part = partition_from_memberships([[0.5, 0.5]])
+        part = as_memberships([[0.5, 0.5]])
         report = assign(part, rule="max")
         assert report.assignments == (0,)
 
     def test_threshold_domain(self):
-        part = partition_from_memberships([[0.5, 0.5]])
+        part = as_memberships([[0.5, 0.5]])
         with pytest.raises(ConfigError):
             assign(part, rule="threshold", threshold=0.5)  # = 1/C
         with pytest.raises(ConfigError):
@@ -55,14 +48,14 @@ class TestAssign:
     def test_threshold_near_one_over_c_matches_max_rule(self):
         rng = np.random.default_rng(0)
         e = rng.dirichlet(np.ones(3), size=40)
-        part = partition_from_memberships(e)
+        part = as_memberships(e)
         thr = assign(part, rule="threshold", threshold=1 / 3 + 1e-9)
         mx = assign(part, rule="max")
         assert thr.assignments == mx.assignments
 
     def test_unknown_rule(self):
         with pytest.raises(ConfigError):
-            assign(partition_from_memberships([[1.0, 0.0]]), rule="other")
+            assign(as_memberships([[1.0, 0.0]]), rule="other")
 
 
 class TestRandIndex:
@@ -106,7 +99,7 @@ class TestSimulationAccuracy:
     def test_perfect_run(self):
         e = [[0.95, 0.05], [0.9, 0.1], [0.1, 0.9], [0.05, 0.95], [0.5, 0.5]]
         kinds = [0, 0, 1, 1, SWITCHING]
-        report = simulation_accuracy(partition_from_memberships(e), kinds)
+        report = simulation_accuracy(as_memberships(e), kinds)
         assert report.accuracy == 1.0
         assert report.rand_index_pure == 1.0
         assert report.n_switching_correct == 1
@@ -115,33 +108,33 @@ class TestSimulationAccuracy:
         # cluster ids are swapped relative to the truth labels
         e = [[0.1, 0.9], [0.1, 0.9], [0.9, 0.1], [0.9, 0.1]]
         kinds = [0, 0, 1, 1]
-        report = simulation_accuracy(partition_from_memberships(e), kinds)
+        report = simulation_accuracy(as_memberships(e), kinds)
         assert report.accuracy == 1.0
         assert report.label_map == (1, 0)
 
     def test_crisp_switching_block_counted_wrong(self):
         e = [[0.95, 0.05], [0.05, 0.95], [0.9, 0.1]]
         kinds = [0, 1, SWITCHING]
-        report = simulation_accuracy(partition_from_memberships(e), kinds)
+        report = simulation_accuracy(as_memberships(e), kinds)
         assert report.n_switching_correct == 0
         assert report.accuracy == pytest.approx(2 / 3)
 
     def test_sub_threshold_pure_block_counted_wrong(self):
         e = [[0.65, 0.35], [0.95, 0.05], [0.05, 0.95]]
         kinds = [0, 0, 1]
-        report = simulation_accuracy(partition_from_memberships(e), kinds)
+        report = simulation_accuracy(as_memberships(e), kinds)
         assert report.accuracy == pytest.approx(2 / 3)
         assert report.fuzzy_fraction == pytest.approx(1 / 3)
 
     def test_non_binary_partition_rejected(self):
         e = [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8], [0.4, 0.3, 0.3]]
         with pytest.raises(ConfigError, match="binary"):
-            simulation_accuracy(partition_from_memberships(e), [0, 1, 0, SWITCHING])
+            simulation_accuracy(as_memberships(e), [0, 1, 0, SWITCHING])
 
     def test_rand_variants_reported(self):
         e = [[0.95, 0.05], [0.05, 0.95], [0.52, 0.48], [0.9, 0.1]]
         kinds = [0, 1, SWITCHING, 0]
-        report = simulation_accuracy(partition_from_memberships(e), kinds)
+        report = simulation_accuracy(as_memberships(e), kinds)
         assert 0.0 <= report.rand_index_pure <= 1.0
         assert 0.0 <= report.rand_index_all <= 1.0
         assert report.n_pure == 3 and report.n_switching == 1
@@ -156,6 +149,6 @@ class TestSimulationAccuracy:
             e = np.column_stack([e0, 1.0 - e0])
             kinds = rng.choice([[0, 1, SWITCHING], [0, 1], [SWITCHING], [0]][int(rng.integers(4))],
                                n)
-            report = simulation_accuracy(partition_from_memberships(e), kinds)
+            report = simulation_accuracy(as_memberships(e), kinds)
             oracle = brute_force_simulation_protocol(e, kinds)
             assert {k: getattr(report, k) for k in oracle} == oracle

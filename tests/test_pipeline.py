@@ -2,6 +2,7 @@ import csv
 import json
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -505,6 +506,10 @@ class TestCliInputErrors:
         ("block_id,e_1,e_2\n-1,0.9,0.1\n1,0.2,0.8\n", "bad block id at row 1, column 0"),
         ("block_id,e_1,e_2\n0,0.9,0.1\n1,inf,0.8\n", "non-finite value at row 2, column 1"),
         ("block_id,e_1,e_2\n", "no data rows"),
+        ("block_id,e_1,e_2\n0,0.9,0.1\n1,0.9,0.3\n",
+         "row 2: memberships must lie in [0, 1] and sum to 1 within 1e-10, got [0.9, 0.3]"),
+        ("block_id,e_1,e_2\n0,-0.1,1.1\n1,0.2,0.8\n",
+         "row 1: memberships must lie in [0, 1] and sum to 1 within 1e-10, got [-0.1, 1.1]"),
     ])
     def test_malformed_memberships(self, tmp_path, capsys, body, match):
         truth = tmp_path / "truth.json"
@@ -562,6 +567,10 @@ class TestCliInputErrors:
         ({"max_lag": 250}, "keep at least 8 aligned samples, got 250"),
         ({"seed": "7"}, "seed must be int, got '7'"),
         ({"sim": {**SIM_SMALL, "noise": "normal"}}, "unexpected keyword argument 'noise'"),
+        ({"fuzziness": 1.0}, "fuzziness must exceed 1, got 1.0"),
+        ({"m_grid": [1.0, 2.0]}, "fuzziness must exceed 1, got 1.0"),
+        ({"c_grid": [1, 2]}, "need at least 2 clusters, got C = 1"),
+        ({"m_grid": [2.0, float("nan")]}, "fuzziness must exceed 1, got nan"),
     ])
     def test_pipeline_setting_fails_before_dependence(self, tmp_path, capsys, monkeypatch,
                                                       setting, match):
@@ -574,6 +583,15 @@ class TestCliInputErrors:
         assert main(["pipeline", "--config", str(cfg)]) == 2
         assert calls == []
         assert_one_error_line(capsys, match)
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    @pytest.mark.parametrize("setting", [{"n_clusters": 7}, {"c_grid": [7, 8]}])
+    def test_more_clusters_than_blocks(self, tmp_path, capsys, setting):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 0, "output_dir": str(tmp_path / "out"),
+                                   "sim": {**SIM_SMALL, "n_blocks": 6}, **setting}))
+        assert main(["pipeline", "--config", str(cfg)]) == 2
+        assert_one_error_line(capsys, "need more objects than clusters: B=6, C=7")
         assert not (tmp_path / "out" / "summary.json").exists()
 
     @pytest.mark.parametrize("flags, match", [
@@ -632,6 +650,25 @@ class TestCliInputErrors:
     ])
     def test_malformed_sidecar_labels(self, tmp_path, capsys, labels, match):
         data, meta = self.recording(tmp_path, labels)
+        rc = main(["filter", "--input", data, "--metadata", meta, "--groups", "2", "2",
+                   "--band", "Beta", "--output", str(tmp_path / "beta.csv")])
+        assert rc == 2
+        assert_one_error_line(capsys, match)
+        assert not (tmp_path / "beta.csv").exists()
+
+    @pytest.mark.parametrize("sidecar, match", [
+        ({"block_length": 64.5}, "rec.json: block_length must be int, got 64.5"),
+        ({"block_length": "64"}, "rec.json: block_length must be int, got '64'"),
+        ({"block_length": True}, "rec.json: block_length must be int, got True"),
+        ({"sample_rate_hz": "128"}, "rec.json: sample_rate_hz must be float, got '128'"),
+        ({"sample_rate_hz": True}, "rec.json: sample_rate_hz must be float, got True"),
+        ([64, 128.0], "rec.json: the sidecar must be dict, got [64, 128.0]"),
+    ])
+    def test_mistyped_sidecar(self, tmp_path, capsys, sidecar, match):
+        data, meta = self.recording(tmp_path, [0, 1, 1, 2])
+        if isinstance(sidecar, dict):
+            sidecar = {**json.loads(Path(meta).read_text(encoding="utf-8")), **sidecar}
+        write_file(Path(meta), json.dumps(sidecar))
         rc = main(["filter", "--input", data, "--metadata", meta, "--groups", "2", "2",
                    "--band", "Beta", "--output", str(tmp_path / "beta.csv")])
         assert rc == 2

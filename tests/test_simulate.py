@@ -169,6 +169,10 @@ class TestSimConfig:
          "target_freqs needs 1 or more entries"),
         ({"proportions": [0.5, 0.5]}, "proportions must be a list of 3 entries"),
         ({"mixing_a0": [["a"]], "mixing_a1": [["b"]]}, "mixing_a0 must be a numeric matrix"),
+        ({"mixing_a0": [["1.5"] * 5] * 8, "mixing_a1": [[1.5] * 5] * 8},
+         "mixing_a0 must be a numeric matrix"),
+        ({"mixing_a0": [[1.5] * 5] * 8, "mixing_a1": [[True] * 5] * 8},
+         "mixing_a1 must be a numeric matrix"),
     ])
     def test_bad_field_rejected_when_built(self, setting, match):
         raw = {"seed": 0, "n_blocks": 4, "block_length": 64, **setting}
