@@ -144,6 +144,20 @@ def _memberships_from_centers(features, centers, fuzziness):
     return e, d2
 
 
+def check_fuzziness(fuzziness: float) -> None:
+    """ConfigError unless 1 < fuzziness < inf (NaN fails too)."""
+    if not fuzziness > 1.0:
+        raise ConfigError(f"fuzziness must exceed 1, got {fuzziness}")
+    if fuzziness == np.inf:
+        raise ConfigError(f"fuzziness must be finite, got {fuzziness}")
+
+
+def check_cluster_count(n_objects: int, n_clusters: int) -> None:
+    """ConfigError unless there are more objects than clusters."""
+    if n_clusters >= n_objects:
+        raise ConfigError(f"need more objects than clusters: B={n_objects}, C={n_clusters}")
+
+
 def _require_restarts(n_restarts: int) -> None:
     if n_restarts < 1:
         raise ConfigError(f"n_restarts must be >= 1, got {n_restarts}")
@@ -174,7 +188,8 @@ def fcm_fit(
     Raises
     ------
     ConfigError
-        If C >= B, m <= 1, n_restarts < 1, or the features are not finite.
+        If C >= B, m <= 1 or m infinite, n_restarts < 1, or the features
+        are not finite.
     """
     _require_restarts(n_restarts)
     x = np.ascontiguousarray(features, dtype=np.float64)
@@ -185,10 +200,8 @@ def fcm_fit(
     n = x.shape[0]
     if n_clusters < 2:
         raise ConfigError(f"need at least 2 clusters, got {n_clusters}")
-    if n_clusters >= n:
-        raise ConfigError(f"need more objects than clusters: B={n}, C={n_clusters}")
-    if not fuzziness > 1.0:  # NaN too
-        raise ConfigError(f"fuzziness must exceed 1, got {fuzziness}")
+    check_cluster_count(n, n_clusters)
+    check_fuzziness(fuzziness)
 
     restarts = 1 if init is not None else n_restarts
     best: Optional[FuzzyPartition] = None

@@ -17,7 +17,15 @@ import numpy as np
 
 from .bands import RAW_BAND, band_edges, default_band, design_bandpass, filter_dataset
 from .canonical import FeatureSet, extract_features
-from .clustering import DEFAULT_M_GRID, FuzzyPartition, ValidityReport, fcm_fit, grid_search
+from .clustering import (
+    DEFAULT_M_GRID,
+    FuzzyPartition,
+    ValidityReport,
+    check_cluster_count,
+    check_fuzziness,
+    fcm_fit,
+    grid_search,
+)
 from .clustering import fsi  # noqa: F401  not called here; bench/tracing.py patches pipeline.fsi
 from .dependence import dependence_set
 from .evaluation import SWITCHING, assign, rand_index, simulation_accuracy
@@ -117,9 +125,8 @@ class PipelineConfig(JsonConfig):
         c_values, m_values = _grid(self)
         if min(c_values) < 2:
             raise ConfigError(f"need at least 2 clusters, got C = {min(c_values)}")
-        bad_m = [m for m in m_values if not m > 1.0]  # NaN too
-        if bad_m:
-            raise ConfigError(f"fuzziness must exceed 1, got {bad_m[0]}")
+        for m in m_values:
+            check_fuzziness(m)
         max_c = max(c_values)
         if not 1.0 / max_c < self.threshold < 1.0:  # no C of the run could use it
             raise ConfigError(f"threshold must lie in (1/C, 1) = ({1.0 / max_c:.3f}, 1) "
@@ -345,6 +352,8 @@ def _pair_name(pair: Optional[tuple[str, str]]) -> str:
 def _run_job(args) -> dict:
     """One (band, pair) job: writes ``<band>__<pair>/`` and returns its summary row."""
     dataset, band_name, pair, config = args
+    c_values, m_values = _grid(config)
+    check_cluster_count(dataset.n_blocks, min(c_values))  # before any dependence call
     if pair is not None:
         dataset = select_regions(dataset, RegionMap(regions=config.regions), pair)
     band = default_band(band_name, dataset.sample_rate_hz, config.band_table)
@@ -363,9 +372,7 @@ def _run_job(args) -> dict:
         skip_degenerate=config.skip_degenerate,
     )
     ids = feature_set.block_indices
-    c_values, m_values = _grid(config)
-    if len(ids) <= min(c_values):
-        raise ConfigError(f"need more objects than clusters: B={len(ids)}, C={min(c_values)}")
+    check_cluster_count(len(ids), min(c_values))  # exclusions may have lowered B
     validity, partition = grid_search(feature_set.d_matrix, c_values, m_values,
                                       seed=config.seed, n_restarts=config.n_restarts)
     evaluation = evaluate_partition(partition.memberships, dataset.labels, ids,

@@ -13,7 +13,6 @@ from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import signal
 
 from .evaluation import SWITCHING
 from .exceptions import ConfigError, DataError
@@ -137,6 +136,31 @@ def ar2_coefficients(freq_hz: float, damping: float, sample_rate_hz: float) -> t
     return float(phi1), float(phi2)
 
 
+def _ar2_latents(eps: np.ndarray, phi1: np.ndarray, phi2: np.ndarray,
+                 burn_in: int) -> np.ndarray:
+    """Standardized AR(2) series, one per row of the innovations ``eps``.
+
+    Row i follows x_t = phi1[i] x_{t-1} + phi2[i] x_{t-2} + eps_t, run for
+    every row at once in the transposed direct form II of
+    ``scipy.signal.lfilter([1], [1, -phi1, -phi2], eps)``: y = eps + z0,
+    z0 = z1 + phi1 y, z1 = phi2 y.  That form rounds as lfilter does; the
+    expanded sum does not.  The first ``burn_in`` samples are discarded and
+    each series is standardized to zero mean and unit variance.
+    """
+    y = eps.T.copy()  # one row per time step, overwritten by the output
+    z0, z1, t = np.zeros(len(eps)), np.zeros(len(eps)), np.empty(len(eps))
+    for row in y:
+        np.add(row, z0, row)
+        np.multiply(phi1, row, t)
+        np.add(z1, t, z0)
+        np.multiply(phi2, row, z1)
+    series = np.ascontiguousarray(y[burn_in:].T)
+    sd = series.std(axis=1, keepdims=True)
+    if (sd == 0).any():  # length 1 edge case
+        raise DataError("degenerate AR series")
+    return (series - series.mean(axis=1, keepdims=True)) / sd
+
+
 def gen_ar2(
     length: int,
     freq_hz: float,
@@ -159,13 +183,8 @@ def gen_ar2(
     if rng is None:
         rng = np.random.default_rng(seed)
     phi1, phi2 = ar2_coefficients(freq_hz, damping, sample_rate_hz)
-    assert abs(phi2) < 1.0  # guaranteed by damping > 1
-    eps = rng.standard_normal(length + burn_in)
-    series = signal.lfilter([1.0], [1.0, -phi1, -phi2], eps)[burn_in:]
-    sd = series.std()
-    if sd == 0:  # length 1 edge case
-        raise DataError("degenerate AR series")
-    return (series - series.mean()) / sd
+    eps = rng.standard_normal((1, length + burn_in))
+    return _ar2_latents(eps, np.array([phi1]), np.array([phi2]), burn_in)[0]
 
 
 def default_mixing(
@@ -250,6 +269,55 @@ def switching_indicator(
     return d
 
 
+def _gen_blocks(config: SimConfig, kinds: Sequence[int],
+                seed_keys: Sequence[Sequence[int]]) -> list[MtsBlock]:
+    """Blocks of the given kinds, each drawn from the stream of its seed key.
+
+    Each stream gives the latent innovations (one row per target
+    frequency, as one ``gen_ar2`` call per frequency would draw them), then
+    the indicator (switching blocks only), then the noise.  The AR(2)
+    recursion then runs once over the latents of every block.
+    """
+    a0, a1 = _mixing_for(config)
+    T, n_latents = config.block_length, len(config.target_freqs)
+    eps = np.empty((len(kinds), n_latents, T + config.burn_in))
+    draws = []
+    for kind, key, out in zip(kinds, seed_keys, eps):
+        rng = np.random.default_rng(list(key))
+        rng.standard_normal(out=out)
+        d = None
+        if kind == SWITCHING:
+            d = switching_indicator(T, rng, prob_zero=config.fuzzy_switch_prob,
+                                    switch_rate=config.fuzzy_switch_rate)
+        draws.append((d, _noise(rng, config.noise_family, (T, config.n_x + config.n_y))))
+    phi1, phi2 = np.array([ar2_coefficients(f, config.damping, config.sample_rate_hz)
+                           for f in config.target_freqs]).T
+    latents = _ar2_latents(eps.reshape(-1, eps.shape[-1]), np.tile(phi1, len(kinds)),
+                           np.tile(phi2, len(kinds)), config.burn_in)
+    names = tuple(f"X{i + 1}" for i in range(config.n_x)) + tuple(
+        f"Y{i + 1}" for i in range(config.n_y)
+    )
+    blocks = []
+    for kind, lat, (d, noise) in zip(kinds, latents.reshape(len(kinds), n_latents, T), draws):
+        lat = np.ascontiguousarray(lat.T)  # (T, latents)
+        if kind == _PURE0:
+            clean = lat @ a0.T
+        elif kind == _PURE1:
+            clean = lat @ a1.T
+        else:
+            mixed = np.where(d[:, None, None] == 1, a1[None], a0[None])  # (T, m, r)
+            clean = np.einsum("tmr,tr->tm", mixed, lat)
+        blocks.append(MtsBlock(
+            data=clean + config.noise_scale * noise,
+            p=config.n_x,
+            q=config.n_y,
+            sample_rate_hz=config.sample_rate_hz,
+            channel_names=names,
+            label=kind,
+        ))
+    return blocks
+
+
 def gen_block(config: SimConfig, kind: int, seed_key: Sequence[int]) -> MtsBlock:
     """Generate one block of the given kind (0, 1, or 2 = switching).
 
@@ -259,37 +327,7 @@ def gen_block(config: SimConfig, kind: int, seed_key: Sequence[int]) -> MtsBlock
     """
     if kind not in (_PURE0, _PURE1, SWITCHING):
         raise ConfigError(f"kind must be 0, 1 or 2, got {kind}")
-    a0, a1 = _mixing_for(config)
-    rng = np.random.default_rng(list(seed_key))
-    T = config.block_length
-    latents = np.column_stack([
-        gen_ar2(T, f, config.damping, config.sample_rate_hz,
-                rng=rng, burn_in=config.burn_in)
-        for f in config.target_freqs
-    ])
-    if kind == _PURE0:
-        clean = latents @ a0.T
-    elif kind == _PURE1:
-        clean = latents @ a1.T
-    else:
-        d = switching_indicator(
-            T, rng, prob_zero=config.fuzzy_switch_prob,
-            switch_rate=config.fuzzy_switch_rate,
-        )
-        mixed = np.where(d[:, None, None] == 1, a1[None], a0[None])  # (T, m, r)
-        clean = np.einsum("tmr,tr->tm", mixed, latents)
-    noise = _noise(rng, config.noise_family, clean.shape)
-    names = tuple(f"X{i + 1}" for i in range(config.n_x)) + tuple(
-        f"Y{i + 1}" for i in range(config.n_y)
-    )
-    return MtsBlock(
-        data=clean + config.noise_scale * noise,
-        p=config.n_x,
-        q=config.n_y,
-        sample_rate_hz=config.sample_rate_hz,
-        channel_names=names,
-        label=kind,
-    )
+    return _gen_blocks(config, [kind], [seed_key])[0]
 
 
 def apportion(n: int, proportions: Sequence[float]) -> list[int]:
@@ -314,10 +352,8 @@ def gen_dataset(config: SimConfig) -> MtsDataset:
     kinds = np.repeat([_PURE0, _PURE1, SWITCHING], counts)
     shuffle_rng = np.random.default_rng([config.seed, _NS_KINDS])
     shuffle_rng.shuffle(kinds)
-    blocks = [
-        gen_block(config, int(kinds[b]), (config.seed, _NS_BLOCK, b))
-        for b in range(config.n_blocks)
-    ]
+    blocks = _gen_blocks(config, [int(k) for k in kinds],
+                         [(config.seed, _NS_BLOCK, b) for b in range(config.n_blocks)])
     return MtsDataset(blocks=tuple(blocks))
 
 

@@ -8,8 +8,11 @@ from fuzzcoh import (
     DataError,
     DEFAULT_BANDS,
     MtsBlock,
+    FilterDesign,
+    MtsDataset,
     design_bandpass,
     filter_block,
+    filter_dataset,
 )
 
 S = 128.0
@@ -152,3 +155,49 @@ class TestFilterBlock:
         out = filter_block(noise_block(384, channels=2, seed=3), design)
         assert out.data.shape == (384, 2)
         assert np.isfinite(out.data).all()
+
+
+class TestScipyOracle:
+    """The numpy design and filter reproduce scipy.signal bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(DEFAULT_BANDS))
+    def test_design_equals_butter(self, name):
+        for order in range(2, 13):
+            design = design_bandpass(band(name), order=order)
+            low, high = DEFAULT_BANDS[name]
+            sos = signal.butter(order, [low, high], btype="bandpass", fs=S, output="sos")
+            np.testing.assert_array_equal(design.sos, sos)
+            _, poles, _ = signal.sos2zpk(sos)
+            assert design.max_pole_radius == float(np.abs(poles).max())
+
+    def test_design_equals_butter_at_other_rates(self):
+        rng = np.random.default_rng(5)
+        for fs in (250.0, 256.0):
+            for _ in range(6):
+                low, high = np.sort(rng.uniform(0.5, fs / 2 - 1.0, 2))
+                spec = BandSpec(name="b", low_hz=low, high_hz=high, sample_rate_hz=fs)
+                for order in (2, 3, 7):
+                    sos = signal.butter(order, [low, high], btype="bandpass", fs=fs,
+                                        output="sos")
+                    np.testing.assert_array_equal(design_bandpass(spec, order).sos, sos)
+
+    @pytest.mark.parametrize("name, order", [("Delta", 4), ("Theta", 3), ("Beta", 4),
+                                             ("Gamma", 6)])
+    def test_filter_dataset_equals_sosfiltfilt(self, name, order):
+        design = design_bandpass(band(name), order=order)
+        for T in (design.min_block_length(), 200, 1024):  # shortest block, capped and full pad
+            blocks = tuple(noise_block(T, channels=3, seed=T + b) for b in range(4))
+            filtered = filter_dataset(MtsDataset(blocks=blocks), design)
+            for block, out in zip(blocks, filtered.blocks):
+                expected = signal.sosfiltfilt(np.array(design.sos), np.array(block.data), axis=0,
+                                              padtype="even", padlen=design.pad_length(T))
+                np.testing.assert_array_equal(out.data, expected)
+                np.testing.assert_array_equal(filter_block(block, design).data, expected)
+
+    def test_sections_must_be_normalised(self):
+        design = design_bandpass(band("Beta"), order=4)
+        sos = np.array(design.sos)
+        sos[1, 3] = 2.0
+        with pytest.raises(ConfigError, match="every a0 = 1"):
+            FilterDesign(sos=sos, band=design.band, order=4, settle_len=design.settle_len,
+                         max_pole_radius=design.max_pole_radius)

@@ -61,6 +61,8 @@ class TestFcmFit:
             fcm_fit(np.zeros((10, 2)), 2, 1.0)  # m <= 1
         with pytest.raises(ConfigError, match="fuzziness must exceed 1, got nan"):
             fcm_fit(np.zeros((10, 2)), 2, float("nan"))
+        with pytest.raises(ConfigError, match="fuzziness must be finite, got inf"):
+            fcm_fit(np.zeros((10, 2)), 2, float("inf"))
         bad = np.zeros((10, 2))
         bad[0, 0] = np.inf
         with pytest.raises(ConfigError):

@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -322,6 +325,26 @@ class TestRunPipeline:
         # the raw job finished and wrote its directory; the summary needs every job
         assert {p.name for p in (tmp_path / "run").iterdir()} == {"raw__all"}
 
+    def test_runs_without_scipy(self, tmp_path):
+        # scipy is a test dependency only: with every scipy import made to fail,
+        # the package imports and runs a raw and a band-filtered job
+        script = f"""
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from fuzzcoh import PipelineConfig, run_pipeline
+run_pipeline(PipelineConfig(seed=3, output_dir={str(tmp_path / "run")!r},
+                            sim={SIM_SMALL!r}, bands=("raw", "Beta"), n_restarts=2))
+print(sorted(name for name in sys.modules if name.startswith("scipy")))
+"""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, timeout=300)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["['scipy']"]  # only the blocking entry
+        assert {p.name for p in (tmp_path / "run").iterdir()} == {
+            "raw__all", "Beta__all", "summary.json", "summary.csv"}
+
 
 class TestReproduceSim:
     def test_rows_and_csv(self, tmp_path):
@@ -571,6 +594,8 @@ class TestCliInputErrors:
         ({"m_grid": [1.0, 2.0]}, "fuzziness must exceed 1, got 1.0"),
         ({"c_grid": [1, 2]}, "need at least 2 clusters, got C = 1"),
         ({"m_grid": [2.0, float("nan")]}, "fuzziness must exceed 1, got nan"),
+        ({"fuzziness": float("inf")}, "fuzziness must be finite, got inf"),  # JSON Infinity
+        ({"m_grid": [2.0, float("inf")]}, "fuzziness must be finite, got inf"),
     ])
     def test_pipeline_setting_fails_before_dependence(self, tmp_path, capsys, monkeypatch,
                                                       setting, match):
@@ -586,13 +611,35 @@ class TestCliInputErrors:
         assert not (tmp_path / "out" / "summary.json").exists()
 
     @pytest.mark.parametrize("setting", [{"n_clusters": 7}, {"c_grid": [7, 8]}])
-    def test_more_clusters_than_blocks(self, tmp_path, capsys, setting):
+    def test_more_clusters_than_blocks(self, tmp_path, capsys, monkeypatch, setting):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 0, "output_dir": str(tmp_path / "out"),
                                    "sim": {**SIM_SMALL, "n_blocks": 6}, **setting}))
+        calls = []
+        monkeypatch.setitem(DEPENDENCE_FNS, "kendall",
+                            lambda block, max_lag: calls.append(block))
         assert main(["pipeline", "--config", str(cfg)]) == 2
+        assert calls == []  # the block count alone rules the job out
         assert_one_error_line(capsys, "need more objects than clusters: B=6, C=7")
         assert not (tmp_path / "out" / "summary.json").exists()
+
+    def test_validate_more_clusters_than_rows(self, tmp_path, capsys):
+        body = "block_id,band,best_lag,g_value,d_1,d_2\n" + "".join(
+            f"{i},raw,0,0.5,{i % 2}.{i},0.{i}\n" for i in range(6))
+        rc = main(["validate", "--features", write_file(tmp_path / "f.csv", body),
+                   "--c-grid", "7", "8", "--output", str(tmp_path / "g.json")])
+        assert rc == 2  # the pipeline's check and message, not "every grid cell failed"
+        assert_one_error_line(capsys, "need more objects than clusters: B=6, C=7")
+        assert not (tmp_path / "g.json").exists()
+
+    def test_cluster_infinite_fuzziness(self, tmp_path, capsys):
+        body = "block_id,band,best_lag,g_value,d_1,d_2\n" + "".join(
+            f"{i},raw,0,0.5,{i % 2}.{i},0.{i}\n" for i in range(6))
+        rc = main(["cluster", "--features", write_file(tmp_path / "f.csv", body),
+                   "--fuzziness", "inf", "--out-memberships", str(tmp_path / "m.csv"),
+                   "--out-centers", str(tmp_path / "c.json")])
+        assert rc == 2
+        assert_one_error_line(capsys, "fuzziness must be finite, got inf")
 
     @pytest.mark.parametrize("flags, match", [
         (["--seed", "-1"], "seed must be >= 0, got -1"),

@@ -47,6 +47,18 @@ class TestAr2:
             _, phi2 = ar2_coefficients(10.0, damping, 128.0)
             assert -1.0 < phi2 < 0.0
 
+    @pytest.mark.parametrize("length, freq, damping, burn_in", [
+        (384, 2.0, 1.05, 500), (64, 40.0, 1.01, 0), (2, 20.0, 3.0, 7), (1000, 31.9, 40.0, 50),
+    ])
+    def test_equals_lfilter(self, length, freq, damping, burn_in):
+        # oracle: scipy's direct-form filter over the same innovations
+        phi1, phi2 = ar2_coefficients(freq, damping, 128.0)
+        eps = np.random.default_rng(length).standard_normal(length + burn_in)
+        series = signal.lfilter([1.0], [1.0, -phi1, -phi2], eps)[burn_in:]
+        expected = (series - series.mean()) / series.std()
+        x = gen_ar2(length, freq, damping, seed=length, burn_in=burn_in)
+        np.testing.assert_array_equal(x, expected)
+
     def test_bad_args(self):
         with pytest.raises(ConfigError):
             gen_ar2(100, 70.0, sample_rate_hz=128.0, seed=0)  # above Nyquist
@@ -219,6 +231,33 @@ class TestGenDataset:
         assert total == 115_200
         assert ds.blocks[0].n_channels == 8
         assert ds.n_blocks == 300
+
+    @pytest.mark.parametrize("noise_family, switch_rate", [("normal", 0.5), ("student_t1", 0.1)])
+    def test_blocks_equal_per_block_lfilter_construction(self, noise_family, switch_rate):
+        # oracle: each block built alone from its stream, one lfilter call per latent
+        from fuzzcoh.simulate import _mixing_for
+
+        cfg = SimConfig(seed=6, n_blocks=10, block_length=80, noise_family=noise_family,
+                        fuzzy_switch_rate=switch_rate, burn_in=40)
+        a0, a1 = _mixing_for(cfg)
+        for b, block in enumerate(gen_dataset(cfg).blocks):
+            rng = np.random.default_rng([6, 7, b])
+            columns = []
+            for f in cfg.target_freqs:
+                phi1, phi2 = ar2_coefficients(f, cfg.damping, cfg.sample_rate_hz)
+                series = signal.lfilter([1.0], [1.0, -phi1, -phi2],
+                                        rng.standard_normal(80 + 40))[40:]
+                columns.append((series - series.mean()) / series.std())
+            latents = np.column_stack(columns)
+            if block.label == 2:
+                d = switching_indicator(80, rng, cfg.fuzzy_switch_prob, switch_rate)
+                mixed = np.where(d[:, None, None] == 1, a1[None], a0[None])
+                clean = np.einsum("tmr,tr->tm", mixed, latents)
+            else:
+                clean = latents @ (a1 if block.label else a0).T
+            noise = (rng.standard_normal(clean.shape) if noise_family == "normal"
+                     else rng.standard_t(1, size=clean.shape))
+            np.testing.assert_array_equal(block.data, clean + noise)
 
     def test_apportionment(self):
         assert apportion(60, (0.4, 0.4, 0.2)) == [24, 24, 12]
