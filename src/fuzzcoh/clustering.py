@@ -54,9 +54,10 @@ class FuzzyPartition:
             raise ConfigError(
                 f"inconsistent shapes: memberships {e.shape}, centers {c.shape}"
             )
-        if np.abs(e.sum(axis=1) - 1.0).max() > _ROW_SUM_TOL:
+        # written so that NaN fails each check
+        if not np.abs(e.sum(axis=1) - 1.0).max() <= _ROW_SUM_TOL:
             raise NumericError("membership rows do not sum to 1 within 1e-10")
-        if e.min() < 0.0 or e.max() > 1.0:
+        if not (e.min() >= 0.0 and e.max() <= 1.0):
             raise NumericError("membership entries outside [0, 1]")
         trace = tuple(float(v) for v in self.objective_trace)
         for a, b in zip(trace, trace[1:]):
@@ -104,6 +105,35 @@ def _restart_rng(seed: int, n_clusters: int, fuzziness: float, restart: int) -> 
     return np.random.default_rng([seed, n_clusters, int(round(fuzziness * 1e6)), restart])
 
 
+def _lastsum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-1)`` of a C-contiguous copy of ``a``, bit for bit.
+
+    numpy sums each contiguous row of n <= 128 entries pairwise: below 8
+    it adds them left to right; from 8 it adds every 8th entry into 8
+    partial sums, combines them as ((s0 + s1) + (s2 + s3)) + ((s4 + s5)
+    + (s6 + s7)) and adds the rest left to right; the row's result is
+    +0.0 plus that.  The same adds done one column at a time round the
+    same, at a ufunc call per column instead of about 25 ns per row.
+    """
+    n = a.shape[-1]
+    if not 0 < n <= 128:
+        return np.ascontiguousarray(a).sum(axis=-1)
+    if n < 8:
+        total = a[..., 0] + 0.0
+        for k in range(1, n):
+            total += a[..., k]
+        return total
+    part = [a[..., j] for j in range(8)]
+    for i in range(8, n - n % 8, 8):
+        part = [part[j] + a[..., i + j] for j in range(8)]
+    total = (part[0] + part[1]) + (part[2] + part[3])
+    total += (part[4] + part[5]) + (part[6] + part[7])
+    for k in range(n - n % 8, n):
+        total += a[..., k]
+    total += 0.0
+    return total
+
+
 def init_centers(features: np.ndarray, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
     """Sample C distinct data points with squared-distance weighting.
 
@@ -113,10 +143,10 @@ def init_centers(features: np.ndarray, n_clusters: int, rng: np.random.Generator
     """
     n = features.shape[0]
     chosen = [int(rng.integers(n))]
+    d2 = np.full(n, np.inf)
     for _ in range(n_clusters - 1):
-        d2 = np.min(
-            ((features[:, None, :] - features[chosen][None]) ** 2).sum(axis=-1), axis=1
-        )
+        # only the newest center can come nearer; the minimum is exact in any order
+        d2 = np.minimum(d2, _lastsum((features - features[chosen[-1]]) ** 2))
         total = d2.sum()
         if total == 0:
             unused = [i for i in range(n) if i not in chosen]
@@ -126,21 +156,40 @@ def init_centers(features: np.ndarray, n_clusters: int, rng: np.random.Generator
     return features[chosen].astype(np.float64)
 
 
+def _sqdist(features, centers):
+    """Squared distances (R, B, C) of B rows to R center sets (R, C, dim).
+
+    Laid out (R, C, B) in memory: each dim's squares form one contiguous
+    (R, C, B) slab, and the column ops that follow run over contiguous
+    rows.
+    """
+    rows = np.ascontiguousarray(features.T)[:, None, None, :]
+    diff = rows - centers.transpose(2, 0, 1)[..., None]
+    diff *= diff  # (dim, R, C, B)
+    return _lastsum(diff.transpose(1, 3, 2, 0))
+
+
 def _memberships_from_centers(features, centers, fuzziness):
-    d2 = ((features[:, None, :] - centers[None]) ** 2).sum(axis=-1)  # (B, C)
+    """Memberships and squared distances (R, B, C) for R center sets (R, C, dim).
+
+    The memberships come out C-contiguous: the center update's sums and
+    products then round as those of a single restart's (B, C) array.
+    """
+    d2 = _sqdist(features, centers)
     coincident = d2 == 0.0
-    safe = np.where(coincident, 1.0, d2)
+    any_coincident = coincident.any()
+    safe = np.where(coincident, 1.0, d2) if any_coincident else d2
     # normalize by the row minimum so the negative power cannot overflow
     # even for fuzziness close to 1 (ratios >= 1, powers in (0, 1])
-    ratios = safe / safe.min(axis=1, keepdims=True)
-    inv = ratios ** (-1.0 / (fuzziness - 1.0))
-    e = inv / inv.sum(axis=1, keepdims=True)
-    hit = coincident.any(axis=1)
-    if hit.any():
+    low = safe[..., 0]
+    for k in range(1, safe.shape[-1]):
+        low = np.minimum(low, safe[..., k])
+    inv = (safe / low[..., None]) ** (-1.0 / (fuzziness - 1.0))
+    e = np.divide(inv, _lastsum(inv)[..., None], out=np.empty(inv.shape))
+    if any_coincident:
         # coincidence rule: full membership split among coincident centers
-        e[hit] = coincident[hit] / coincident[hit].sum(axis=1, keepdims=True)
-    if np.abs(e.sum(axis=1) - 1.0).max() > _ROW_SUM_TOL:
-        raise NumericError("membership rows drifted from sum 1 during an update")
+        hit = coincident.any(axis=-1)
+        e[hit] = coincident[hit] / coincident[hit].sum(axis=-1, keepdims=True)
     return e, d2
 
 
@@ -163,8 +212,44 @@ def _require_restarts(n_restarts: int) -> None:
         raise ConfigError(f"n_restarts must be >= 1, got {n_restarts}")
 
 
-def _objective(e, d2, fuzziness):
-    return float(((e ** fuzziness) * d2).sum())
+def _fit_restarts(x, centers, fuzziness, max_iter) -> list:
+    """Fit R restarts from initial centers (R, C, dim) as one batch.
+
+    Each pass moves the centers of every restart still running; a
+    restart leaves the batch at the pass where it converges, drifts or
+    reaches ``max_iter``, so it ends where a fit of its own would.
+    Returns, per restart, (memberships, centers, objective trace,
+    iterations, converged), or None for one whose rows drifted.
+    """
+    fits: list = [None] * len(centers)
+    traces: list = [[] for _ in fits]
+    active = np.arange(len(fits))
+    e = w = None
+    iterations = 0
+    while active.size:
+        if e is not None:
+            iterations += 1
+            centers = np.matmul(w.transpose(0, 2, 1), x) / w.sum(axis=1)[:, :, None]
+        e_new, d2 = _memberships_from_centers(x, centers, fuzziness)
+        w = e_new ** fuzziness  # the objective's weights and the next center update's
+        rows = len(active)
+        for r, value in zip(active.tolist(), (w * d2).reshape(rows, -1).sum(axis=1).tolist()):
+            traces[r].append(value)
+        drifted = ~(np.abs(_lastsum(e_new) - 1.0).reshape(rows, -1).max(axis=1) <= _ROW_SUM_TOL)
+        if e is None:
+            converged = np.zeros(rows, dtype=bool)
+        else:
+            converged = np.abs(e_new - e).reshape(rows, -1).max(axis=1) < _FIT_TOL
+        e = e_new
+        ended = drifted | converged | (iterations >= max_iter)
+        if not ended.any():
+            continue
+        for i in np.flatnonzero(ended & ~drifted).tolist():
+            r = int(active[i])
+            fits[r] = (e[i].copy(), centers[i].copy(), traces[r], iterations, bool(converged[i]))
+        keep = ~ended
+        active, e, w, centers = active[keep], e[keep], w[keep], centers[keep]
+    return fits
 
 
 def fcm_fit(
@@ -183,13 +268,18 @@ def fcm_fit(
     1e-6 or ``max_iter`` is hit.  Each restart derives its own stream
     from (seed, C, m, restart) and initializes centers at data points
     via squared-distance weighting; pass ``init`` to pin the initial
-    centers of a single restart (used by equivariance checks).
+    centers of a single restart (used by equivariance checks).  The
+    restarts run as one batch; the lowest final objective wins, the
+    first restart on a tie.
 
     Raises
     ------
     ConfigError
-        If C >= B, m <= 1 or m infinite, n_restarts < 1, or the features
-        are not finite.
+        If C >= B, m <= 1 or m infinite, n_restarts < 1, the features
+        are not finite, or ``init`` is not finite with shape (C, dim).
+    NumericError
+        If a restart's membership rows drift from sum 1 or its
+        partition fails a check.
     """
     _require_restarts(n_restarts)
     x = np.ascontiguousarray(features, dtype=np.float64)
@@ -203,30 +293,24 @@ def fcm_fit(
     check_cluster_count(n, n_clusters)
     check_fuzziness(fuzziness)
 
-    restarts = 1 if init is not None else n_restarts
+    if init is not None:
+        start = np.array(init, dtype=np.float64)
+        if start.shape != (n_clusters, x.shape[1]) or not np.isfinite(start).all():
+            raise ConfigError(f"init must be finite with shape ({n_clusters}, {x.shape[1]}), "
+                              f"got shape {start.shape}")
+        centers = start[None]
+    else:
+        centers = np.stack([
+            init_centers(x, n_clusters, _restart_rng(seed, n_clusters, fuzziness, r))
+            for r in range(n_restarts)
+        ])
     best: Optional[FuzzyPartition] = None
-    for r in range(restarts):
-        if init is not None:
-            centers = np.ascontiguousarray(init, dtype=np.float64).copy()
-        else:
-            centers = init_centers(x, n_clusters, _restart_rng(seed, n_clusters, fuzziness, r))
-        e, d2 = _memberships_from_centers(x, centers, fuzziness)
-        trace = [_objective(e, d2, fuzziness)]
-        converged = False
-        iterations = 0
-        for _ in range(max_iter):
-            iterations += 1
-            w = e ** fuzziness
-            centers = (w.T @ x) / w.sum(axis=0)[:, None]
-            e_new, d2 = _memberships_from_centers(x, centers, fuzziness)
-            trace.append(_objective(e_new, d2, fuzziness))
-            delta = np.abs(e_new - e).max()
-            e = e_new
-            if delta < _FIT_TOL:
-                converged = True
-                break
+    for fit in _fit_restarts(x, centers, fuzziness, max_iter):
+        if fit is None:
+            raise NumericError("membership rows drifted from sum 1 during an update")
+        e, fit_centers, trace, iterations, converged = fit
         part = FuzzyPartition(
-            memberships=e, centers=centers, fuzziness=fuzziness,
+            memberships=e, centers=fit_centers, fuzziness=fuzziness,
             objective_trace=tuple(trace), iterations=iterations,
             converged=converged, seed=seed,
         )
@@ -248,19 +332,24 @@ def fsi(features, partition: FuzzyPartition) -> float:
     scores 0.
     """
     x = np.ascontiguousarray(features, dtype=np.float64)
-    e = partition.memberships
-    m = partition.fuzziness
-    n, c = e.shape
+    n = partition.memberships.shape[0]
     if x.shape[0] != n:
         raise ConfigError(f"{x.shape[0]} feature rows vs {n} membership rows")
     if n < 3:
         raise ConfigError(f"need at least 3 objects, got {n}")
+    return _fsi(_pairwise_distances(x), partition)
 
-    dist = np.sqrt(
-        np.maximum(
-            ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1), 0.0,
-        )
-    )
+
+def _pairwise_distances(x):
+    """The (B, B) Euclidean distances between feature rows."""
+    return np.sqrt(np.maximum(_lastsum((x[:, None, :] - x[None, :, :]) ** 2), 0.0))
+
+
+def _fsi(dist, partition: FuzzyPartition) -> float:
+    """``fsi`` from the partition's features' pairwise distances."""
+    e = partition.memberships
+    m = partition.fuzziness
+    n, c = e.shape
     w = e ** m                      # (B, C)
     num = dist @ w                  # self-distance is 0, so j = b adds nothing
     den = w.sum(axis=0)[None, :] - w  # column totals excluding b
@@ -297,12 +386,16 @@ def grid_search(
     if not c_values or not m_values:
         raise ConfigError("empty grid")
     _require_restarts(n_restarts)  # a run-wide setting, not a per-cell failure
+    x = np.ascontiguousarray(features, dtype=np.float64)
+    dist = None  # depends on the features only: built once, after a fit has checked them
     cells: list[GridCell] = []
     best = None  # (fsi, C, m, partition)
     for c, m in product(sorted(c_values), sorted(m_values)):
         try:
-            part = fcm_fit(features, c, m, seed=seed, n_restarts=n_restarts)
-            value = fsi(features, part)
+            part = fcm_fit(x, c, m, seed=seed, n_restarts=n_restarts)
+            if dist is None:
+                dist = _pairwise_distances(x)
+            value = _fsi(dist, part)
             cells.append(GridCell(n_clusters=c, fuzziness=m, fsi=value))
             if best is None or value > best[0]:
                 best = (value, c, m, part)

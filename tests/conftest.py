@@ -145,6 +145,102 @@ def grid_oracle_best_g(p0_xx, p0_yy, cross_by_lag, n_angle=100):
     return best
 
 
+def reference_init_centers(features, n_clusters, rng):
+    """Squared-distance seeding, each draw's distances taken to every chosen center."""
+    n = features.shape[0]
+    chosen = [int(rng.integers(n))]
+    for _ in range(n_clusters - 1):
+        d2 = np.min(
+            ((features[:, None, :] - features[chosen][None]) ** 2).sum(axis=-1), axis=1
+        )
+        total = d2.sum()
+        if total == 0:
+            unused = [i for i in range(n) if i not in chosen]
+            chosen.append(unused[int(rng.integers(len(unused)))])
+        else:
+            chosen.append(int(rng.choice(n, p=d2 / total)))
+    return features[chosen].astype(np.float64)
+
+
+def _reference_memberships(features, centers, fuzziness):
+    d2 = ((features[:, None, :] - centers[None]) ** 2).sum(axis=-1)  # (B, C)
+    coincident = d2 == 0.0
+    safe = np.where(coincident, 1.0, d2)
+    ratios = safe / safe.min(axis=1, keepdims=True)
+    inv = ratios ** (-1.0 / (fuzziness - 1.0))
+    e = inv / inv.sum(axis=1, keepdims=True)
+    hit = coincident.any(axis=1)
+    if hit.any():
+        e[hit] = coincident[hit] / coincident[hit].sum(axis=1, keepdims=True)
+    if np.abs(e.sum(axis=1) - 1.0).max() > 1e-10:
+        raise ValueError("membership rows drifted from sum 1 during an update")
+    return e, d2
+
+
+def _reference_objective(e, d2, fuzziness):
+    return float(((e ** fuzziness) * d2).sum())
+
+
+def reference_fcm_restarts(features, n_clusters, fuzziness, seed=0, max_iter=300,
+                           n_restarts=10, init=None):
+    """FCM with one restart after another, each restart's loop run on its own.
+
+    Returns every restart's (memberships, centers, objective trace,
+    iterations, converged).  A restart whose rows drift raises ValueError.
+    """
+    x = np.ascontiguousarray(features, dtype=np.float64)
+    restarts = 1 if init is not None else n_restarts
+    fits = []
+    for r in range(restarts):
+        if init is not None:
+            centers = np.ascontiguousarray(init, dtype=np.float64).copy()
+        else:
+            rng = np.random.default_rng([seed, n_clusters, int(round(fuzziness * 1e6)), r])
+            centers = reference_init_centers(x, n_clusters, rng)
+        e, d2 = _reference_memberships(x, centers, fuzziness)
+        trace = [_reference_objective(e, d2, fuzziness)]
+        converged = False
+        iterations = 0
+        for _ in range(max_iter):
+            iterations += 1
+            w = e ** fuzziness
+            centers = (w.T @ x) / w.sum(axis=0)[:, None]
+            e_new, d2 = _reference_memberships(x, centers, fuzziness)
+            trace.append(_reference_objective(e_new, d2, fuzziness))
+            delta = np.abs(e_new - e).max()
+            e = e_new
+            if delta < 1e-6:
+                converged = True
+                break
+        fits.append((e, centers, tuple(trace), iterations, converged))
+    return fits
+
+
+def reference_fcm_fit(features, n_clusters, fuzziness, **kwargs):
+    """The best of ``reference_fcm_restarts``: lowest final objective, first on a tie."""
+    best = None
+    for fit in reference_fcm_restarts(features, n_clusters, fuzziness, **kwargs):
+        if best is None or fit[2][-1] < best[2][-1]:
+            best = fit
+    return best
+
+
+def reference_grid_search(features, c_values, m_values, seed=0, n_restarts=10):
+    """(C, m, FSI) of every cell that fits, in grid order, and the selected (C, m)."""
+    cells = []
+    best = None
+    for c in sorted(c_values):
+        for m in sorted(m_values):
+            if c >= len(features):
+                continue
+            e = reference_fcm_fit(features, c, m, seed=seed, n_restarts=n_restarts)[0]
+            value = brute_force_fsi(features, e, m)
+            cells.append((c, m, value))
+            if best is None or value > best[0]:
+                best = (value, c, m)
+    return cells, best[1:]
+
+
 def two_blobs(n_per, dim, gap, sigma, seed=0):
     """Two spherical Gaussian blobs separated by ``gap`` along axis 0."""
     rng = np.random.default_rng(seed)

@@ -1,9 +1,22 @@
 import numpy as np
 import pytest
-from conftest import brute_force_fsi, two_blobs
+from conftest import (
+    reference_init_centers,
+    brute_force_fsi,
+    reference_fcm_fit,
+    reference_fcm_restarts,
+    reference_grid_search,
+    two_blobs,
+)
 
-from fuzzcoh import ConfigError, FuzzyPartition, fcm_fit, fsi, grid_search
-from fuzzcoh.clustering import DEFAULT_M_GRID, init_centers
+from fuzzcoh import ConfigError, FuzzyPartition, NumericError, fcm_fit, fsi, grid_search
+from fuzzcoh.clustering import (
+    DEFAULT_M_GRID,
+    _fit_restarts,
+    _lastsum,
+    _restart_rng,
+    init_centers,
+)
 
 
 class TestFcmFit:
@@ -83,6 +96,131 @@ class TestFcmFit:
         b = fcm_fit(x, 3, 1.8, seed=7)
         np.testing.assert_array_equal(a.memberships, b.memberships)
         np.testing.assert_array_equal(a.centers, b.centers)
+
+    def test_init_must_match_clusters_and_dim(self):
+        x = np.random.default_rng(0).standard_normal((10, 3))
+        with pytest.raises(ConfigError, match=r"init must be finite with shape \(2, 3\), got shape \(3, 3\)"):
+            fcm_fit(x, 2, 2.0, init=x[:3])
+        with pytest.raises(ConfigError, match=r"got shape \(2, 2\)"):
+            fcm_fit(x, 2, 2.0, init=x[:2, :2])
+        with pytest.raises(ConfigError, match="init must be finite"):
+            fcm_fit(x, 2, 2.0, init=np.full((2, 3), np.nan))
+
+    def test_nan_memberships_rejected(self):
+        # the middle row is an infinite squared distance from both centers,
+        # so its distance ratios are inf / inf
+        x = np.array([[-1e300], [0.0], [1e300]])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericError, match="drifted from sum 1"):
+            fcm_fit(x, 2, 2.0, init=np.array([[-1e300], [1e300]]))
+        e = np.array([[0.5, 0.5], [np.nan, 0.5], [1.0, 0.0]])
+        with pytest.raises(NumericError, match="do not sum to 1"):
+            FuzzyPartition(memberships=e, centers=np.zeros((2, 1)), fuzziness=2.0,
+                           objective_trace=(1.0,), iterations=0, converged=False, seed=0)
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 16, 23, 128, 129])
+def test_lastsum_equals_numpy_sum(n):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((400, n)) * 10.0 ** rng.integers(-12, 12, (400, n))
+    a[0] = -0.0
+    a[1, 0] = np.inf
+    a[2, -1] = np.nan
+    a[3, ::2] = -0.0
+    for arr in (a, a.reshape(20, 20, n), np.ascontiguousarray(a.T).T):
+        assert _lastsum(arr).tobytes() == np.ascontiguousarray(arr).sum(axis=-1).tobytes()
+
+
+def assert_fit_equal(fit, reference):
+    """Bitwise equality of a (memberships, centers, trace, iterations, converged) tuple."""
+    e, centers, trace, iterations, converged = fit
+    assert e.tobytes() == reference[0].tobytes()
+    assert centers.tobytes() == reference[1].tobytes()
+    assert np.array(trace).tobytes() == np.array(reference[2]).tobytes()
+    assert (iterations, converged) == reference[3:]
+
+
+def batched_restarts(x, c, m, seed, max_iter=300, n_restarts=10):
+    centers = np.stack([init_centers(x, c, _restart_rng(seed, c, m, r)) for r in range(n_restarts)])
+    return _fit_restarts(x, centers, m, max_iter)
+
+
+class TestBatchedEqualsPerRestart:
+    """The batched fit against each restart's own loop (conftest), bit for bit."""
+
+    def check(self, x, c, m, seed=0, max_iter=300, n_restarts=10):
+        fits = batched_restarts(x, c, m, seed, max_iter, n_restarts)
+        references = reference_fcm_restarts(x, c, m, seed=seed, max_iter=max_iter,
+                                            n_restarts=n_restarts)
+        for fit, reference in zip(fits, references, strict=True):
+            assert_fit_equal(fit, reference)
+        part = fcm_fit(x, c, m, seed=seed, max_iter=max_iter, n_restarts=n_restarts)
+        best = reference_fcm_fit(x, c, m, seed=seed, max_iter=max_iter, n_restarts=n_restarts)
+        assert_fit_equal((part.memberships, part.centers, part.objective_trace,
+                          part.iterations, part.converged), best)
+        return references
+
+    def test_restarts_converge_at_different_iterations(self):
+        x = np.random.default_rng(11).standard_normal((60, 4))
+        references = self.check(x, 4, 1.8, seed=2)
+        assert all(r[4] for r in references)
+        assert len({r[3] for r in references}) > 3
+
+    def test_max_iter_leaves_some_restarts_unconverged(self):
+        x, _ = two_blobs(20, 3, gap=3.0, sigma=0.8, seed=1)
+        references = self.check(x, 3, 2.2, seed=5, max_iter=40)  # restarts take 23-57
+        assert {r[4] for r in references} == {True, False}
+        self.check(x, 3, 2.2, seed=5, max_iter=0)
+
+    def test_coincident_rows(self):
+        x = np.round(np.random.default_rng(13).standard_normal((40, 2)))
+        self.check(x, 3, 1.5, seed=1)
+        self.check(x, 2, 2.5, seed=4, n_restarts=3)
+
+    def test_init(self):
+        x = np.random.default_rng(14).standard_normal((30, 3))
+        init = x[[0, 5, 9]]
+        part = fcm_fit(x, 3, 1.7, init=init, n_restarts=4)
+        assert_fit_equal((part.memberships, part.centers, part.objective_trace,
+                          part.iterations, part.converged),
+                         reference_fcm_fit(x, 3, 1.7, init=init))
+
+    def test_eight_or_more_clusters_or_dims(self):
+        rng = np.random.default_rng(15)
+        self.check(rng.standard_normal((60, 9)), 8, 1.6, seed=3, n_restarts=4)
+        self.check(rng.standard_normal((40, 2)), 9, 2.0, seed=3, n_restarts=3)
+        self.check(rng.standard_normal((40, 12)), 3, 1.3, seed=3, n_restarts=3)
+
+    def test_random_fits(self):
+        rng = np.random.default_rng(16)
+        for trial in range(40):
+            b = int(rng.integers(8, 50))
+            x = rng.standard_normal((b, int(rng.integers(1, 10))))
+            c = int(rng.integers(2, min(10, b)))
+            self.check(x, c, float(rng.choice([1.05, 1.5, 2.0, 3.0])), seed=trial,
+                       max_iter=int(rng.choice([1, 5, 300])),
+                       n_restarts=int(rng.integers(1, 8)))
+
+    def test_init_centers_draws(self):
+        rng = np.random.default_rng(17)
+        for trial in range(30):
+            x = rng.standard_normal((int(rng.integers(5, 40)), int(rng.integers(1, 9))))
+            if trial % 3 == 0:
+                x = np.round(x / 2)  # duplicates exercise the uniform fallback
+            c = int(rng.integers(2, len(x)))
+            a, b = np.random.default_rng(trial), np.random.default_rng(trial)
+            assert init_centers(x, c, a).tobytes() == reference_init_centers(x, c, b).tobytes()
+            assert a.bit_generator.state == b.bit_generator.state
+
+    def test_grid_report(self):
+        x, _ = two_blobs(20, 4, gap=1.5, sigma=0.6, seed=3)
+        report, part = grid_search(x, seed=4, n_restarts=4)
+        cells, selected = reference_grid_search(x, (2, 3, 4, 5, 6), DEFAULT_M_GRID,
+                                                seed=4, n_restarts=4)
+        assert [(c.n_clusters, c.fuzziness, c.fsi) for c in report.cells] == cells
+        assert report.selected == selected
+        best = reference_fcm_fit(x, *selected, seed=4, n_restarts=4)
+        assert part.memberships.tobytes() == best[0].tobytes()
 
 
 def crisp_partition(features, labels, n_clusters, m=2.0, eps=1e-6):
