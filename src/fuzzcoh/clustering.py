@@ -60,6 +60,8 @@ class FuzzyPartition:
         if not (e.min() >= 0.0 and e.max() <= 1.0):
             raise NumericError("membership entries outside [0, 1]")
         trace = tuple(float(v) for v in self.objective_trace)
+        if not (np.isfinite(c).all() and np.isfinite(trace).all()):
+            raise NumericError("non-finite centers or objective: a cluster's weight reached 0")
         for a, b in zip(trace, trace[1:]):
             if b > a + _TRACE_SLACK:
                 raise NumericError(f"objective increased: {a} -> {b}")
@@ -229,7 +231,9 @@ def _fit_restarts(x, centers, fuzziness, max_iter) -> list:
     while active.size:
         if e is not None:
             iterations += 1
-            centers = np.matmul(w.transpose(0, 2, 1), x) / w.sum(axis=1)[:, :, None]
+            # a cluster with no weight gets 0/0 centers, which the partition rejects
+            with np.errstate(invalid="ignore"):
+                centers = np.matmul(w.transpose(0, 2, 1), x) / w.sum(axis=1)[:, :, None]
         e_new, d2 = _memberships_from_centers(x, centers, fuzziness)
         w = e_new ** fuzziness  # the objective's weights and the next center update's
         rows = len(active)
@@ -279,7 +283,8 @@ def fcm_fit(
         are not finite, or ``init`` is not finite with shape (C, dim).
     NumericError
         If a restart's membership rows drift from sum 1 or its
-        partition fails a check.
+        partition fails a check (a cluster whose weight reaches 0 leaves
+        non-finite centers).
     """
     _require_restarts(n_restarts)
     x = np.ascontiguousarray(features, dtype=np.float64)

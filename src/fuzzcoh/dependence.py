@@ -10,7 +10,10 @@ tails.
 One exact kernel serves block matrices and scalar ``kendall_tau``: it
 sums sign products over pairs s < t in fixed-size tiles, with O(m^2 L T^2)
 work for m channels, max lag L and T samples, and a working set fixed by
-the tile shape and m, not by T.
+the tile shape and m, not by T.  Ranks are stored channel-major (m, T)
+and each sign tile as (m, rows, cols), so a channel's signs come from
+one contiguous subtraction and each lag is one GEMM over the channels'
+flat (m, rows * cols) sign planes.
 """
 
 from __future__ import annotations
@@ -40,9 +43,11 @@ __all__ = [
 
 # A tile pairs TILE_ROWS first indices s with TILE_COLS second indices t;
 # its float32 sums are integers below TILE_ROWS * TILE_COLS < 2**24, hence
-# exact, and the float64 accumulator is exact below 2**53.  At 32 x 384 a
-# lag's GEMM operand (12k rows of m float32) stays below the size past which
-# sgemm ran at half speed per row on a 2-core Xeon with 2 MB L2 per core.
+# exact, and the float64 accumulator is exact below 2**53.  A tile is laid
+# out (m, rows, cols): each channel's sign plane is one run of cols-long
+# contiguous rows, and a lag's GEMM reads m contiguous rows of about 12k
+# float32 per operand (an NT product), not 12k rows of m.  At 32 x 384,
+# m = 8 and max lag 5, the sign and head buffers take 0.9 MB together.
 TILE_ROWS = 32
 TILE_COLS = 384
 
@@ -61,35 +66,35 @@ def _concordance_sums(data: np.ndarray, max_lag: int) -> np.ndarray:
         raise DataError(f"{T} samples exceed the Kendall kernel's limit of 2**24 - 1")
     # Dense ranks order pairs as the data do and are exact in float32, so
     # clip(rank_t - rank_s, -1, 1) is the pair sign.
-    ranks = np.empty((T, m), dtype=np.float32)
+    ranks = np.empty((m, T), dtype=np.float32)
     for j in range(m):
-        ranks[:, j] = np.unique(data[:, j], return_inverse=True)[1]
+        ranks[j] = np.unique(data[:, j], return_inverse=True)[1]
     acc = np.zeros((max_lag + 1, m, m))
     tile = (TILE_ROWS + max_lag) * (TILE_COLS + max_lag) * m
     sign_buf, head_buf = np.empty(tile, dtype=np.float32), np.empty(tile, dtype=np.float32)
     for a in range(0, T - 1, TILE_ROWS):
         b = min(a + TILE_ROWS, T)
-        rows = ranks[a : min(b + max_lag, T), None, :]
+        rows = ranks[:, a : min(b + max_lag, T), None]
         for c in range(a + 1, T, TILE_COLS):
             d = min(c + TILE_COLS, T)
-            cols = ranks[c : min(d + max_lag, T)]
-            nr, nc = rows.shape[0], cols.shape[0]
-            signs = sign_buf[: nr * nc * m].reshape(nr, nc, m)
+            cols = ranks[:, None, c : min(d + max_lag, T)]
+            nr, nc = rows.shape[1], cols.shape[2]
+            signs = sign_buf[: m * nr * nc].reshape(m, nr, nc)
             np.clip(np.subtract(cols, rows, out=signs), -1.0, 1.0, out=signs)
-            head = head_buf[: (b - a) * nc * m].reshape(b - a, nc, m)
-            np.copyto(head, signs[: b - a])
+            head = head_buf[: m * (b - a) * nc].reshape(m, b - a, nc)
+            np.copyto(head, signs[:, : b - a])
             if c < b:  # the tile meets the diagonal: drop pairs with t <= s
                 nd = min(nc, b - c)
-                head[:, :nd][np.arange(c, c + nd) <= np.arange(a, b)[:, None]] = 0.0
+                head[:, :, :nd][:, np.arange(c, c + nd) <= np.arange(a, b)[:, None]] = 0.0
             for lag in range(max_lag + 1):
                 hb, hw = min(b, T - lag) - a, min(d, T - lag) - c
                 if hb <= 0 or hw <= 0:
                     break
-                # Flat, the tail is the head offset by lag * (nc + 1); it wraps
-                # into the next row past column hw, where the head is zeroed.
-                head[:, hw:] = 0.0
+                # In a channel's flat plane the tail is the head offset by lag * (nc + 1);
+                # it wraps into the next row past column hw, where the head is zeroed.
+                head[:, :, hw:] = 0.0
                 k, off = hb * nc - lag, lag * (nc + 1)
-                acc[lag] += head.reshape(-1, m)[:k].T @ signs.reshape(-1, m)[off : off + k]
+                acc[lag] += head.reshape(m, -1)[:, :k] @ signs.reshape(m, -1)[:, off : off + k].T
     return acc
 
 

@@ -138,7 +138,7 @@ def simulation_accuracy(
     kinds = np.asarray(kinds, dtype=int)
     if kinds.shape[0] != n:
         raise ConfigError(f"{kinds.shape[0]} truth entries for {n} blocks")
-    bad = set(np.unique(kinds)) - {0, 1, SWITCHING}
+    bad = set(kinds.tolist()) - {0, 1, SWITCHING}  # np.unique would import numpy.ma
     if bad:
         raise ConfigError(f"truth kinds must be 0, 1 or {SWITCHING}, got extra {sorted(bad)}")
 

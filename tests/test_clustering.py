@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from conftest import (
@@ -117,6 +119,18 @@ class TestFcmFit:
         with pytest.raises(NumericError, match="do not sum to 1"):
             FuzzyPartition(memberships=e, centers=np.zeros((2, 1)), fuzziness=2.0,
                            objective_trace=(1.0,), iterations=0, converged=False, seed=0)
+
+    def test_weightless_cluster_rejected(self):
+        # 5 distinct values, 9 clusters: a center's weight reaches 0 and its update is 0/0
+        x = np.round(np.random.default_rng(5).standard_normal((71, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="non-finite centers or objective"):
+                fcm_fit(x, 9, 3.0, seed=0, n_restarts=1)
+        with pytest.raises(NumericError, match="non-finite centers or objective"):
+            FuzzyPartition(memberships=np.full((2, 2), 0.5), centers=np.zeros((2, 1)),
+                           fuzziness=2.0, objective_trace=(1.0, np.nan), iterations=1,
+                           converged=True, seed=0)
 
 
 @pytest.mark.parametrize("n", [*range(1, 13), 16, 23, 128, 129])
@@ -343,6 +357,17 @@ class TestGridSearch:
                                 n_restarts=2)
         errors = [c for c in report.cells if c.error is not None]
         assert len(errors) == 1 and errors[0].n_clusters == 6
+
+    def test_weightless_cluster_cell_failed(self):
+        x = np.round(np.random.default_rng(5).standard_normal((71, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="every grid cell failed"):
+                grid_search(x, c_values=(9,), m_values=(3.0,), seed=0, n_restarts=1)
+            report, _ = grid_search(x, c_values=(2, 9), m_values=(3.0,), seed=0, n_restarts=1)
+        assert report.selected == (2, 3.0)
+        assert report.cells[1].fsi is None
+        assert "non-finite centers or objective" in report.cells[1].error
 
     def test_all_failed_raises(self):
         from fuzzcoh import NumericError

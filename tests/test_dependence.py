@@ -153,6 +153,25 @@ class TestDependenceSet:
                                     / (n * (n - 1) // 2))
                         assert taus[lag][j, k] == expected, (T, lag, j, k)
 
+    def test_tiled_kernel_matches_oracle_at_production_tiles(self):
+        # unpatched tiles: three column tiles per early row strip, the last one
+        # partial, and lag tails past every tile edge and past the end
+        T, max_lag = 2 * dependence.TILE_COLS + 7, 5
+        rng = np.random.default_rng(775)
+        data = np.column_stack([
+            rng.standard_normal(T),
+            rng.integers(0, 3, T).astype(float),  # heavy ties
+            np.round(2 * rng.standard_normal(T)),
+            np.full(T, 0.5),  # constant channel
+        ])
+        sums = dependence._concordance_sums(data, max_lag)
+        for lag in range(max_lag + 1):
+            n = T - lag
+            for j in range(4):
+                for k in range(4):
+                    expected = brute_force_tau_numerator(data[:n, j], data[lag:, k])
+                    assert sums[lag, j, k] == expected, (lag, j, k)
+
     def test_kernel_memory_does_not_grow_with_block_length(self):
         # the full (m, T, T) sign tensor would need 1 GiB here
         data = np.random.default_rng(0).standard_normal((4096, 8))

@@ -1,11 +1,12 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fuzzcoh import DataError, ConfigError, MtsBlock, MtsDataset, RegionMap, load_csv, save_csv, select_regions
-from fuzzcoh.mts import format_float, segment_rows
+from fuzzcoh.mts import _read_table, format_float, segment_rows
 
 
 def write_csv(path, header, rows):
@@ -70,6 +71,23 @@ def test_csv_non_numeric_and_ragged(tmp_path):
         fh.write("a,b\n1.0,2.0\n3.0\n")
     with pytest.raises(DataError, match="row 2"):
         load_csv(path2, sample_rate_hz=1.0, block_length=2, groups=(1, 1))
+
+
+def test_csv_body_parsed_into_flat_buffer(tmp_path):
+    # a list of Python floats would take about 6.5 times the float64 body
+    data = np.random.default_rng(1).standard_normal((20_000, 8))
+    path = tmp_path / "body.csv"
+    np.savetxt(path, data, delimiter=",", header=",".join(f"ch{i}" for i in range(8)),
+               comments="", fmt="%.17g")
+    tracemalloc.start()
+    try:
+        header, values = _read_table(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert header == [f"ch{i}" for i in range(8)]
+    np.testing.assert_array_equal(values, data)
+    assert peak <= 1.5 * data.nbytes
 
 
 def test_segmentation_drops_remainder():
