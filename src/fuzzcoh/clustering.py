@@ -273,8 +273,8 @@ def fcm_fit(
     from (seed, C, m, restart) and initializes centers at data points
     via squared-distance weighting; pass ``init`` to pin the initial
     centers of a single restart (used by equivariance checks).  The
-    restarts run as one batch; the lowest final objective wins, the
-    first restart on a tie.
+    restarts run as one batch; the lowest final objective among the
+    finite restarts wins, the first restart on a tie.
 
     Raises
     ------
@@ -283,8 +283,9 @@ def fcm_fit(
         are not finite, or ``init`` is not finite with shape (C, dim).
     NumericError
         If a restart's membership rows drift from sum 1 or its
-        partition fails a check (a cluster whose weight reaches 0 leaves
-        non-finite centers).
+        partition fails a check, or if every restart ends with
+        non-finite centers or objective (a cluster whose weight reaches
+        0); such a restart is dropped when another one is finite.
     """
     _require_restarts(n_restarts)
     x = np.ascontiguousarray(features, dtype=np.float64)
@@ -314,6 +315,8 @@ def fcm_fit(
         if fit is None:
             raise NumericError("membership rows drifted from sum 1 during an update")
         e, fit_centers, trace, iterations, converged = fit
+        if not (np.isfinite(fit_centers).all() and np.isfinite(trace).all()):
+            continue  # a cluster's weight reached 0: this restart has no partition
         part = FuzzyPartition(
             memberships=e, centers=fit_centers, fuzziness=fuzziness,
             objective_trace=tuple(trace), iterations=iterations,
@@ -321,6 +324,9 @@ def fcm_fit(
         )
         if best is None or part.objective < best.objective:
             best = part
+    if best is None:
+        raise NumericError("non-finite centers or objective in every restart: "
+                           "a cluster's weight reached 0")
     return best
 
 

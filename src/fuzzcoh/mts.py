@@ -375,32 +375,19 @@ def _read_table(path, skip: Sequence[str] = (), block_ids: Sequence[str] = ()):
     ``block_ids`` must hold integers >= 0.  A ragged row, a non-numeric
     or non-finite cell, a bad block id, or an empty body raises a
     ``DataError`` naming the row (from 1, after the header) and column
-    (from 0).  The body is parsed into one flat float64 buffer; only a
-    row that fails the whole-row checks is parsed again cell by cell, to
-    name the cell.
+    (from 0).  The body is parsed into one flat float64 buffer.
     """
     values, n_rows = array("d"), 0
     with _open_csv(path) as fh:
         reader = csv.reader(fh)
         header = _header(reader, path)
         cols = [(c, h in block_ids) for c, h in enumerate(header) if h not in skip]
-        keep = None if len(cols) == len(header) else [c for c, _ in cols]
-        ids = [i for i, (_, is_id) in enumerate(cols) if is_id]
         for r, line in enumerate(reader, start=1):
             if not line:
                 continue
             if len(line) != len(header):
                 raise DataError(f"{path}: row {r}: expected {len(header)} cells, got {len(line)}")
-            try:
-                row = tuple(map(float, line if keep is None else [line[c] for c in keep]))
-                # a sum of finite cells can overflow; the cell-by-cell pass then passes
-                ok = math.isfinite(sum(row)) and all(
-                    row[i].is_integer() and row[i] >= 0 for i in ids)
-            except ValueError:
-                ok = False
-            if not ok:
-                row = tuple(_parse_cell(line[c], path, r, c, is_id) for c, is_id in cols)
-            values.extend(row)
+            values.extend(_parse_cell(line[c], path, r, c, is_id) for c, is_id in cols)
             n_rows += 1
     if not n_rows:
         raise DataError(f"{path}: no data rows")

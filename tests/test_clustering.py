@@ -132,6 +132,24 @@ class TestFcmFit:
                            fuzziness=2.0, objective_trace=(1.0, np.nan), iterations=1,
                            converged=True, seed=0)
 
+    @pytest.mark.parametrize("seed, weightless", [(0, [0]), (1, [2, 6])])
+    def test_weightless_restarts_dropped(self, seed, weightless):
+        # only some of the ten restarts lose a cluster's weight: the best finite one wins
+        x = np.round(np.random.default_rng(5).standard_normal((71, 1)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            references = reference_fcm_restarts(x, 9, 3.0, seed=seed)
+        finite = [np.isfinite(r[1]).all() and np.isfinite(r[2]).all() for r in references]
+        assert [r for r, ok in enumerate(finite) if not ok] == weightless
+        best = None
+        for reference, ok in zip(references, finite):
+            if ok and (best is None or reference[2][-1] < best[2][-1]):
+                best = reference
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            part = fcm_fit(x, 9, 3.0, seed=seed)
+        assert_fit_equal((part.memberships, part.centers, part.objective_trace,
+                          part.iterations, part.converged), best)
+
 
 @pytest.mark.parametrize("n", [*range(1, 13), 16, 23, 128, 129])
 def test_lastsum_equals_numpy_sum(n):
@@ -368,6 +386,10 @@ class TestGridSearch:
         assert report.selected == (2, 3.0)
         assert report.cells[1].fsi is None
         assert "non-finite centers or objective" in report.cells[1].error
+        # with ten restarts, restart 0 alone loses a cluster's weight and the cell fits
+        report, part = grid_search(x, c_values=(9,), m_values=(3.0,), seed=0)
+        assert report.cells[0].error is None and report.selected == (9, 3.0)
+        assert np.isfinite(part.centers).all()
 
     def test_all_failed_raises(self):
         from fuzzcoh import NumericError
