@@ -7,8 +7,8 @@ objective and updates, unsquared inside the silhouette dissimilarities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,9 +20,13 @@ __all__ = [
     "ValidityReport",
     "GridCell",
     "fcm_fit",
+    "fcm_fit_batch",
     "fsi",
     "grid_search",
     "init_centers",
+    "check_grid",
+    "check_distance_budget",
+    "DIST_BUDGET_BYTES",
     "DEFAULT_C_GRID",
     "DEFAULT_M_GRID",
 ]
@@ -33,6 +37,18 @@ DEFAULT_M_GRID: tuple[float, ...] = (1.2, 1.5, 1.8, 2.0, 2.2, 2.5)
 _ROW_SUM_TOL = 1e-10
 _TRACE_SLACK = 1e-12
 _FIT_TOL = 1e-6  # a fit converges once no membership moves by this much
+
+# numpy's ``array ** scalar`` squares, takes the reciprocal or the square
+# root for these exponents instead of calling pow, and rounds differently
+# from pow; an exponent array always calls pow.
+_SCALAR_FAST = (2.0, -1.0, 0.5)
+# An FCM batch holds as many m values as keep its (dim, rows, C, B)
+# difference slab within this, and at least one.
+_SLAB_BYTES = 32 * 2**20
+# The validity index's (B, B) float64 distance matrix may take this much;
+# it is built in row strips of at most _STRIP_BYTES of differences.
+DIST_BUDGET_BYTES = 2**30
+_STRIP_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -171,11 +187,31 @@ def _sqdist(features, centers):
     return _lastsum(diff.transpose(1, 3, 2, 0))
 
 
-def _memberships_from_centers(features, centers, fuzziness):
+def _rowpower(base, exponent, split):
+    """``base[r] ** exponent[r]`` for every leading row r of ``base``.
+
+    Rows before ``split`` take one broadcast ``np.power``, which rounds
+    each row as ``base[r] ** exponent[r]`` with a scalar exponent does.
+    The rows from ``split`` on share one exponent in _SCALAR_FAST and take
+    numpy's scalar call, which is not pow for these exponents.
+    """
+    if split == len(base):
+        return np.power(base, exponent[:, None, None])
+    if split == 0:
+        return base ** float(exponent[0])
+    out = np.empty(base.shape)
+    np.power(base[:split], exponent[:split, None, None], out=out[:split])
+    out[split:] = base[split:] ** float(exponent[split])
+    return out
+
+
+def _memberships_from_centers(features, centers, exponent, split):
     """Memberships and squared distances (R, B, C) for R center sets (R, C, dim).
 
-    The memberships come out C-contiguous: the center update's sums and
-    products then round as those of a single restart's (B, C) array.
+    Row r's membership exponent is ``exponent[r]`` = -1 / (m - 1), taken
+    by ``_rowpower`` with ``split``.  The memberships come out
+    C-contiguous: the center update's sums and products then round as
+    those of a single restart's (B, C) array.
     """
     d2 = _sqdist(features, centers)
     coincident = d2 == 0.0
@@ -186,7 +222,7 @@ def _memberships_from_centers(features, centers, fuzziness):
     low = safe[..., 0]
     for k in range(1, safe.shape[-1]):
         low = np.minimum(low, safe[..., k])
-    inv = (safe / low[..., None]) ** (-1.0 / (fuzziness - 1.0))
+    inv = _rowpower(safe / low[..., None], exponent, split)
     e = np.divide(inv, _lastsum(inv)[..., None], out=np.empty(inv.shape))
     if any_coincident:
         # coincidence rule: full membership split among coincident centers
@@ -203,6 +239,42 @@ def check_fuzziness(fuzziness: float) -> None:
         raise ConfigError(f"fuzziness must be finite, got {fuzziness}")
 
 
+def check_n_clusters(n_clusters: int) -> None:
+    """ConfigError unless there are at least 2 clusters."""
+    if not n_clusters >= 2:
+        raise ConfigError(f"need at least 2 clusters, got C = {n_clusters}")
+
+
+def check_grid(name: str, values, check_value) -> tuple:
+    """``values`` as a tuple, checked before anything is fitted.
+
+    ConfigError naming the grid or the value if the grid is empty,
+    lists a value twice or holds one that ``check_value`` rejects.
+    """
+    values = tuple(values)
+    if not values:
+        raise ConfigError(f"{name} is empty")
+    for i, value in enumerate(values):
+        check_value(value)
+        if value in values[:i]:
+            raise ConfigError(f"{name} lists {value} more than once")
+    return values
+
+
+def check_distance_budget(n_objects: int) -> None:
+    """ConfigError if B objects need a distance matrix over DIST_BUDGET_BYTES.
+
+    Computed from B alone, so nothing is allocated to find out.
+    """
+    need = 8 * n_objects**2
+    if need > DIST_BUDGET_BYTES:
+        raise ConfigError(
+            f"B={n_objects} objects need a {need:,}-byte distance matrix for the validity "
+            f"index, over its limit of {DIST_BUDGET_BYTES:,} bytes "
+            f"(B <= {math.isqrt(DIST_BUDGET_BYTES // 8)})"
+        )
+
+
 def check_cluster_count(n_objects: int, n_clusters: int) -> None:
     """ConfigError unless there are more objects than clusters."""
     if n_clusters >= n_objects:
@@ -215,27 +287,41 @@ def _require_restarts(n_restarts: int) -> None:
 
 
 def _fit_restarts(x, centers, fuzziness, max_iter) -> list:
-    """Fit R restarts from initial centers (R, C, dim) as one batch.
+    """Fit N restarts from initial centers (N, C, dim) as one batch.
 
-    Each pass moves the centers of every restart still running; a
-    restart leaves the batch at the pass where it converges, drifts or
-    reaches ``max_iter``, so it ends where a fit of its own would.
-    Returns, per restart, (memberships, centers, objective trace,
-    iterations, converged), or None for one whose rows drifted.
+    ``fuzziness`` is one m for every restart or one per restart, so the
+    restarts of several m values can share a batch.  Each pass moves the
+    centers of every restart still running; a restart leaves the batch
+    at the pass where it converges, drifts or reaches ``max_iter``, so
+    it ends where a fit of its own would.  Returns, per restart,
+    (memberships, centers, objective trace, iterations, converged), or
+    None for one whose rows drifted.
     """
+    m_rows = np.full(len(centers), fuzziness, dtype=np.float64)
+    inv_rows = -1.0 / (m_rows - 1.0)
+    # Exactness: each row must round as its own fit's ``e ** m`` and
+    # ``ratios ** (-1 / (m - 1))`` with a scalar exponent.  A broadcast
+    # np.power does for every exponent but those in _SCALAR_FAST; of
+    # m > 1 only m = 2.0 has them (2.0 and -1.0), so its rows run last
+    # and _rowpower gives them the scalar call.
+    fast = np.isin(m_rows, _SCALAR_FAST) | np.isin(inv_rows, _SCALAR_FAST)
+    order = np.argsort(fast, kind="stable")
+    n_general = len(order) - int(np.count_nonzero(fast))
+    centers, m_rows, inv_rows = centers[order], m_rows[order], inv_rows[order]
     fits: list = [None] * len(centers)
     traces: list = [[] for _ in fits]
     active = np.arange(len(fits))
     e = w = None
     iterations = 0
     while active.size:
+        split = int(np.searchsorted(active, n_general))
         if e is not None:
             iterations += 1
             # a cluster with no weight gets 0/0 centers, which the partition rejects
             with np.errstate(invalid="ignore"):
                 centers = np.matmul(w.transpose(0, 2, 1), x) / w.sum(axis=1)[:, :, None]
-        e_new, d2 = _memberships_from_centers(x, centers, fuzziness)
-        w = e_new ** fuzziness  # the objective's weights and the next center update's
+        e_new, d2 = _memberships_from_centers(x, centers, inv_rows[active], split)
+        w = _rowpower(e_new, m_rows[active], split)  # the objective's and next update's weights
         rows = len(active)
         for r, value in zip(active.tolist(), (w * d2).reshape(rows, -1).sum(axis=1).tolist()):
             traces[r].append(value)
@@ -253,7 +339,91 @@ def _fit_restarts(x, centers, fuzziness, max_iter) -> list:
             fits[r] = (e[i].copy(), centers[i].copy(), traces[r], iterations, bool(converged[i]))
         keep = ~ended
         active, e, w, centers = active[keep], e[keep], w[keep], centers[keep]
-    return fits
+    out: list = [None] * len(fits)
+    for fit, r in zip(fits, order.tolist()):
+        out[r] = fit
+    return out
+
+
+def _check_fit(features, n_clusters: int, n_restarts: int) -> np.ndarray:
+    """The features as C-contiguous float64, once the fit's settings are checked."""
+    _require_restarts(n_restarts)
+    x = np.ascontiguousarray(features, dtype=np.float64)
+    if x.ndim != 2:
+        raise ConfigError(f"features must be 2-D, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ConfigError("features contain non-finite values")
+    check_n_clusters(n_clusters)
+    check_cluster_count(x.shape[0], n_clusters)
+    return x
+
+
+def _best_restart(fits, fuzziness: float, seed: int) -> FuzzyPartition:
+    """The finite restart with the lowest final objective, the first on a tie."""
+    best: Optional[FuzzyPartition] = None
+    for fit in fits:
+        if fit is None:
+            raise NumericError("membership rows drifted from sum 1 during an update")
+        e, fit_centers, trace, iterations, converged = fit
+        if not (np.isfinite(fit_centers).all() and np.isfinite(trace).all()):
+            continue  # a cluster's weight reached 0: this restart has no partition
+        part = FuzzyPartition(
+            memberships=e, centers=fit_centers, fuzziness=fuzziness,
+            objective_trace=tuple(trace), iterations=iterations,
+            converged=converged, seed=seed,
+        )
+        if best is None or part.objective < best.objective:
+            best = part
+    if best is None:
+        raise NumericError("non-finite centers or objective in every restart: "
+                           "a cluster's weight reached 0")
+    return best
+
+
+def fcm_fit_batch(
+    features,
+    n_clusters: int,
+    fuzziness_values: Sequence[float],
+    seed: int = 0,
+    max_iter: int = 300,
+    n_restarts: int = 10,
+) -> list:
+    """``fcm_fit`` at one C for every m of ``fuzziness_values``, batched over m.
+
+    The restarts of every m run as one (n_m * R, B, C) batch with
+    per-row exponents, split into consecutive groups of m values only
+    where the (dim, rows, C, B) difference slab would pass 32 MB (never
+    below one m per batch).  Each m's fit is bit for bit its own
+    ``fcm_fit``.  Returns one entry per m, in order: the best partition,
+    or the ``NumericError`` that ``fcm_fit`` would raise for that m.
+
+    Raises
+    ------
+    ConfigError
+        As ``fcm_fit`` does, for the whole call: any m invalid, C >= B,
+        n_restarts < 1 or features that are not finite.
+    """
+    x = _check_fit(features, n_clusters, n_restarts)
+    m_values = tuple(fuzziness_values)
+    for m in m_values:
+        check_fuzziness(m)
+    n, dim = x.shape
+    step = max(1, _SLAB_BYTES // (8 * dim * n_restarts * n_clusters * n))
+    results: list = []
+    for i in range(0, len(m_values), step):
+        chunk = m_values[i : i + step]
+        centers = np.stack([
+            init_centers(x, n_clusters, _restart_rng(seed, n_clusters, m, r))
+            for m in chunk for r in range(n_restarts)
+        ])
+        fits = _fit_restarts(x, centers, np.repeat(chunk, n_restarts), max_iter)
+        for j, m in enumerate(chunk):
+            try:
+                results.append(_best_restart(fits[j * n_restarts : (j + 1) * n_restarts],
+                                             m, seed))
+            except NumericError as exc:
+                results.append(exc)
+    return results
 
 
 def fcm_fit(
@@ -273,8 +443,9 @@ def fcm_fit(
     from (seed, C, m, restart) and initializes centers at data points
     via squared-distance weighting; pass ``init`` to pin the initial
     centers of a single restart (used by equivariance checks).  The
-    restarts run as one batch; the lowest final objective among the
-    finite restarts wins, the first restart on a tie.
+    restarts run as one batch (``fcm_fit_batch`` with a single m); the
+    lowest final objective among the finite restarts wins, the first
+    restart on a tie.
 
     Raises
     ------
@@ -287,47 +458,19 @@ def fcm_fit(
         non-finite centers or objective (a cluster whose weight reaches
         0); such a restart is dropped when another one is finite.
     """
-    _require_restarts(n_restarts)
-    x = np.ascontiguousarray(features, dtype=np.float64)
-    if x.ndim != 2:
-        raise ConfigError(f"features must be 2-D, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ConfigError("features contain non-finite values")
-    n = x.shape[0]
-    if n_clusters < 2:
-        raise ConfigError(f"need at least 2 clusters, got {n_clusters}")
-    check_cluster_count(n, n_clusters)
+    if init is None:
+        (result,) = fcm_fit_batch(features, n_clusters, (fuzziness,), seed=seed,
+                                  max_iter=max_iter, n_restarts=n_restarts)
+        if isinstance(result, NumericError):
+            raise result
+        return result
+    x = _check_fit(features, n_clusters, n_restarts)
     check_fuzziness(fuzziness)
-
-    if init is not None:
-        start = np.array(init, dtype=np.float64)
-        if start.shape != (n_clusters, x.shape[1]) or not np.isfinite(start).all():
-            raise ConfigError(f"init must be finite with shape ({n_clusters}, {x.shape[1]}), "
-                              f"got shape {start.shape}")
-        centers = start[None]
-    else:
-        centers = np.stack([
-            init_centers(x, n_clusters, _restart_rng(seed, n_clusters, fuzziness, r))
-            for r in range(n_restarts)
-        ])
-    best: Optional[FuzzyPartition] = None
-    for fit in _fit_restarts(x, centers, fuzziness, max_iter):
-        if fit is None:
-            raise NumericError("membership rows drifted from sum 1 during an update")
-        e, fit_centers, trace, iterations, converged = fit
-        if not (np.isfinite(fit_centers).all() and np.isfinite(trace).all()):
-            continue  # a cluster's weight reached 0: this restart has no partition
-        part = FuzzyPartition(
-            memberships=e, centers=fit_centers, fuzziness=fuzziness,
-            objective_trace=tuple(trace), iterations=iterations,
-            converged=converged, seed=seed,
-        )
-        if best is None or part.objective < best.objective:
-            best = part
-    if best is None:
-        raise NumericError("non-finite centers or objective in every restart: "
-                           "a cluster's weight reached 0")
-    return best
+    start = np.array(init, dtype=np.float64)
+    if start.shape != (n_clusters, x.shape[1]) or not np.isfinite(start).all():
+        raise ConfigError(f"init must be finite with shape ({n_clusters}, {x.shape[1]}), "
+                          f"got shape {start.shape}")
+    return _best_restart(_fit_restarts(x, start[None], fuzziness, max_iter), fuzziness, seed)
 
 
 def fsi(features, partition: FuzzyPartition) -> float:
@@ -348,12 +491,26 @@ def fsi(features, partition: FuzzyPartition) -> float:
         raise ConfigError(f"{x.shape[0]} feature rows vs {n} membership rows")
     if n < 3:
         raise ConfigError(f"need at least 3 objects, got {n}")
+    check_distance_budget(n)
     return _fsi(_pairwise_distances(x), partition)
 
 
 def _pairwise_distances(x):
-    """The (B, B) Euclidean distances between feature rows."""
-    return np.sqrt(np.maximum(_lastsum((x[:, None, :] - x[None, :, :]) ** 2), 0.0))
+    """The (B, B) Euclidean distances between feature rows, in row strips.
+
+    A strip's (rows, B, dim) squared differences take at most
+    _STRIP_BYTES (at least one row), and ``_lastsum`` sums each entry
+    as it would in the whole (B, B, dim) array, so the result does not
+    depend on the strip height.
+    """
+    n, dim = x.shape
+    dist = np.empty((n, n))
+    step = max(1, _STRIP_BYTES // (8 * n * max(dim, 1)))
+    for a in range(0, n, step):
+        diff = x[a : a + step, None, :] - x[None, :, :]
+        diff *= diff
+        dist[a : a + step] = _lastsum(diff)
+    return np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
 
 
 def _fsi(dist, partition: FuzzyPartition) -> float:
@@ -362,7 +519,9 @@ def _fsi(dist, partition: FuzzyPartition) -> float:
     m = partition.fuzziness
     n, c = e.shape
     w = e ** m                      # (B, C)
-    num = dist @ w                  # self-distance is 0, so j = b adds nothing
+    # self-distance is 0, so j = b adds nothing; one GEMM, not row strips,
+    # whose row counts would change OpenBLAS's kernel and its rounding
+    num = dist @ w
     den = w.sum(axis=0)[None, :] - w  # column totals excluding b
     s = np.zeros((n, c))
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -392,26 +551,29 @@ def grid_search(
     an all-failed grid raises.  Ties break toward smaller C, then
     smaller m.
     """
-    c_values = tuple(c_values)
-    m_values = tuple(m_values)
-    if not c_values or not m_values:
-        raise ConfigError("empty grid")
+    c_values = sorted(check_grid("c_values", c_values, check_n_clusters))
+    m_values = sorted(check_grid("m_values", m_values, check_fuzziness))
     _require_restarts(n_restarts)  # a run-wide setting, not a per-cell failure
     x = np.ascontiguousarray(features, dtype=np.float64)
+    check_distance_budget(len(x))
     dist = None  # depends on the features only: built once, after a fit has checked them
     cells: list[GridCell] = []
     best = None  # (fsi, C, m, partition)
-    for c, m in product(sorted(c_values), sorted(m_values)):
+    for c in c_values:
         try:
-            part = fcm_fit(x, c, m, seed=seed, n_restarts=n_restarts)
+            fits = fcm_fit_batch(x, c, m_values, seed=seed, n_restarts=n_restarts)
+        except ConfigError as exc:  # C >= B or bad features: every cell of the row fails
+            fits = [exc] * len(m_values)
+        for m, part in zip(m_values, fits):
+            if not isinstance(part, FuzzyPartition):
+                cells.append(GridCell(n_clusters=c, fuzziness=m, fsi=None, error=str(part)))
+                continue
             if dist is None:
                 dist = _pairwise_distances(x)
             value = _fsi(dist, part)
             cells.append(GridCell(n_clusters=c, fuzziness=m, fsi=value))
             if best is None or value > best[0]:
                 best = (value, c, m, part)
-        except (ConfigError, NumericError) as exc:
-            cells.append(GridCell(n_clusters=c, fuzziness=m, fsi=None, error=str(exc)))
     if best is None:
         raise NumericError("every grid cell failed")
     _, c, m, part = best

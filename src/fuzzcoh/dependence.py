@@ -65,10 +65,15 @@ def _concordance_sums(data: np.ndarray, max_lag: int) -> np.ndarray:
     if T >= 2**24:
         raise DataError(f"{T} samples exceed the Kendall kernel's limit of 2**24 - 1")
     # Dense ranks order pairs as the data do and are exact in float32, so
-    # clip(rank_t - rank_s, -1, 1) is the pair sign.
-    ranks = np.empty((m, T), dtype=np.float32)
-    for j in range(m):
-        ranks[j] = np.unique(data[:, j], return_inverse=True)[1]
+    # clip(rank_t - rank_s, -1, 1) is the pair sign.  A value's dense rank
+    # counts the value changes before it in its channel's sorted order,
+    # whatever order the sort leaves equal values in.
+    order = np.argsort(data.T, axis=1)
+    ordered = np.take_along_axis(data.T, order, axis=1)
+    steps = np.zeros((m, T), dtype=np.float32)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=steps[:, 1:])
+    ranks = np.empty_like(steps)
+    np.put_along_axis(ranks, order, np.cumsum(steps, axis=1, out=steps), axis=1)
     acc = np.zeros((max_lag + 1, m, m))
     tile = (TILE_ROWS + max_lag) * (TILE_COLS + max_lag) * m
     sign_buf, head_buf = np.empty(tile, dtype=np.float32), np.empty(tile, dtype=np.float32)
@@ -194,15 +199,6 @@ class LaggedDependenceSet:
     def yy(self, lag: int) -> np.ndarray:
         return self.matrix(lag)[self.p :, self.p :]
 
-    def to_json_dict(self, block_index: int) -> dict:
-        lags = range(-self.max_lag, self.max_lag + 1)
-        return {
-            "block": block_index,
-            "max_lag": self.max_lag,
-            "matrices": {str(l): self.matrix(l).tolist() for l in lags},
-            "degenerate_channels": list(self.degenerate_channels),
-        }
-
 
 def lagged_tau_matrices(data: np.ndarray, max_lag: int) -> np.ndarray:
     """All-pairs tau-a matrices for lags 0..max_lag from the tiled kernel.
@@ -273,6 +269,14 @@ def dependence_set(block: MtsBlock, max_lag: int = 5) -> LaggedDependenceSet:
 
 _PSD_EPS = 1e-8
 _PSD_MAX_ITER = 100
+
+
+def needs_psd_repair(matrices: np.ndarray) -> np.ndarray:
+    """Which matrices of a (B, n, n) symmetric stack ``repair_psd`` would change.
+
+    One batched ``eigh``, the same per-matrix call as ``repair_psd``'s first check.
+    """
+    return np.linalg.eigh(matrices)[0].min(axis=1) < _PSD_EPS
 
 
 def repair_psd(matrix: np.ndarray) -> np.ndarray:

@@ -22,14 +22,18 @@ from .clustering import (
     FuzzyPartition,
     ValidityReport,
     check_cluster_count,
+    check_distance_budget,
     check_fuzziness,
-    fcm_fit,
+    check_grid,
+    check_n_clusters,
+    fcm_fit_batch,
     grid_search,
 )
-from .clustering import fsi  # noqa: F401  not called here; bench/tracing.py patches pipeline.fsi
+# not called here; bench/tracing.py patches pipeline.fcm_fit and pipeline.fsi
+from .clustering import fcm_fit, fsi  # noqa: F401
 from .dependence import dependence_set
 from .evaluation import SWITCHING, assign, rand_index, simulation_accuracy
-from .exceptions import ConfigError, DataError
+from .exceptions import ConfigError, DataError, NumericError
 from .mts import (
     JsonConfig,
     MtsDataset,
@@ -54,6 +58,7 @@ __all__ = [
     "evaluate_partition",
     "centers_payload",
     "fsi_grid_payload",
+    "dependence_payload",
     "write_features_csv",
     "read_features_csv",
     "write_memberships_csv",
@@ -116,17 +121,12 @@ class PipelineConfig(JsonConfig):
             )
         if not self.bands:
             raise ConfigError("at least one band required")
-        for key in ("c_grid", "m_grid"):
-            if getattr(self, key) == ():
-                raise ConfigError(f"{key} must be non-empty when given")
         for key, grid in (("n_clusters", "c_grid"), ("fuzziness", "m_grid")):
             if getattr(self, key) is None and getattr(self, grid) is None:
                 raise ConfigError(f"{key} is null and no {grid} replaces it")
         c_values, m_values = _grid(self)
-        if min(c_values) < 2:
-            raise ConfigError(f"need at least 2 clusters, got C = {min(c_values)}")
-        for m in m_values:
-            check_fuzziness(m)
+        check_grid("c_grid", c_values, check_n_clusters)
+        check_grid("m_grid", m_values, check_fuzziness)
         max_c = max(c_values)
         if not 1.0 / max_c < self.threshold < 1.0:  # no C of the run could use it
             raise ConfigError(f"threshold must lie in (1/C, 1) = ({1.0 / max_c:.3f}, 1) "
@@ -175,6 +175,21 @@ def fsi_grid_payload(report: ValidityReport) -> dict:
         ],
         "selected": {"C": report.selected[0], "m": report.selected[1]},
     }
+
+
+def dependence_payload(feature_set: FeatureSet) -> list:
+    """The dependence.json payload: every kept block's matrices at lags -L..L."""
+    max_lag = feature_set.lags.shape[1] - 1
+    return [
+        {
+            "block": i,
+            "max_lag": max_lag,
+            "matrices": {str(l): (lags[l] if l >= 0 else lags[-l].T).tolist()
+                         for l in range(-max_lag, max_lag + 1)},
+            "degenerate_channels": [],  # a block with one is never kept
+        }
+        for i, lags in zip(feature_set.block_indices, feature_set.lags)
+    ]
 
 
 def write_features_csv(path, feature_set: FeatureSet, band_name: str) -> None:
@@ -254,7 +269,8 @@ def load_input(config: PipelineConfig) -> MtsDataset:
 
 def _grid(config: PipelineConfig) -> tuple[tuple[int, ...], tuple[float, ...]]:
     """The run's C and m values; a single (C, m) is a one-cell grid."""
-    return config.c_grid or (config.n_clusters,), config.m_grid or (config.fuzziness,)
+    return (config.c_grid if config.c_grid is not None else (config.n_clusters,),
+            config.m_grid if config.m_grid is not None else (config.fuzziness,))
 
 
 def evaluate_partition(
@@ -354,21 +370,14 @@ def _run_job(args) -> dict:
     dataset, band_name, pair, config = args
     c_values, m_values = _grid(config)
     check_cluster_count(dataset.n_blocks, min(c_values))  # before any dependence call
+    check_distance_budget(dataset.n_blocks)
     if pair is not None:
         dataset = select_regions(dataset, RegionMap(regions=config.regions), pair)
     band = default_band(band_name, dataset.sample_rate_hz, config.band_table)
     if band is not None:
         dataset = filter_dataset(dataset, design_bandpass(band, order=config.filter_order))
-    dep_fn = DEPENDENCE_FNS[config.dependence]
-    dep_sets = []  # one per block in call order, kept for the dump
-
-    def keep_dep_set(block, max_lag):
-        dep_sets.append(dep_fn(block, max_lag))
-        return dep_sets[-1]
-
     feature_set = extract_features(
-        dataset, max_lag=config.max_lag,
-        dependence_fn=keep_dep_set if config.dump_dependence else dep_fn,
+        dataset, max_lag=config.max_lag, dependence_fn=DEPENDENCE_FNS[config.dependence],
         skip_degenerate=config.skip_degenerate,
     )
     ids = feature_set.block_indices
@@ -388,7 +397,7 @@ def _run_job(args) -> dict:
     write_json(job_dir / "connectivity_summary.json", _connectivity_summary(
         partition, feature_set, dataset, band_name, pair_name))
     if config.dump_dependence:
-        write_json(job_dir / "dependence.json", [dep_sets[i].to_json_dict(i) for i in ids])
+        write_json(job_dir / "dependence.json", dependence_payload(feature_set))
     if feature_set.excluded:
         write_json(job_dir / "excluded_blocks.json", [
             {"block": b, "reason": r} for b, r in feature_set.excluded
@@ -471,6 +480,7 @@ def reproduce_sim(
         raise ConfigError(f"scale must lie in (0, 1], got {scale}")
     if n_reps < 1:
         raise ConfigError(f"n_reps must be >= 1, got {n_reps}")
+    m_values = check_grid("m_values", m_values, check_fuzziness)
 
     n_blocks = max(5, round(300 * scale))
     scores: dict = {(m, est): [] for m in m_values for est in DEPENDENCE_FNS}
@@ -482,9 +492,10 @@ def reproduce_sim(
         kinds = np.array([b.label for b in dataset.blocks], dtype=int)
         for est, dep_fn in DEPENDENCE_FNS.items():
             features = extract_features(dataset, max_lag=5, dependence_fn=dep_fn).d_matrix
-            for m in m_values:
-                report = simulation_accuracy(fcm_fit(features, 2, m, seed=rep_seed).memberships,
-                                             kinds)
+            for m, part in zip(m_values, fcm_fit_batch(features, 2, m_values, seed=rep_seed)):
+                if isinstance(part, NumericError):
+                    raise part
+                report = simulation_accuracy(part.memberships, kinds)
                 sw = report.n_switching
                 scores[(m, est)].append((report.accuracy, report.rand_index_pure,
                                          report.n_switching_correct / sw if sw else 0.0))

@@ -250,3 +250,108 @@ def two_blobs(n_per, dim, gap, sigma, seed=0):
     x = np.vstack([a, b])
     labels = np.array([0] * n_per + [1] * n_per)
     return x, labels
+
+
+# ---------------------------------------------------------------------------
+# the per-block canonical solve and the single-m restart batch, kept as they
+# were before the dataset-wide stack and the m batch replaced them
+# ---------------------------------------------------------------------------
+
+def _reference_inv_sqrt_psd(mat, what):
+    from fuzzcoh.exceptions import NumericError
+
+    w, v = np.linalg.eigh(mat)
+    if w.min() < 1e-10:
+        w, v = np.linalg.eigh(mat + 1e-6 * np.eye(mat.shape[0]))
+        if w.min() < 1e-10:
+            raise NumericError(
+                f"{what} remains singular after PSD repair and ridge "
+                f"(min eigenvalue {w.min():.3e})"
+            )
+    return (v * (1.0 / np.sqrt(w))) @ v.T
+
+
+def reference_solve_canonical(dep):
+    """One block's canonical solution: (u, v, g_value, best_lag), lag by lag."""
+    from fuzzcoh.dependence import repair_psd
+    from fuzzcoh.exceptions import NumericError
+
+    p, q = dep.p, dep.q
+    p0 = repair_psd(dep.matrix(0))
+    wx = _reference_inv_sqrt_psd(p0[:p, :p], "P_XX(0)")
+    wy = _reference_inv_sqrt_psd(p0[p:, p:], "P_YY(0)")
+    lags = [0] + [l for k in range(1, dep.max_lag + 1) for l in (k, -k)]
+    best = None
+    for lag in lags:
+        cross = p0[:p, p:] if lag == 0 else dep.xy(lag)
+        k = wx @ cross @ wy
+        try:
+            left, sing, right_t = np.linalg.svd(k)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"SVD failed at lag {lag}: {exc}") from exc
+        g = float(sing[0]) ** 2
+        if best is None or g > best[0]:
+            best = (g, lag, left[:, 0], right_t[0])
+    g, lag, a, b = best
+    if g == 0.0:
+        a = np.zeros(p)
+        a[0] = 1.0
+        b = np.zeros(q)
+        b[0] = 1.0
+    u = wx @ a
+    v = wy @ b
+    if u[np.argmax(np.abs(u))] < 0:
+        u = -u
+        v = -v
+    return u, v, g, lag
+
+
+def reference_fit_restarts(x, centers, fuzziness, max_iter):
+    """R restarts at one m as one batch, every power taken with the scalar m."""
+    from fuzzcoh.clustering import _lastsum, _sqdist
+
+    def memberships(centers):
+        d2 = _sqdist(x, centers)
+        coincident = d2 == 0.0
+        any_coincident = coincident.any()
+        safe = np.where(coincident, 1.0, d2) if any_coincident else d2
+        low = safe[..., 0]
+        for k in range(1, safe.shape[-1]):
+            low = np.minimum(low, safe[..., k])
+        inv = (safe / low[..., None]) ** (-1.0 / (fuzziness - 1.0))
+        e = np.divide(inv, _lastsum(inv)[..., None], out=np.empty(inv.shape))
+        if any_coincident:
+            hit = coincident.any(axis=-1)
+            e[hit] = coincident[hit] / coincident[hit].sum(axis=-1, keepdims=True)
+        return e, d2
+
+    fits = [None] * len(centers)
+    traces = [[] for _ in fits]
+    active = np.arange(len(fits))
+    e = w = None
+    iterations = 0
+    while active.size:
+        if e is not None:
+            iterations += 1
+            with np.errstate(invalid="ignore"):
+                centers = np.matmul(w.transpose(0, 2, 1), x) / w.sum(axis=1)[:, :, None]
+        e_new, d2 = memberships(centers)
+        w = e_new ** fuzziness
+        rows = len(active)
+        for r, value in zip(active.tolist(), (w * d2).reshape(rows, -1).sum(axis=1).tolist()):
+            traces[r].append(value)
+        drifted = ~(np.abs(_lastsum(e_new) - 1.0).reshape(rows, -1).max(axis=1) <= 1e-10)
+        if e is None:
+            converged = np.zeros(rows, dtype=bool)
+        else:
+            converged = np.abs(e_new - e).reshape(rows, -1).max(axis=1) < 1e-6
+        e = e_new
+        ended = drifted | converged | (iterations >= max_iter)
+        if not ended.any():
+            continue
+        for i in np.flatnonzero(ended & ~drifted).tolist():
+            r = int(active[i])
+            fits[r] = (e[i].copy(), centers[i].copy(), traces[r], iterations, bool(converged[i]))
+        keep = ~ended
+        active, e, w, centers = active[keep], e[keep], w[keep], centers[keep]
+    return fits

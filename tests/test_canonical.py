@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import grid_oracle_best_g
+from conftest import grid_oracle_best_g, reference_solve_canonical
 from scipy import linalg as sla
 
 from fuzzcoh import (
@@ -8,9 +8,13 @@ from fuzzcoh import (
     LaggedDependenceSet,
     MtsBlock,
     MtsDataset,
+    NumericError,
+    dependence_set,
     extract_features,
+    pearson_dependence_set,
     solve_canonical,
 )
+from fuzzcoh import canonical
 
 
 def scalar_dep(xy0, xy1, yx1=0.1):
@@ -156,3 +160,147 @@ class TestExtractFeatures:
         ]
         fs2 = extract_features(ds.with_blocks(warped), max_lag=2)
         np.testing.assert_array_equal(fs1.d_matrix, fs2.d_matrix)
+
+
+def needs_repair_dep(p, q, max_lag, seed):
+    """A set whose lag-0 matrix is indefinite (three strong, inconsistent correlations)."""
+    rng = np.random.default_rng(seed)
+    m = p + q
+    lags = np.clip(rng.uniform(-0.4, 0.4, (max_lag + 1, m, m)), -1.0, 1.0)
+    m0 = np.eye(m)
+    m0[0, 1] = m0[1, 0] = 0.95
+    m0[0, m - 1] = m0[m - 1, 0] = 0.95
+    m0[1, m - 1] = m0[m - 1, 1] = -0.95
+    lags[0] = m0
+    dep = LaggedDependenceSet(p=p, q=q, lags=lags)
+    assert np.linalg.eigvalsh(dep.lags[0]).min() < 0
+    return dep
+
+
+def zero_cross_dep(p, q, max_lag):
+    lags = np.zeros((max_lag + 1, p + q, p + q))
+    lags[0] = np.eye(p + q)
+    lags[0, :p, :p] = lags[0, p:, p:] = 0.3
+    np.fill_diagonal(lags[0], 1.0)
+    return LaggedDependenceSet(p=p, q=q, lags=lags)
+
+
+def tied_lags_dep(p, q, max_lag, lag, at_zero):
+    """Cross matrices equal at lags lag and -lag (and 0 if ``at_zero``): an exact tie."""
+    rng = np.random.default_rng(lag)
+    lags = np.zeros((max_lag + 1, p + q, p + q))
+    cross = rng.uniform(-0.2, 0.2, (p, q))
+    lags[0] = np.eye(p + q)
+    if at_zero:
+        lags[0, :p, p:] = cross
+        lags[0, p:, :p] = cross.T
+    lags[lag, :p, p:] = cross        # P_XY(lag)
+    lags[lag, p:, :p] = cross.T      # P_YX(lag), i.e. P_XY(-lag) transposed
+    return LaggedDependenceSet(p=p, q=q, lags=lags)
+
+
+def mixed_stack(p, q, max_lag):
+    deps = []
+    for seed in range(4):
+        deps.append(stationary_var_instance(p, q, max_lag, seed))
+        if p + q > 2:  # a 2x2 lag-0 matrix with entries in [-1, 1] is PSD already
+            deps.append(needs_repair_dep(p, q, max_lag, seed))
+    deps.insert(3, zero_cross_dep(p, q, max_lag))
+    if max_lag:
+        deps.insert(4, tied_lags_dep(p, q, max_lag, 1, at_zero=True))
+        deps.append(tied_lags_dep(p, q, max_lag, max_lag, at_zero=False))
+    return deps
+
+
+def dataset_of(n_blocks, p, q, T=32):
+    data = np.random.default_rng(0).standard_normal((T, p + q))
+    return MtsDataset(blocks=tuple(MtsBlock(data=data, p=p, q=q, sample_rate_hz=128.0)
+                                   for _ in range(n_blocks)))
+
+
+def serve(deps):
+    """A dependence function that hands out the given sets in call order."""
+    it = iter(deps)
+    return lambda block, max_lag: next(it)
+
+
+def assert_feature_equal(feat, reference):
+    u, v, g, lag = reference
+    assert np.array_equal(feat.u, u) and np.array_equal(feat.v, v)
+    assert feat.u.tobytes() == u.tobytes() and feat.v.tobytes() == v.tobytes()
+    assert feat.g_value == g and feat.best_lag == lag
+
+
+class TestStackedSolve:
+    """The dataset-wide stacked solve against the per-block solve (conftest), bit for bit."""
+
+    @pytest.mark.parametrize("p, q, max_lag", [(2, 2, 3), (3, 2, 2), (1, 1, 1), (4, 4, 5),
+                                               (1, 3, 0)])
+    def test_mixed_stack_equals_per_block(self, p, q, max_lag):
+        deps = mixed_stack(p, q, max_lag)
+        fs = extract_features(dataset_of(len(deps), p, q), max_lag=max_lag,
+                              dependence_fn=serve(deps))
+        assert fs.block_indices == tuple(range(len(deps)))
+        for feat, dep in zip(fs.features, deps, strict=True):
+            assert_feature_equal(feat, reference_solve_canonical(dep))
+            assert_feature_equal(solve_canonical(dep), reference_solve_canonical(dep))
+        np.testing.assert_array_equal(fs.lags, np.stack([d.lags for d in deps]))
+        # the stack reaches every special path of the per-block solve
+        assert any(reference_solve_canonical(d)[2] == 0.0 for d in deps)
+        if max_lag:  # ties go to lag 0, then to the positive lag
+            assert [f.best_lag for f in (fs.features[4], fs.features[-1])] == [0, max_lag]
+        assert any(not np.array_equal(canonical.repair_psd(d.lags[0]), d.lags[0])
+                   for d in deps) == (p + q > 2)
+
+    def test_degenerate_blocks_skipped_from_the_stack(self):
+        deps = mixed_stack(2, 2, 2)
+        flagged = LaggedDependenceSet(p=2, q=2, lags=deps[1].lags, degenerate_channels=(3,))
+        deps = deps[:2] + [flagged] + deps[2:5] + [flagged] + deps[5:]
+        fs = extract_features(dataset_of(len(deps), 2, 2), max_lag=2,
+                              dependence_fn=serve(deps), skip_degenerate=True)
+        assert [i for i, _ in fs.excluded] == [2, 6]
+        kept = [d for i, d in enumerate(deps) if i not in (2, 6)]
+        assert fs.block_indices == tuple(i for i in range(len(deps)) if i not in (2, 6))
+        for feat, dep in zip(fs.features, kept, strict=True):
+            assert_feature_equal(feat, reference_solve_canonical(dep))
+        with pytest.raises(DegenerateBlockError, match="block 2: constant channel"):
+            extract_features(dataset_of(len(deps), 2, 2), max_lag=2, dependence_fn=serve(deps))
+
+    @pytest.mark.parametrize("estimator", [dependence_set, pearson_dependence_set])
+    def test_estimated_sets_equal_per_block(self, estimator):
+        rng = np.random.default_rng(21)
+        blocks = tuple(MtsBlock(data=rng.standard_cauchy((96, 6)), p=3, q=3, sample_rate_hz=1.0)
+                       for _ in range(12))
+        fs = extract_features(MtsDataset(blocks=blocks), max_lag=4, dependence_fn=estimator)
+        for feat, block in zip(fs.features, blocks, strict=True):
+            assert_feature_equal(feat, reference_solve_canonical(estimator(block, 4)))
+
+    def test_leading_value_squared_with_pow(self):
+        c = 0.37796883434360806  # libm pow squares it one ULP above c * c
+        assert c ** 2 != c * c
+        deps = [scalar_dep(0.1, c), scalar_dep(0.1, -c)]
+        fs = extract_features(dataset_of(2, 1, 1), max_lag=1, dependence_fn=serve(deps))
+        assert [(f.g_value, f.best_lag) for f in fs.features] == [(c ** 2, 1), (c ** 2, 1)]
+
+    def test_singular_block_named(self, monkeypatch):
+        # unrepaired, blocks 2 and 4 have an indefinite XX block; the first is named
+        deps = [stationary_var_instance(3, 1, 1, s) for s in range(5)]
+        deps[2] = needs_repair_dep(3, 1, 1, 0)
+        lags = deps[2].lags.copy()
+        lags[0, 1, 2] = lags[0, 2, 1] = -0.95
+        deps[2] = deps[4] = LaggedDependenceSet(p=3, q=1, lags=lags)
+        monkeypatch.setattr(canonical, "repair_psd", lambda matrix: matrix)
+        with pytest.raises(NumericError, match=r"^block 2: P_XX\(0\) remains singular"):
+            extract_features(dataset_of(5, 3, 1), max_lag=1, dependence_fn=serve(deps))
+
+    def test_failed_svd_named_as_per_block(self):
+        deps = [stationary_var_instance(2, 2, 2, s) for s in range(6)]
+        lags = deps[3].lags.copy()
+        lags[2, 0, 3] = np.nan  # passes the set's checks; the lag -2 and 2 SVDs fail
+        deps[3] = LaggedDependenceSet(p=2, q=2, lags=lags)
+        with pytest.raises(NumericError) as reference:
+            reference_solve_canonical(deps[3])
+        with pytest.raises(NumericError) as batched:
+            extract_features(dataset_of(6, 2, 2), max_lag=2, dependence_fn=serve(deps))
+        assert str(reference.value).startswith("SVD failed at lag 2:")
+        assert str(batched.value) == f"block 3: {reference.value}"

@@ -1,3 +1,6 @@
+import math
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,14 +10,17 @@ from conftest import (
     brute_force_fsi,
     reference_fcm_fit,
     reference_fcm_restarts,
+    reference_fit_restarts,
     reference_grid_search,
     two_blobs,
 )
 
 from fuzzcoh import ConfigError, FuzzyPartition, NumericError, fcm_fit, fsi, grid_search
+from fuzzcoh import clustering
 from fuzzcoh.clustering import (
     DEFAULT_M_GRID,
     _fit_restarts,
+    fcm_fit_batch,
     _lastsum,
     _restart_rng,
     init_centers,
@@ -253,6 +259,153 @@ class TestBatchedEqualsPerRestart:
         assert report.selected == selected
         best = reference_fcm_fit(x, *selected, seed=4, n_restarts=4)
         assert part.memberships.tobytes() == best[0].tobytes()
+
+
+def partition_tuple(part):
+    return (part.memberships, part.centers, part.objective_trace, part.iterations,
+            part.converged)
+
+
+class TestMBatchEqualsSingleM:
+    """Restarts of several m in one batch against the single-m batch (conftest), bit for bit."""
+
+    def check(self, x, c, m_values, seed=0, max_iter=300, n_restarts=4):
+        centers = np.stack([init_centers(x, c, _restart_rng(seed, c, m, r))
+                            for m in m_values for r in range(n_restarts)])
+        fits = _fit_restarts(x, centers, np.repeat(m_values, n_restarts), max_iter)
+        for j, m in enumerate(m_values):
+            rows = slice(j * n_restarts, (j + 1) * n_restarts)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                references = reference_fit_restarts(x, centers[rows], m, max_iter)
+            for fit, reference in zip(fits[rows], references, strict=True):
+                assert (fit is None) == (reference is None)
+                if fit is not None:
+                    assert_fit_equal(fit, reference)
+        return fits
+
+    @pytest.mark.parametrize("m_values", [(1.2, 2.0, 2.5, 3.0), (2.0, 3.0, 1.2, 2.5),
+                                          (2.0,), (3.0, 1.2)])
+    def test_exponent_rows(self, m_values):
+        x = np.random.default_rng(31).standard_normal((50, 4))
+        self.check(x, 3, m_values, seed=1)
+
+    def test_unconverged_and_coincident_rows(self):
+        x = np.round(np.random.default_rng(32).standard_normal((45, 2)))
+        fits = self.check(x, 4, (1.2, 2.0, 2.5, 3.0), seed=2, max_iter=12)
+        assert {f[4] for f in fits} == {True, False}
+
+    def test_fcm_fit_batch_equals_fcm_fit(self):
+        x, _ = two_blobs(25, 5, gap=1.0, sigma=0.7, seed=4)
+        m_values = (1.2, 1.5, 1.8, 2.0, 2.2, 2.5, 3.0)
+        batch = fcm_fit_batch(x, 3, m_values, seed=9)
+        for m, part in zip(m_values, batch, strict=True):
+            single = fcm_fit(x, 3, m, seed=9)
+            assert_fit_equal(partition_tuple(part), partition_tuple(single))
+            assert part.fuzziness == m
+
+    def test_slab_limit_splits_the_batch_not_the_result(self, monkeypatch):
+        x = np.random.default_rng(33).standard_normal((40, 3))
+        m_values = (1.2, 2.0, 2.5, 3.0, 1.6)
+        whole = fcm_fit_batch(x, 2, m_values, seed=3, n_restarts=5)
+        one_m = 8 * 3 * 5 * 2 * 40  # the slab of one m's restarts
+        for limit in (one_m - 1, 2 * one_m, 3 * one_m + 1):
+            monkeypatch.setattr(clustering, "_SLAB_BYTES", limit)
+            for a, b in zip(fcm_fit_batch(x, 2, m_values, seed=3, n_restarts=5), whole):
+                assert_fit_equal(partition_tuple(a), partition_tuple(b))
+
+    def test_failures_stay_per_m(self):
+        x = np.round(np.random.default_rng(5).standard_normal((71, 1)))
+        batch = fcm_fit_batch(x, 9, (2.0, 3.0), seed=0, n_restarts=1)
+        assert isinstance(batch[1], NumericError)
+        with pytest.raises(NumericError) as single:
+            fcm_fit(x, 9, 3.0, seed=0, n_restarts=1)
+        assert str(batch[1]) == str(single.value)
+        assert_fit_equal(partition_tuple(batch[0]),
+                         partition_tuple(fcm_fit(x, 9, 2.0, seed=0, n_restarts=1)))
+        with pytest.raises(ConfigError, match="fuzziness must exceed 1, got 0.9"):
+            fcm_fit_batch(x, 2, (2.0, 0.9))
+
+    def test_grid_cells_with_failures(self):
+        # C = 71 >= B and C = 9 at m = 3.0 (one restart loses a cluster's weight) fail
+        x = np.round(np.random.default_rng(5).standard_normal((71, 1)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            report, part = grid_search(x, c_values=(71, 2, 9), m_values=(3.0, 2.0), seed=0,
+                                       n_restarts=1)
+        errors = {(c.n_clusters, c.fuzziness): c.error for c in report.cells if c.error}
+        assert errors == {
+            (9, 3.0): "non-finite centers or objective in every restart: "
+                      "a cluster's weight reached 0",
+            (71, 2.0): "need more objects than clusters: B=71, C=71",
+            (71, 3.0): "need more objects than clusters: B=71, C=71",
+        }
+        assert [(c.n_clusters, c.fuzziness) for c in report.cells] == [
+            (2, 2.0), (2, 3.0), (9, 2.0), (9, 3.0), (71, 2.0), (71, 3.0)]
+        for cell in report.cells:
+            if cell.error is None:
+                direct = fcm_fit(x, cell.n_clusters, cell.fuzziness, seed=0, n_restarts=1)
+                assert cell.fsi == fsi(x, direct)
+
+
+class TestGridChecks:
+    @pytest.mark.parametrize("c_values, m_values, match", [
+        ((), (2.0,), "c_values is empty"),
+        ((2,), (), "m_values is empty"),
+        ((2, 2), (2.0,), "c_values lists 2 more than once"),
+        ((2,), (1.5, 2.0, 1.5), "m_values lists 1.5 more than once"),
+        ((2,), (2, 2.0), "m_values lists 2.0 more than once"),
+        ((1, 2), (2.0,), "need at least 2 clusters, got C = 1"),
+        ((2,), (2.0, 0.9), "fuzziness must exceed 1, got 0.9"),
+        ((2,), (float("inf"),), "fuzziness must be finite, got inf"),
+    ])
+    def test_grid_rejected_before_any_fit(self, monkeypatch, c_values, m_values, match):
+        calls = []
+        monkeypatch.setattr(clustering, "fcm_fit_batch", lambda *a, **k: calls.append(a))
+        x = np.random.default_rng(0).standard_normal((10, 2))
+        with pytest.raises(ConfigError, match=re.escape(match)):
+            grid_search(x, c_values=c_values, m_values=m_values)
+        assert calls == []
+
+
+class TestMemoryBounds:
+    def test_distances_in_strips_equal_whole(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        for b, dim in ((57, 3), (130, 8), (41, 11), (9, 1)):
+            x = rng.standard_normal((b, dim)) * 10.0 ** rng.integers(-3, 3, (b, dim))
+            whole = np.sqrt(np.maximum(
+                np.ascontiguousarray((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1), 0.0))
+            for strip_rows in (1, 7, b):
+                monkeypatch.setattr(clustering, "_STRIP_BYTES", 8 * b * dim * strip_rows)
+                assert clustering._pairwise_distances(x).tobytes() == whole.tobytes()
+
+    def test_fsi_peak_at_most_twice_its_distance_matrix(self):
+        b = 2000
+        rng = np.random.default_rng(35)
+        x = rng.standard_normal((b, 8))
+        part = FuzzyPartition(memberships=rng.dirichlet(np.ones(2), size=b),
+                              centers=np.zeros((2, 8)), fuzziness=1.5, objective_trace=(1.0,),
+                              iterations=1, converged=True, seed=0)
+        tracemalloc.start()
+        try:
+            value = fsi(x, part)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert -1.0 <= value <= 1.0
+        assert peak <= 2 * 8 * b * b  # 32 MB of distances, at most as much again
+
+    def test_distance_budget_from_b_alone(self):
+        limit = math.isqrt(clustering.DIST_BUDGET_BYTES // 8)
+        clustering.check_distance_budget(limit)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=rf"B={limit + 1} objects need a .* over its "
+                                                  rf"limit of 1,073,741,824 bytes "
+                                                  rf"\(B <= {limit}\)"):
+                clustering.check_distance_budget(limit + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def crisp_partition(features, labels, n_clusters, m=2.0, eps=1e-6):

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from conftest import tree_digest
 
-from fuzzcoh import ConfigError, PipelineConfig, reproduce_sim, run_pipeline
+from fuzzcoh import (ConfigError, PipelineConfig, clustering, fcm_fit, pipeline,
+                     reproduce_sim, run_pipeline)
 from fuzzcoh.bands import default_band
 from fuzzcoh.cli import main
 from fuzzcoh.dependence import dependence_set
@@ -275,9 +276,13 @@ class TestRunPipeline:
         assert len(dump) == 3
         assert set(dump[0]["matrices"]) == {"-2", "-1", "0", "1", "2"}
         # same bytes as dumping a fresh dependence set of every block
-        blocks = load_input(cfg).blocks
-        write_json(tmp_path / "fresh.json",
-                   [dependence_set(b, 2).to_json_dict(i) for i, b in enumerate(blocks)])
+        fresh = []
+        for i, block in enumerate(load_input(cfg).blocks):
+            dep = dependence_set(block, 2)
+            fresh.append({"block": i, "max_lag": 2,
+                          "matrices": {str(l): dep.matrix(l).tolist() for l in range(-2, 3)},
+                          "degenerate_channels": list(dep.degenerate_channels)})
+        write_json(tmp_path / "fresh.json", fresh)
         assert path.read_bytes() == (tmp_path / "fresh.json").read_bytes()
 
 
@@ -369,6 +374,32 @@ class TestReproduceSim:
         with pytest.raises(ConfigError):
             reproduce_sim(example=1, scale=0.0, n_reps=1)
 
+    @pytest.mark.parametrize("m_values, match", [
+        ((), "m_values is empty"),
+        ((1.5, 2.0, 1.5), "m_values lists 1.5 more than once"),
+        ((2.0, 0.9), "fuzziness must exceed 1, got 0.9"),
+    ])
+    def test_bad_m_grid_fails_before_simulation(self, monkeypatch, m_values, match):
+        calls = []
+        monkeypatch.setattr(pipeline, "gen_dataset", lambda sim: calls.append(sim))
+        with pytest.raises(ConfigError, match=re.escape(match)):
+            reproduce_sim(example=1, scale=0.05, n_reps=2, m_values=m_values)
+        assert calls == []
+
+    def test_m_batch_equals_one_fit_per_m(self, monkeypatch):
+        m_values = (1.2, 2.0, 2.5)
+        rows = reproduce_sim(example=3, scale=0.05, n_reps=2, m_values=m_values, seed=3)
+        batches = []
+
+        def one_fit_per_m(features, n_clusters, fuzziness_values, seed):
+            batches.append(len(fuzziness_values))
+            return [fcm_fit(features, n_clusters, m, seed=seed) for m in fuzziness_values]
+
+        monkeypatch.setattr(pipeline, "fcm_fit_batch", one_fit_per_m)
+        assert reproduce_sim(example=3, scale=0.05, n_reps=2, m_values=m_values,
+                             seed=3) == rows
+        assert batches == [3] * 4  # one batch per (replication, estimator)
+
 
 class TestCli:
     def test_simulate_features_cluster_validate_evaluate_chain(self, tmp_path):
@@ -453,6 +484,14 @@ class TestCli:
         with open(out) as fh:
             table = list(csv.DictReader(fh))
         assert len(table) == 2  # one m-value, two estimators
+
+    def test_reproduce_sim_repeated_m(self, tmp_path, capsys):
+        out = tmp_path / "curves.csv"
+        rc = main(["reproduce-sim", "--example", "3", "--scale", "0.05", "--reps", "2",
+                   "--m-grid", "1.5", "1.5", "--output", str(out)])
+        assert rc == 2
+        assert_one_error_line(capsys, "m_values lists 1.5 more than once")
+        assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path):
         rc = main(["pipeline", "--config", str(tmp_path / "missing.json")])
@@ -598,6 +637,9 @@ class TestCliInputErrors:
         ({"m_grid": [2.0, float("nan")]}, "fuzziness must exceed 1, got nan"),
         ({"fuzziness": float("inf")}, "fuzziness must be finite, got inf"),  # JSON Infinity
         ({"m_grid": [2.0, float("inf")]}, "fuzziness must be finite, got inf"),
+        ({"c_grid": [2, 2]}, "c_grid lists 2 more than once"),
+        ({"m_grid": [1.5, 1.5]}, "m_grid lists 1.5 more than once"),
+        ({"m_grid": []}, "m_grid is empty"),
     ])
     def test_pipeline_setting_fails_before_dependence(self, tmp_path, capsys, monkeypatch,
                                                       setting, match):
@@ -623,6 +665,20 @@ class TestCliInputErrors:
         assert main(["pipeline", "--config", str(cfg)]) == 2
         assert calls == []  # the block count alone rules the job out
         assert_one_error_line(capsys, "need more objects than clusters: B=6, C=7")
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    def test_distance_budget_fails_before_dependence(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 0, "output_dir": str(tmp_path / "out"),
+                                   "sim": {**SIM_SMALL, "n_blocks": 9}}))
+        calls = []
+        monkeypatch.setitem(DEPENDENCE_FNS, "kendall",
+                            lambda block, max_lag: calls.append(block))
+        monkeypatch.setattr(clustering, "DIST_BUDGET_BYTES", 8 * 8 * 8)  # B <= 8
+        assert main(["pipeline", "--config", str(cfg)]) == 2
+        assert calls == []  # B alone rules the job out
+        assert_one_error_line(capsys, "B=9 objects need a 648-byte distance matrix for the "
+                                      "validity index, over its limit of 512 bytes (B <= 8)")
         assert not (tmp_path / "out" / "summary.json").exists()
 
     def test_validate_more_clusters_than_rows(self, tmp_path, capsys):
