@@ -187,17 +187,20 @@ def extract_features(
 
     ``dependence_fn`` builds a block's lagged dependence set (the rank
     path by default; the linear-correlation foil plugs in here); it is
-    called once per block, in block order.  A block with a flatlined
-    channel raises unless ``skip_degenerate`` is set, in which case the
-    block is excluded and reported.  The kept blocks' (L+1, m, m) lag
-    arrays form one (B, L+1, m, m) stack, kept as ``FeatureSet.lags``,
-    and one stacked solve gives every block's feature, bit for bit as
-    ``solve_canonical`` gives it alone: batched eigh, whitening, SVDs,
-    lag pick and sign fix, with only the blocks that need it sent
-    through ``repair_psd`` or the ridge retry.  A solve failure names
-    the first failing block.  A ``max_lag`` below 0, or one that leaves
-    fewer than 8 aligned samples in a block, raises ``ConfigError``
-    before any block is touched.
+    called once per block, in block order.  Its ``DataError`` or
+    ``NumericError`` is raised again, of the same class, naming the
+    block.  A block with a flatlined channel raises
+    ``DegenerateBlockError`` unless ``skip_degenerate`` is set, in which
+    case the block is excluded and reported.  The kept blocks'
+    (L+1, m, m) lag arrays form one (B, L+1, m, m) stack, kept as
+    ``FeatureSet.lags``, and one stacked solve gives every block's
+    feature, bit for bit as ``solve_canonical`` gives it alone: batched
+    eigh, whitening, SVDs, lag pick and sign fix, with only the blocks
+    that need it sent through ``repair_psd`` or the ridge retry.  A
+    solve failure is a ``NumericError`` naming the first failing block.
+    A ``max_lag`` below 0, or one that leaves fewer than 8 aligned
+    samples in a block, raises ``ConfigError`` before any block is
+    touched.
     """
     n_samples = dataset.blocks[0].n_samples  # every block has this length
     if not 0 <= max_lag <= n_samples - MIN_ALIGNED:
@@ -211,19 +214,17 @@ def extract_features(
     for i, block in enumerate(dataset.blocks):
         try:
             dep = dependence_fn(block, max_lag)
-            if dep.degenerate_channels:
-                names = dataset.channel_names
-                chans = ", ".join(
-                    names[c] if names else str(c) for c in dep.degenerate_channels
-                )
-                raise DegenerateBlockError(i, f"constant channel(s): {chans}")
-        except DegenerateBlockError as exc:
+        except (DataError, NumericError) as exc:  # the class sets the exit code
+            raise (DataError if isinstance(exc, DataError) else NumericError)(
+                f"block {i}: {exc}") from exc
+        if dep.degenerate_channels:
+            names = dataset.channel_names
+            reason = "constant channel(s): " + ", ".join(
+                names[c] if names else str(c) for c in dep.degenerate_channels)
             if not skip_degenerate:
-                raise
-            excluded.append((i, exc.reason))
+                raise DegenerateBlockError(i, reason)
+            excluded.append((i, reason))
             continue
-        except (DataError, NumericError) as exc:
-            raise NumericError(f"block {i}: {exc}") from exc
         stack.append(dep.lags)
         kept.append(i)
     m = dataset.p + dataset.q

@@ -12,7 +12,7 @@ import sys
 
 from .bands import RAW_BAND, default_band, design_bandpass, filter_dataset
 from .canonical import extract_features
-from .clustering import DEFAULT_C_GRID, DEFAULT_M_GRID, check_cluster_count, fcm_fit, grid_search
+from .clustering import DEFAULT_C_GRID, DEFAULT_M_GRID, fcm_fit, grid_search
 from .exceptions import ConfigError, DataError, NumericError
 from .mts import check_labels, load_csv, read_json, save_csv, write_json
 from .pipeline import (
@@ -108,14 +108,9 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_validate(args) -> int:
     features, _ = read_features_csv(args.features)
-    c_values = args.c_grid or DEFAULT_C_GRID
-    check_cluster_count(len(features), min(c_values))  # not a numeric failure of every cell
-    report, part = grid_search(
-        features,
-        c_values=c_values,
-        m_values=args.m_grid or DEFAULT_M_GRID,
-        seed=args.seed, n_restarts=args.restarts,
-    )
+    report, part = grid_search(features, args.c_grid or DEFAULT_C_GRID,
+                               args.m_grid or DEFAULT_M_GRID, seed=args.seed,
+                               n_restarts=args.restarts)
     write_json(args.output, fsi_grid_payload(report))
     print(f"selected C={report.selected[0]}, m={report.selected[1]} -> {args.output}")
     return 0

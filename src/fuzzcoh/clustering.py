@@ -281,11 +281,6 @@ def check_cluster_count(n_objects: int, n_clusters: int) -> None:
         raise ConfigError(f"need more objects than clusters: B={n_objects}, C={n_clusters}")
 
 
-def _require_restarts(n_restarts: int) -> None:
-    if n_restarts < 1:
-        raise ConfigError(f"n_restarts must be >= 1, got {n_restarts}")
-
-
 def _fit_restarts(x, centers, fuzziness, max_iter) -> list:
     """Fit N restarts from initial centers (N, C, dim) as one batch.
 
@@ -347,7 +342,8 @@ def _fit_restarts(x, centers, fuzziness, max_iter) -> list:
 
 def _check_fit(features, n_clusters: int, n_restarts: int) -> np.ndarray:
     """The features as C-contiguous float64, once the fit's settings are checked."""
-    _require_restarts(n_restarts)
+    if n_restarts < 1:
+        raise ConfigError(f"n_restarts must be >= 1, got {n_restarts}")
     x = np.ascontiguousarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ConfigError(f"features must be 2-D, got shape {x.shape}")
@@ -433,7 +429,6 @@ def fcm_fit(
     seed: int = 0,
     max_iter: int = 300,
     n_restarts: int = 10,
-    init: Optional[np.ndarray] = None,
 ) -> FuzzyPartition:
     """Fuzzy C-means fit, best of ``n_restarts`` by final objective.
 
@@ -441,36 +436,26 @@ def fcm_fit(
     membership update until the largest membership change drops below
     1e-6 or ``max_iter`` is hit.  Each restart derives its own stream
     from (seed, C, m, restart) and initializes centers at data points
-    via squared-distance weighting; pass ``init`` to pin the initial
-    centers of a single restart (used by equivariance checks).  The
-    restarts run as one batch (``fcm_fit_batch`` with a single m); the
-    lowest final objective among the finite restarts wins, the first
-    restart on a tie.
+    via squared-distance weighting.  This is ``fcm_fit_batch`` with a
+    single m: the restarts run as one batch, and the lowest final
+    objective among the finite restarts wins, the first restart on a tie.
 
     Raises
     ------
     ConfigError
-        If C >= B, m <= 1 or m infinite, n_restarts < 1, the features
-        are not finite, or ``init`` is not finite with shape (C, dim).
+        If C >= B, m <= 1 or m infinite, n_restarts < 1, or the features
+        are not 2-D and finite.
     NumericError
         If a restart's membership rows drift from sum 1 or its
         partition fails a check, or if every restart ends with
         non-finite centers or objective (a cluster whose weight reaches
         0); such a restart is dropped when another one is finite.
     """
-    if init is None:
-        (result,) = fcm_fit_batch(features, n_clusters, (fuzziness,), seed=seed,
-                                  max_iter=max_iter, n_restarts=n_restarts)
-        if isinstance(result, NumericError):
-            raise result
-        return result
-    x = _check_fit(features, n_clusters, n_restarts)
-    check_fuzziness(fuzziness)
-    start = np.array(init, dtype=np.float64)
-    if start.shape != (n_clusters, x.shape[1]) or not np.isfinite(start).all():
-        raise ConfigError(f"init must be finite with shape ({n_clusters}, {x.shape[1]}), "
-                          f"got shape {start.shape}")
-    return _best_restart(_fit_restarts(x, start[None], fuzziness, max_iter), fuzziness, seed)
+    (result,) = fcm_fit_batch(features, n_clusters, (fuzziness,), seed=seed,
+                              max_iter=max_iter, n_restarts=n_restarts)
+    if isinstance(result, NumericError):
+        raise result
+    return result
 
 
 def fsi(features, partition: FuzzyPartition) -> float:
@@ -547,22 +532,23 @@ def grid_search(
     """Fit every (C, m) cell and keep the highest-validity configuration.
 
     Restart seeds are shared across cells through the (seed, C, m,
-    restart) derivation.  Per-cell failures are recorded, not fatal;
-    an all-failed grid raises.  Ties break toward smaller C, then
-    smaller m.
+    restart) derivation.  Ties break toward smaller C, then smaller m.
+    A fault of the whole grid (an invalid grid or n_restarts, features
+    not 2-D and finite, smallest C >= B, B over the distance budget) is
+    a ``ConfigError`` before any fit.  A failed cell (a larger C >= B, a
+    numeric failure) is recorded; if every cell fails, ``NumericError``.
     """
     c_values = sorted(check_grid("c_values", c_values, check_n_clusters))
     m_values = sorted(check_grid("m_values", m_values, check_fuzziness))
-    _require_restarts(n_restarts)  # a run-wide setting, not a per-cell failure
-    x = np.ascontiguousarray(features, dtype=np.float64)
+    x = _check_fit(features, c_values[0], n_restarts)
     check_distance_budget(len(x))
-    dist = None  # depends on the features only: built once, after a fit has checked them
+    dist = None  # depends on the features only: built once, at the first cell that fits
     cells: list[GridCell] = []
     best = None  # (fsi, C, m, partition)
     for c in c_values:
         try:
             fits = fcm_fit_batch(x, c, m_values, seed=seed, n_restarts=n_restarts)
-        except ConfigError as exc:  # C >= B or bad features: every cell of the row fails
+        except ConfigError as exc:  # C >= B: every cell of the row fails
             fits = [exc] * len(m_values)
         for m, part in zip(m_values, fits):
             if not isinstance(part, FuzzyPartition):

@@ -438,7 +438,9 @@ def load_csv(
     body.  Blocks come from a fixed ``block_length``; without one the
     whole file is a single block.  Channel groups come from
     ``groups=(p, q)``: the first p columns are X, the next q are Y.
-    ``select_regions`` regroups by channel name.
+    ``select_regions`` regroups by channel name.  Missing groups, or
+    groups that do not cover the header's channels, are a
+    ``ConfigError`` raised before the body is parsed.
 
     An optional JSON metadata sidecar may supply ``block_length`` (an
     integer), ``sample_rate_hz`` (a number) and ``labels``; a value of
@@ -460,15 +462,15 @@ def load_csv(
     if sample_rate_hz is None:
         raise ConfigError("sample_rate_hz missing (argument or metadata)")
 
-    header, values = _read_table(path)
-    parts = [values] if block_length is None else segment_rows(values, int(block_length))
-
+    width = len(read_header(path))  # the body is parsed only once the groups fit
     if groups is None:
         raise ConfigError("groups=(p,q) is required")
     p, q = int(groups[0]), int(groups[1])
-    if p + q != len(header):
-        raise ConfigError(f"groups ({p},{q}) do not cover the {len(header)} channels")
+    if p + q != width:
+        raise ConfigError(f"groups ({p},{q}) do not cover the {width} channels")
 
+    header, values = _read_table(path)
+    parts = [values] if block_length is None else segment_rows(values, int(block_length))
     if labels is not None and len(labels) != len(parts):
         raise ConfigError(f"{len(labels)} labels for {len(parts)} blocks")
 

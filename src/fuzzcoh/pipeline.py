@@ -366,23 +366,18 @@ def _pair_name(pair: Optional[tuple[str, str]]) -> str:
 
 
 def _run_job(args) -> dict:
-    """One (band, pair) job: writes ``<band>__<pair>/`` and returns its summary row."""
-    dataset, band_name, pair, config = args
-    c_values, m_values = _grid(config)
-    check_cluster_count(dataset.n_blocks, min(c_values))  # before any dependence call
-    check_distance_budget(dataset.n_blocks)
+    """One (band, filter design or None, pair) job: writes ``<band>__<pair>/``, returns its row."""
+    dataset, band_name, design, pair, config = args
     if pair is not None:
         dataset = select_regions(dataset, RegionMap(regions=config.regions), pair)
-    band = default_band(band_name, dataset.sample_rate_hz, config.band_table)
-    if band is not None:
-        dataset = filter_dataset(dataset, design_bandpass(band, order=config.filter_order))
+    if design is not None:
+        dataset = filter_dataset(dataset, design)
     feature_set = extract_features(
         dataset, max_lag=config.max_lag, dependence_fn=DEPENDENCE_FNS[config.dependence],
         skip_degenerate=config.skip_degenerate,
     )
     ids = feature_set.block_indices
-    check_cluster_count(len(ids), min(c_values))  # exclusions may have lowered B
-    validity, partition = grid_search(feature_set.d_matrix, c_values, m_values,
+    validity, partition = grid_search(feature_set.d_matrix, *_grid(config),
                                       seed=config.seed, n_restarts=config.n_restarts)
     evaluation = evaluate_partition(partition.memberships, dataset.labels, ids,
                                     config.threshold, simulated=config.sim is not None)
@@ -427,6 +422,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
     pair, RI, m, fuzzy %) in job order: band-major, pair-minor.  An
     ``output_dir`` holding a ``<x>__<y>/`` directory that is not a job
     of this run is refused before any input is read; nothing is deleted.
+    Before the first job, each band's filter is designed once, and the
+    block count is checked against the smallest C and the distance budget.
     """
     out_dir = Path(config.output_dir)
     pairs: list[Optional[tuple[str, str]]] = list(config.pairs) or [None]
@@ -436,7 +433,14 @@ def run_pipeline(config: PipelineConfig) -> dict:
         raise ConfigError(f"output_dir holds {foreign[0]}, which is not a job of this run")
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = load_input(config)
-    units = [(dataset, band, pair, config) for band in config.bands for pair in pairs]
+    check_cluster_count(dataset.n_blocks, min(_grid(config)[0]))
+    check_distance_budget(dataset.n_blocks)
+    designs = {}  # band name -> its filter, None for the raw series
+    for name in config.bands:
+        band = default_band(name, dataset.sample_rate_hz, config.band_table)
+        designs[name] = None if band is None else design_bandpass(band, config.filter_order)
+    units = [(dataset, band, designs[band], pair, config)
+             for band in config.bands for pair in pairs]
     if config.jobs > 1 and len(units) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             rows = list(pool.map(_run_job, units))  # ordered by job key

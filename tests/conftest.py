@@ -225,6 +225,15 @@ def reference_fcm_fit(features, n_clusters, fuzziness, **kwargs):
     return best
 
 
+def pinned_fit(features, init, fuzziness, max_iter=300):
+    """One restart of the production FCM loop from pinned initial centers (C, dim)."""
+    from fuzzcoh.clustering import _best_restart, _fit_restarts
+
+    x = np.ascontiguousarray(features, dtype=np.float64)
+    start = np.asarray(init, dtype=np.float64)
+    return _best_restart(_fit_restarts(x, start[None], fuzziness, max_iter), fuzziness, 0)
+
+
 def reference_grid_search(features, c_values, m_values, seed=0, n_restarts=10):
     """(C, m, FSI) of every cell that fits, in grid order, and the selected (C, m)."""
     cells = []

@@ -4,6 +4,7 @@ from conftest import grid_oracle_best_g, reference_solve_canonical
 from scipy import linalg as sla
 
 from fuzzcoh import (
+    DataError,
     DegenerateBlockError,
     LaggedDependenceSet,
     MtsBlock,
@@ -143,6 +144,24 @@ class TestExtractFeatures:
         ds = self.make_dataset(n_blocks=4, flatline_block=2)
         with pytest.raises(DegenerateBlockError, match="block 2"):
             extract_features(ds, max_lag=2)
+
+    @pytest.mark.parametrize("error", [DataError, NumericError])
+    def test_estimator_error_named_with_its_class(self, error):
+        # a DataError (exit 2) must not come back as a NumericError (exit 3)
+        message = "16777216 samples exceed the Kendall kernel's limit of 2**24 - 1"
+        calls = []
+
+        def fails_on_block_1(block, max_lag):
+            calls.append(block)
+            if len(calls) == 2:
+                raise error(message)
+            return dependence_set(block, max_lag)
+
+        with pytest.raises(error) as info:
+            extract_features(self.make_dataset(n_blocks=3), max_lag=2,
+                             dependence_fn=fails_on_block_1)
+        assert type(info.value) is error and len(calls) == 2
+        assert str(info.value) == f"block 1: {message}"
 
     def test_flatline_excluded_with_skip(self):
         ds = self.make_dataset(n_blocks=4, flatline_block=2)

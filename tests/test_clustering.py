@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     reference_init_centers,
     brute_force_fsi,
+    pinned_fit,
     reference_fcm_fit,
     reference_fcm_restarts,
     reference_fit_restarts,
@@ -33,13 +34,13 @@ class TestFcmFit:
         # -> memberships (1/(1+1/4), ...) = (0.8, 0.2)
         features = np.array([[0.0], [3.0], [1.0]])
         init = np.array([[0.0], [3.0]])
-        part = fcm_fit(features, 2, 2.0, max_iter=0, init=init)
+        part = pinned_fit(features, init, 2.0, max_iter=0)
         np.testing.assert_allclose(part.memberships[2], [0.8, 0.2], atol=1e-12)
 
     def test_coincidence_rule_crisp(self):
         features = np.array([[0.0, 0.0], [5.0, 5.0], [0.0, 0.0], [5.0, 5.0]])
         init = np.array([[0.0, 0.0], [5.0, 5.0]])
-        part = fcm_fit(features, 2, 2.0, max_iter=0, init=init)
+        part = pinned_fit(features, init, 2.0, max_iter=0)
         np.testing.assert_array_equal(part.memberships[0], [1.0, 0.0])
         np.testing.assert_array_equal(part.memberships[1], [0.0, 1.0])
 
@@ -69,9 +70,9 @@ class TestFcmFit:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((25, 3))
         init = init_centers(x, 3, np.random.default_rng(42))
-        part = fcm_fit(x, 3, 1.7, init=init)
+        part = pinned_fit(x, init, 1.7)
         perm = rng.permutation(25)
-        part_p = fcm_fit(x[perm], 3, 1.7, init=init)
+        part_p = pinned_fit(x[perm], init, 1.7)
         np.testing.assert_allclose(part_p.memberships, part.memberships[perm], atol=1e-12)
 
     def test_errors(self):
@@ -105,22 +106,13 @@ class TestFcmFit:
         np.testing.assert_array_equal(a.memberships, b.memberships)
         np.testing.assert_array_equal(a.centers, b.centers)
 
-    def test_init_must_match_clusters_and_dim(self):
-        x = np.random.default_rng(0).standard_normal((10, 3))
-        with pytest.raises(ConfigError, match=r"init must be finite with shape \(2, 3\), got shape \(3, 3\)"):
-            fcm_fit(x, 2, 2.0, init=x[:3])
-        with pytest.raises(ConfigError, match=r"got shape \(2, 2\)"):
-            fcm_fit(x, 2, 2.0, init=x[:2, :2])
-        with pytest.raises(ConfigError, match="init must be finite"):
-            fcm_fit(x, 2, 2.0, init=np.full((2, 3), np.nan))
-
     def test_nan_memberships_rejected(self):
         # the middle row is an infinite squared distance from both centers,
         # so its distance ratios are inf / inf
         x = np.array([[-1e300], [0.0], [1e300]])
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NumericError, match="drifted from sum 1"):
-            fcm_fit(x, 2, 2.0, init=np.array([[-1e300], [1e300]]))
+            pinned_fit(x, np.array([[-1e300], [1e300]]), 2.0)
         e = np.array([[0.5, 0.5], [np.nan, 0.5], [1.0, 0.0]])
         with pytest.raises(NumericError, match="do not sum to 1"):
             FuzzyPartition(memberships=e, centers=np.zeros((2, 1)), fuzziness=2.0,
@@ -218,7 +210,7 @@ class TestBatchedEqualsPerRestart:
     def test_init(self):
         x = np.random.default_rng(14).standard_normal((30, 3))
         init = x[[0, 5, 9]]
-        part = fcm_fit(x, 3, 1.7, init=init, n_restarts=4)
+        part = pinned_fit(x, init, 1.7)
         assert_fit_equal((part.memberships, part.centers, part.objective_trace,
                           part.iterations, part.converged),
                          reference_fcm_fit(x, 3, 1.7, init=init))
@@ -356,6 +348,7 @@ class TestGridChecks:
         ((1, 2), (2.0,), "need at least 2 clusters, got C = 1"),
         ((2,), (2.0, 0.9), "fuzziness must exceed 1, got 0.9"),
         ((2,), (float("inf"),), "fuzziness must be finite, got inf"),
+        ((12, 11), (2.0,), "need more objects than clusters: B=10, C=11"),  # no C fits
     ])
     def test_grid_rejected_before_any_fit(self, monkeypatch, c_values, m_values, match):
         calls = []
@@ -363,6 +356,18 @@ class TestGridChecks:
         x = np.random.default_rng(0).standard_normal((10, 2))
         with pytest.raises(ConfigError, match=re.escape(match)):
             grid_search(x, c_values=c_values, m_values=m_values)
+        assert calls == []
+
+    @pytest.mark.parametrize("features, match", [
+        (np.full((10, 2), np.nan), "features contain non-finite values"),
+        (np.arange(10.0), "features must be 2-D, got shape (10,)"),
+    ], ids=["nan", "1-d"])
+    def test_features_rejected_before_any_fit(self, monkeypatch, features, match):
+        # faults of the whole grid are config faults, not "every grid cell failed"
+        calls = []
+        monkeypatch.setattr(clustering, "fcm_fit_batch", lambda *a, **k: calls.append(a))
+        with pytest.raises(ConfigError, match=re.escape(match)):
+            grid_search(features, c_values=(5, 6), m_values=(2.0,), seed=0)
         assert calls == []
 
 
@@ -545,11 +550,13 @@ class TestGridSearch:
         assert np.isfinite(part.centers).all()
 
     def test_all_failed_raises(self):
-        from fuzzcoh import NumericError
-
-        x = np.zeros((4, 2))
+        # the one cell fits, but its only restart loses a cluster's weight
+        x = np.round(np.random.default_rng(5).standard_normal((71, 1)))
         with pytest.raises(NumericError, match="every grid cell failed"):
-            grid_search(x, c_values=(5, 6), m_values=(2.0,), seed=0)
+            grid_search(x, c_values=(9,), m_values=(3.0,), seed=0, n_restarts=1)
+        # a grid none of whose C fits is a config fault, raised before any fit
+        with pytest.raises(ConfigError, match="need more objects than clusters: B=4, C=5"):
+            grid_search(np.zeros((4, 2)), c_values=(5, 6), m_values=(2.0,), seed=0)
 
     def test_default_m_grid_values(self):
         assert DEFAULT_M_GRID == (1.2, 1.5, 1.8, 2.0, 2.2, 2.5)

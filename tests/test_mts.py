@@ -73,6 +73,28 @@ def test_csv_non_numeric_and_ragged(tmp_path):
         load_csv(path2, sample_rate_hz=1.0, block_length=2, groups=(1, 1))
 
 
+@pytest.mark.parametrize("groups, match", [
+    (None, "groups=(p,q) is required"),
+    ((1, 2), "groups (1,2) do not cover the 2 channels"),
+])
+def test_groups_checked_before_the_body_is_parsed(tmp_path, groups, match):
+    # the body's bad cell would be a DataError: the groups are checked first
+    path = tmp_path / "bad.csv"
+    write_csv(path, ["a", "b"], [[1.0, 2.0], [3.0, "oops"]])
+    with pytest.raises(ConfigError, match=re.escape(match)):
+        load_csv(path, sample_rate_hz=1.0, block_length=2, groups=groups)
+
+
+def test_csv_blank_lines_skipped(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text("a,b\n1.0,2.0\n\n3.0,4.0\n\n", encoding="utf-8")
+    ds = load_csv(path, sample_rate_hz=1.0, block_length=2, groups=(1, 1))
+    np.testing.assert_array_equal(ds.blocks[0].data, [[1.0, 2.0], [3.0, 4.0]])
+    path.write_text("a,b\n1.0,2.0\n\n3.0,oops\n", encoding="utf-8")
+    with pytest.raises(DataError, match="row 3, column 1"):  # a blank line keeps its number
+        load_csv(path, sample_rate_hz=1.0, block_length=2, groups=(1, 1))
+
+
 def test_csv_body_parsed_into_flat_buffer(tmp_path):
     # a list of Python floats would take about 6.5 times the float64 body
     data = np.random.default_rng(1).standard_normal((20_000, 8))

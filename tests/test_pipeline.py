@@ -218,6 +218,45 @@ class TestRunPipeline:
         assert set(conn["clusters"][0]["x_weights"]) == {"X1", "X2"}
         assert set(conn["clusters"][0]["y_weights"]) == {"Y1", "Y2"}
 
+    def test_csv_region_pairs_match_sim_run(self, tmp_path):
+        # without groups, a CSV run splits its channels provisionally and each pair
+        # regroups them: the jobs match those of the same data simulated in the run
+        from fuzzcoh import SimConfig, gen_dataset, save_csv
+
+        sim = {"seed": 5, "n_blocks": 8, "block_length": 256, "proportions": [0.5, 0.5, 0.0]}
+        common = dict(seed=5, n_clusters=2, fuzziness=2.0, n_restarts=2, pairs=(
+            ("front", "back"), ("front", "mid")), regions={
+            "front": ["X1", "X2"], "back": ["Y1", "Y2"], "mid": ["X3", "Y3"]})
+        run_pipeline(PipelineConfig(output_dir=str(tmp_path / "sim"), sim=sim, **common))
+        save_csv(gen_dataset(SimConfig.from_dict(sim)), tmp_path / "rec.csv")
+        run_pipeline(PipelineConfig(output_dir=str(tmp_path / "csv"), csv=str(tmp_path / "rec.csv"),
+                                    sample_rate_hz=128.0, block_length=256, jobs=2, **common))
+        for job in ("raw__front--back", "raw__front--mid"):
+            for name in ("features.csv", "memberships.csv", "centers.json", "fsi_grid.json",
+                         "connectivity_summary.json"):
+                sim_bytes = (tmp_path / "sim" / job / name).read_bytes()
+                assert (tmp_path / "csv" / job / name).read_bytes() == sim_bytes, (job, name)
+
+    def test_skip_degenerate_run_reports_excluded_blocks(self, tmp_path):
+        table = np.random.default_rng(0).standard_normal((8 * 32, 4))
+        table[32:64, 1] = 7.0  # block 1 has a constant channel
+        data = tmp_path / "flat.csv"
+        np.savetxt(data, table, delimiter=",", header="a,b,c,d", comments="", fmt="%.6f")
+        cfg = PipelineConfig(seed=0, output_dir=str(tmp_path / "run"), csv=str(data),
+                             sample_rate_hz=128.0, block_length=32, groups=(2, 2), max_lag=2,
+                             n_restarts=2, skip_degenerate=True)
+        summary = run_pipeline(cfg)
+        job = tmp_path / "run" / "raw__all"
+        assert json.loads((job / "excluded_blocks.json").read_text()) == [
+            {"block": 1, "reason": "constant channel(s): b"}]
+        assert read_features_csv(job / "features.csv")[1] == [0, 2, 3, 4, 5, 6, 7]
+        assert (summary["runs"][0]["n_blocks"], summary["runs"][0]["n_excluded"]) == (7, 1)
+        # exclusions that leave no more blocks than the smallest C fail in the grid, as a
+        # config fault naming B and C
+        np.savetxt(data, table[:96], delimiter=",", header="a,b,c,d", comments="", fmt="%.6f")
+        with pytest.raises(ConfigError, match="need more objects than clusters: B=2, C=2"):
+            run_pipeline(replace(cfg, output_dir=str(tmp_path / "short")))
+
     def test_estimators_share_path_through_filtering(self):
         from fuzzcoh.bands import default_band, design_bandpass, filter_dataset
         from fuzzcoh.pipeline import load_input
@@ -640,6 +679,9 @@ class TestCliInputErrors:
         ({"c_grid": [2, 2]}, "c_grid lists 2 more than once"),
         ({"m_grid": [1.5, 1.5]}, "m_grid lists 1.5 more than once"),
         ({"m_grid": []}, "m_grid is empty"),
+        # resolved against the data's rate before the raw job runs
+        ({"sim": {**SIM_SMALL, "sample_rate_hz": 64.0, "target_freqs": [2.0, 6.0, 10.0, 20.0]},
+          "bands": ["raw", "Gamma"]}, "band 'Gamma' needs 0 <= low < high < Nyquist (32.0 Hz)"),
     ])
     def test_pipeline_setting_fails_before_dependence(self, tmp_path, capsys, monkeypatch,
                                                       setting, match):
@@ -652,7 +694,7 @@ class TestCliInputErrors:
         assert main(["pipeline", "--config", str(cfg)]) == 2
         assert calls == []
         assert_one_error_line(capsys, match)
-        assert not (tmp_path / "out" / "summary.json").exists()
+        assert not list((tmp_path / "out").glob("*"))  # no job directory, no summary
 
     @pytest.mark.parametrize("setting", [{"n_clusters": 7}, {"c_grid": [7, 8]}])
     def test_more_clusters_than_blocks(self, tmp_path, capsys, monkeypatch, setting):
@@ -847,6 +889,21 @@ class TestCrossEntryPoint:
         evaluation = json.loads((out / "evaluation.json").read_text())
         assert evaluation["protocol"] == "simulation-threshold"
         assert evaluation["accuracy"] is not None
+
+    def test_band_features_against_csv_run(self, tmp_path):
+        from fuzzcoh import SimConfig, gen_dataset, save_csv
+
+        data = tmp_path / "rec.csv"
+        save_csv(gen_dataset(SimConfig(seed=8, n_blocks=6, block_length=256)), data)
+        run_pipeline(PipelineConfig(seed=5, output_dir=str(tmp_path / "run"), csv=str(data),
+                                    sample_rate_hz=128.0, block_length=256, groups=(4, 4),
+                                    bands=("Beta",), n_restarts=2))
+        out = tmp_path / "features.csv"
+        assert main(["features", "--input", str(data), "--sample-rate", "128",
+                     "--block-length", "256", "--groups", "4", "4", "--band", "Beta",
+                     "--output", str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / "run" / "Beta__all" / "features.csv").read_bytes()
+        assert "Beta" in out.read_text().splitlines()[1]
 
     def test_bare_label_list_against_csv_run(self, tmp_path):
         from fuzzcoh import SimConfig, gen_dataset, save_csv
