@@ -9,7 +9,7 @@ and the filter are numpy ports of ``scipy.signal.butter`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -110,6 +110,12 @@ class FilterDesign:
     def min_block_length(self) -> int:
         # forward-backward needs padding room; 3x the per-section ba length
         return 3 * (2 * self.order + 1)
+
+    def check_block_length(self, n_samples: int) -> None:
+        """A ``DataError`` unless ``n_samples``-sample blocks are long enough to filter."""
+        if n_samples < self.min_block_length():
+            raise DataError(f"block too short to filter: {n_samples} samples, "
+                            f"need at least {self.min_block_length()}")
 
     def pad_length(self, n_samples: int) -> int:
         # target 3x settling; capped for blocks shorter than the target
@@ -267,11 +273,7 @@ def _zero_phase(design: FilterDesign, data: np.ndarray, sample_rate_hz: float) -
             f"block rate {sample_rate_hz} Hz does not match design "
             f"rate {design.band.sample_rate_hz} Hz"
         )
-    if len(data) < design.min_block_length():
-        raise DataError(
-            f"block too short to filter: {len(data)} samples, "
-            f"need at least {design.min_block_length()}"
-        )
+    design.check_block_length(len(data))
     pad = design.pad_length(len(data))
     ext = np.concatenate((data[pad:0:-1], data, data[-2:-(pad + 2):-1]))
     zi = _sosfilt_zi(design.sos)[..., None]
@@ -287,13 +289,15 @@ def filter_block(block: MtsBlock, design: FilterDesign) -> MtsBlock:
     Applies the design forward and backward with even (reflective)
     padding of 3x the settling length, capped at block length - 1.
     """
-    return block.with_data(_zero_phase(design, block.data, block.sample_rate_hz))
+    return replace(block, data=_zero_phase(design, block.data, block.sample_rate_hz))
 
 
 def filter_dataset(dataset: MtsDataset, design: FilterDesign) -> MtsDataset:
-    """Filter every block of a dataset: all their channels in one zero-phase pass."""
-    out = _zero_phase(design, np.hstack([b.data for b in dataset.blocks]),
+    """Filter every block of a dataset: all their channels in one zero-phase pass.
+
+    The (B, T, m) array is filtered as one (T, B*m) matrix, block-major columns.
+    """
+    n_blocks, n_samples, width = dataset.data.shape
+    out = _zero_phase(design, dataset.data.transpose(1, 0, 2).reshape(n_samples, -1),
                       dataset.sample_rate_hz)
-    width = dataset.p + dataset.q
-    return dataset.with_blocks([block.with_data(out[:, i * width:(i + 1) * width])
-                                for i, block in enumerate(dataset.blocks)])
+    return replace(dataset, data=out.reshape(n_samples, n_blocks, width).transpose(1, 0, 2))

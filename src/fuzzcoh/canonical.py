@@ -202,7 +202,7 @@ def extract_features(
     samples in a block, raises ``ConfigError`` before any block is
     touched.
     """
-    n_samples = dataset.blocks[0].n_samples  # every block has this length
+    n_samples = dataset.n_samples
     if not 0 <= max_lag <= n_samples - MIN_ALIGNED:
         raise ConfigError(
             f"max_lag must lie in [0, {n_samples - MIN_ALIGNED}] so that {n_samples}-sample "
@@ -218,9 +218,8 @@ def extract_features(
             raise (DataError if isinstance(exc, DataError) else NumericError)(
                 f"block {i}: {exc}") from exc
         if dep.degenerate_channels:
-            names = dataset.channel_names
             reason = "constant channel(s): " + ", ".join(
-                names[c] if names else str(c) for c in dep.degenerate_channels)
+                dataset.channel_names[c] for c in dep.degenerate_channels)
             if not skip_degenerate:
                 raise DegenerateBlockError(i, reason)
             excluded.append((i, reason))

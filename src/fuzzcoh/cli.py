@@ -59,7 +59,7 @@ def _cmd_simulate(args) -> int:
         sim = SimConfig(seed=args.seed, n_blocks=args.blocks, block_length=args.block_length,
                         noise_family=args.noise)
     dataset = simulate_to_files(sim, args.out_data, args.out_truth)
-    print(f"wrote {dataset.n_blocks} blocks x {dataset.blocks[0].n_samples} samples "
+    print(f"wrote {dataset.n_blocks} blocks x {dataset.n_samples} samples "
           f"to {args.out_data}; truth in {args.out_truth}")
     return 0
 

@@ -1,9 +1,10 @@
 """Core data model and outside input: blocks, datasets, region maps, CSV, JSON, config fields.
 
-A recording is a long multichannel matrix cut into fixed-length blocks.
-Within a block the series is treated as stationary; every downstream
-estimator works block by block.  Channels are split into an X group
-(first ``p`` columns) and a Y group (next ``q`` columns).
+A recording is a long multichannel matrix cut into fixed-length blocks,
+held as one (blocks, samples, channels) array.  Within a block the series
+is treated as stationary; every downstream estimator works block by block.
+Channels are split into an X group (first ``p`` columns) and a Y group
+(next ``q`` columns).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numbers
 import typing
 import warnings
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -50,7 +51,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MtsBlock:
-    """One locally-stationary block: a T x (p+q) signal matrix.
+    """One locally-stationary block as an estimator reads it: a T x (p+q) signal matrix.
 
     Attributes
     ----------
@@ -60,18 +61,12 @@ class MtsBlock:
         Channel counts of the X and Y groups.
     sample_rate_hz : float
         Sampling rate in Hz.
-    channel_names : tuple of str, optional
-        Length p+q when present.
-    label : int, optional
-        Ground-truth class tag used by the evaluation protocol.
     """
 
     data: np.ndarray
     p: int
     q: int
     sample_rate_hz: float
-    channel_names: Optional[tuple[str, ...]] = None
-    label: Optional[int] = None
 
     def __post_init__(self):
         if self.p < 1 or self.q < 1:
@@ -90,13 +85,6 @@ class MtsBlock:
             raise DataError(f"non-finite value at sample {t}, channel {c}")
         if self.sample_rate_hz <= 0:
             raise DataError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
-        if self.channel_names is not None:
-            names = tuple(self.channel_names)
-            if len(names) != self.p + self.q:
-                raise DataError(
-                    f"channel_names has {len(names)} entries, expected {self.p + self.q}"
-                )
-            object.__setattr__(self, "channel_names", names)
         object.__setattr__(self, "data", _readonly(data))
 
     @property
@@ -107,73 +95,57 @@ class MtsBlock:
     def n_channels(self) -> int:
         return self.p + self.q
 
-    @property
-    def x(self) -> np.ndarray:
-        return self.data[:, : self.p]
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.data[:, self.p :]
-
-    def with_data(self, data: np.ndarray) -> "MtsBlock":
-        """Same metadata, new signal matrix of identical shape."""
-        return MtsBlock(
-            data=data,
-            p=self.p,
-            q=self.q,
-            sample_rate_hz=self.sample_rate_hz,
-            channel_names=self.channel_names,
-            label=self.label,
-        )
-
 
 @dataclass(frozen=True)
 class MtsDataset:
-    """An ordered collection of blocks sharing channel layout, rate and length."""
+    """B equal-length blocks as one read-only float64 ``data`` array of shape (B, T, p+q).
 
-    blocks: tuple[MtsBlock, ...]
+    Block i is ``data[i]``; ``p``, ``q`` and ``sample_rate_hz`` are as in
+    ``MtsBlock`` and hold for every block.  ``channel_names`` has p+q
+    entries, ``ch<i>`` for channel i when none are given.  ``labels`` holds
+    one ground-truth class tag (or None) per block for the evaluation
+    protocol, and is None when no block has one.
+    """
+
+    data: np.ndarray
+    p: int
+    q: int
+    sample_rate_hz: float
+    channel_names: Optional[tuple[str, ...]] = None
+    labels: Optional[tuple[Optional[int], ...]] = None
 
     def __post_init__(self):
-        blocks = tuple(self.blocks)
-        if not blocks:
-            raise DataError("dataset needs at least one block")
-        first = blocks[0]
-        for i, b in enumerate(blocks):
-            if (b.p, b.q) != (first.p, first.q):
-                raise DataError(f"block {i} has (p,q)=({b.p},{b.q}), expected ({first.p},{first.q})")
-            if b.sample_rate_hz != first.sample_rate_hz:
-                raise DataError(f"block {i} sample rate differs")
-            if b.n_samples != first.n_samples:
-                raise DataError(f"block {i} has {b.n_samples} samples, expected {first.n_samples}")
-        object.__setattr__(self, "blocks", blocks)
+        data = _readonly(self.data)
+        if data.ndim != 3 or not len(data):
+            raise DataError(f"dataset data must be (blocks, samples, channels) with at least "
+                            f"one block, got shape {data.shape}")
+        object.__setattr__(self, "data", data)
+        self.blocks  # each block checks the layout, the rate and the values
+        m = self.p + self.q
+        names = tuple(f"ch{i}" for i in range(m)) if self.channel_names is None else tuple(
+            self.channel_names)
+        if len(names) != m:
+            raise DataError(f"channel_names has {len(names)} entries, expected {m}")
+        object.__setattr__(self, "channel_names", names)
+        if self.labels is not None:
+            labels = tuple(self.labels)
+            if len(labels) != len(data):
+                raise DataError(f"{len(labels)} labels for {len(data)} blocks")
+            object.__setattr__(self, "labels", None if all(v is None for v in labels) else labels)
+
+    @property
+    def blocks(self) -> tuple[MtsBlock, ...]:
+        """One ``MtsBlock`` over each ``data[i]``, built on every access."""
+        return tuple(MtsBlock(data=d, p=self.p, q=self.q, sample_rate_hz=self.sample_rate_hz)
+                     for d in self.data)
 
     @property
     def n_blocks(self) -> int:
-        return len(self.blocks)
+        return self.data.shape[0]
 
     @property
-    def p(self) -> int:
-        return self.blocks[0].p
-
-    @property
-    def q(self) -> int:
-        return self.blocks[0].q
-
-    @property
-    def sample_rate_hz(self) -> float:
-        return self.blocks[0].sample_rate_hz
-
-    @property
-    def channel_names(self) -> Optional[tuple[str, ...]]:
-        return self.blocks[0].channel_names
-
-    @property
-    def labels(self) -> Optional[tuple[Optional[int], ...]]:
-        labs = tuple(b.label for b in self.blocks)
-        return None if all(v is None for v in labs) else labs
-
-    def with_blocks(self, blocks: Sequence[MtsBlock]) -> "MtsDataset":
-        return MtsDataset(blocks=tuple(blocks))
+    def n_samples(self) -> int:
+        return self.data.shape[1]
 
 
 @dataclass(frozen=True)
@@ -406,8 +378,8 @@ def read_block_table(path, prefix: str) -> tuple[np.ndarray, list[int]]:
     return values[:, cols], [int(v) for v in values[:, header.index("block_id")]]
 
 
-def segment_rows(values: np.ndarray, block_length: int) -> list[np.ndarray]:
-    """Cut a row matrix into floor(rows / block_length) full blocks.
+def segment_rows(values: np.ndarray, block_length: int) -> np.ndarray:
+    """Cut a (rows, m) matrix into floor(rows / block_length) full blocks: an (n, L, m) view.
 
     Trailing remainder rows are dropped with a warning.
     """
@@ -421,7 +393,7 @@ def segment_rows(values: np.ndarray, block_length: int) -> list[np.ndarray]:
     dropped = values.shape[0] - n * block_length
     if dropped:
         warnings.warn(f"dropping {dropped} trailing rows (partial block)", stacklevel=2)
-    return [values[i * block_length : (i + 1) * block_length] for i in range(n)]
+    return values[: n * block_length].reshape(n, block_length, values.shape[1])
 
 
 def load_csv(
@@ -435,8 +407,9 @@ def load_csv(
     """Load a channels-as-columns CSV into a segmented dataset.
 
     The file must have one header row naming the channels and a numeric
-    body.  Blocks come from a fixed ``block_length``; without one the
-    whole file is a single block.  Channel groups come from
+    body.  Blocks come from a fixed ``block_length``, as one reshape of
+    the body (``segment_rows``); without one the whole file is a single
+    block.  Channel groups come from
     ``groups=(p, q)``: the first p columns are X, the next q are Y.
     ``select_regions`` regroups by channel name.  Missing groups, or
     groups that do not cover the header's channels, are a
@@ -446,7 +419,8 @@ def load_csv(
     integer), ``sample_rate_hz`` (a number) and ``labels``; a value of
     another type is a ``ConfigError`` naming the sidecar and the key,
     and other keys are ignored.  Explicit keyword arguments win over the
-    sidecar.
+    sidecar.  Sidecar labels that do not number the blocks are a
+    ``DataError``.
     """
     meta = {} if metadata_path is None else read_json(metadata_path, "metadata file")
     meta = _checked(meta, dict, f"{metadata_path}: the sidecar")
@@ -470,22 +444,9 @@ def load_csv(
         raise ConfigError(f"groups ({p},{q}) do not cover the {width} channels")
 
     header, values = _read_table(path)
-    parts = [values] if block_length is None else segment_rows(values, int(block_length))
-    if labels is not None and len(labels) != len(parts):
-        raise ConfigError(f"{len(labels)} labels for {len(parts)} blocks")
-
-    blocks = [
-        MtsBlock(
-            data=part,
-            p=p,
-            q=q,
-            sample_rate_hz=float(sample_rate_hz),
-            channel_names=tuple(header),
-            label=None if labels is None else labels[i],
-        )
-        for i, part in enumerate(parts)
-    ]
-    return MtsDataset(blocks=tuple(blocks))
+    data = values[None] if block_length is None else segment_rows(values, int(block_length))
+    return MtsDataset(data=data, p=p, q=q, sample_rate_hz=float(sample_rate_hz),
+                      channel_names=tuple(header), labels=labels)
 
 
 def save_csv(dataset: MtsDataset, path, metadata_path=None) -> None:
@@ -495,18 +456,11 @@ def save_csv(dataset: MtsDataset, path, metadata_path=None) -> None:
     bit-identical float64 data.  When ``metadata_path`` is given, block
     length and labels are written there as JSON.
     """
-    names = dataset.channel_names or tuple(
-        f"ch{i}" for i in range(dataset.p + dataset.q)
-    )
-    write_table(path, names, (row for block in dataset.blocks for row in block.data))
+    write_table(path, dataset.channel_names, dataset.data.reshape(-1, dataset.data.shape[2]))
     if metadata_path is not None:
-        meta = {
-            "block_length": dataset.blocks[0].n_samples,
-            "sample_rate_hz": dataset.sample_rate_hz,
-        }
-        labels = dataset.labels
-        if labels is not None:
-            meta["labels"] = list(labels)
+        meta = {"block_length": dataset.n_samples, "sample_rate_hz": dataset.sample_rate_hz}
+        if dataset.labels is not None:
+            meta["labels"] = list(dataset.labels)
         write_json(metadata_path, meta)
 
 
@@ -516,27 +470,16 @@ def select_regions(
     """Restrict a dataset to two regions: X = first region, Y = second.
 
     Channel order is deterministic: region-A channels in map order, then
-    region-B channels.  Block structure and labels are preserved.
+    region-B channels.  Block structure and labels are preserved: the
+    result holds a copy of the chosen columns of ``dataset.data``.
     """
     RegionMap(regions=region_map.regions, pairs=(pair,))  # two different, known regions
     a, b = pair
     names = dataset.channel_names
-    if names is None:
-        raise ConfigError("dataset has no channel names; cannot select regions")
-    wanted = list(region_map.regions[a]) + list(region_map.regions[b])
+    wanted = region_map.regions[a] + region_map.regions[b]
     missing = [ch for ch in wanted if ch not in names]
     if missing:
         raise ConfigError(f"channels named in regions but absent from dataset: {missing}")
-    cols = [names.index(ch) for ch in wanted]
-    p, q = len(region_map.regions[a]), len(region_map.regions[b])
-    return dataset.with_blocks([
-        MtsBlock(
-            data=block.data[:, cols],
-            p=p,
-            q=q,
-            sample_rate_hz=block.sample_rate_hz,
-            channel_names=tuple(wanted),
-            label=block.label,
-        )
-        for block in dataset.blocks
-    ])
+    return replace(dataset, data=dataset.data[:, :, [names.index(ch) for ch in wanted]],
+                   p=len(region_map.regions[a]), q=len(region_map.regions[b]),
+                   channel_names=wanted)

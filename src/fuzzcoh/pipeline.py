@@ -238,7 +238,7 @@ def require_blocks(dataset: MtsDataset, source) -> MtsDataset:
     """The dataset, unless it is a single block: clustering needs at least two."""
     if dataset.n_blocks == 1:
         raise ConfigError(
-            f"{source} gives 1 block of {dataset.blocks[0].n_samples} samples; clustering "
+            f"{source} gives 1 block of {dataset.n_samples} samples; clustering "
             "needs at least 2: set block_length (config, sidecar or --block-length)"
         )
     return dataset
@@ -256,7 +256,7 @@ def load_input(config: PipelineConfig) -> MtsDataset:
     if groups is None:
         if not config.pairs:
             raise ConfigError("CSV input needs groups=(p, q) or regions with pairs")
-        # provisional split; region selection re-partitions per job
+        # provisional split; region selection re-partitions per pair
         groups = (1, len(read_header(config.csv)) - 1)
     return require_blocks(load_csv(
         config.csv,
@@ -339,8 +339,7 @@ def _connectivity_summary(
     band_name: str,
     pair_name: str,
 ) -> dict:
-    names = dataset.channel_names or tuple(f"ch{i}" for i in range(dataset.p + dataset.q))
-    p = dataset.p
+    names, p = dataset.channel_names, dataset.p
     clusters = [
         {
             "cluster": c,
@@ -366,10 +365,11 @@ def _pair_name(pair: Optional[tuple[str, str]]) -> str:
 
 
 def _run_job(args) -> dict:
-    """One (band, filter design or None, pair) job: writes ``<band>__<pair>/``, returns its row."""
+    """One (pair's dataset, band, filter design or None, pair) job.
+
+    Writes ``<band>__<pair>/`` and returns the job's summary row.
+    """
     dataset, band_name, design, pair, config = args
-    if pair is not None:
-        dataset = select_regions(dataset, RegionMap(regions=config.regions), pair)
     if design is not None:
         dataset = filter_dataset(dataset, design)
     feature_set = extract_features(
@@ -422,8 +422,10 @@ def run_pipeline(config: PipelineConfig) -> dict:
     pair, RI, m, fuzzy %) in job order: band-major, pair-minor.  An
     ``output_dir`` holding a ``<x>__<y>/`` directory that is not a job
     of this run is refused before any input is read; nothing is deleted.
-    Before the first job, each band's filter is designed once, and the
-    block count is checked against the smallest C and the distance budget.
+    Before the first job, the block count is checked against the smallest
+    C and the distance budget, each band's filter is designed once and
+    checked against the block length, and each pair's channels are
+    selected once; the jobs of a pair share its dataset.
     """
     out_dir = Path(config.output_dir)
     pairs: list[Optional[tuple[str, str]]] = list(config.pairs) or [None]
@@ -435,11 +437,16 @@ def run_pipeline(config: PipelineConfig) -> dict:
     dataset = load_input(config)
     check_cluster_count(dataset.n_blocks, min(_grid(config)[0]))
     check_distance_budget(dataset.n_blocks)
-    designs = {}  # band name -> its filter, None for the raw series
+    designs = dict.fromkeys(config.bands)  # band name -> its filter, None for the raw series
     for name in config.bands:
         band = default_band(name, dataset.sample_rate_hz, config.band_table)
-        designs[name] = None if band is None else design_bandpass(band, config.filter_order)
-    units = [(dataset, band, designs[band], pair, config)
+        if band is not None:
+            designs[name] = design_bandpass(band, config.filter_order)
+            designs[name].check_block_length(dataset.n_samples)
+    selected = {pair: dataset if pair is None else
+                select_regions(dataset, RegionMap(regions=config.regions), pair)
+                for pair in pairs}
+    units = [(selected[pair], band, designs[band], pair, config)
              for band in config.bands for pair in pairs]
     if config.jobs > 1 and len(units) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
@@ -493,7 +500,7 @@ def reproduce_sim(
         overrides = dict(sim_overrides or {})
         overrides.update(seed=rep_seed, n_blocks=n_blocks, noise_family=EXAMPLE_NOISE[example])
         dataset = gen_dataset(SimConfig.from_dict(overrides))
-        kinds = np.array([b.label for b in dataset.blocks], dtype=int)
+        kinds = np.array(dataset.labels, dtype=int)
         for est, dep_fn in DEPENDENCE_FNS.items():
             features = extract_features(dataset, max_lag=5, dependence_fn=dep_fn).d_matrix
             for m, part in zip(m_values, fcm_fit_batch(features, 2, m_values, seed=rep_seed)):

@@ -9,7 +9,7 @@ indicator, which is what the fuzzy detection protocol must catch.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -270,13 +270,14 @@ def switching_indicator(
 
 
 def _gen_blocks(config: SimConfig, kinds: Sequence[int],
-                seed_keys: Sequence[Sequence[int]]) -> list[MtsBlock]:
-    """Blocks of the given kinds, each drawn from the stream of its seed key.
+                seed_keys: Sequence[Sequence[int]]) -> MtsDataset:
+    """A dataset of blocks of the given kinds, each drawn from the stream of its seed key.
 
     Each stream gives the latent innovations (one row per target
     frequency, as one ``gen_ar2`` call per frequency would draw them), then
     the indicator (switching blocks only), then the noise.  The AR(2)
-    recursion then runs once over the latents of every block.
+    recursion then runs once over the latents of every block.  The labels
+    are the kinds.
     """
     a0, a1 = _mixing_for(config)
     T, n_latents = config.block_length, len(config.target_freqs)
@@ -297,8 +298,9 @@ def _gen_blocks(config: SimConfig, kinds: Sequence[int],
     names = tuple(f"X{i + 1}" for i in range(config.n_x)) + tuple(
         f"Y{i + 1}" for i in range(config.n_y)
     )
-    blocks = []
-    for kind, lat, (d, noise) in zip(kinds, latents.reshape(len(kinds), n_latents, T), draws):
+    data = np.empty((len(kinds), T, config.n_x + config.n_y))
+    for kind, lat, (d, noise), out in zip(kinds, latents.reshape(len(kinds), n_latents, T),
+                                          draws, data):
         lat = np.ascontiguousarray(lat.T)  # (T, latents)
         if kind == _PURE0:
             clean = lat @ a0.T
@@ -307,27 +309,22 @@ def _gen_blocks(config: SimConfig, kinds: Sequence[int],
         else:
             mixed = np.where(d[:, None, None] == 1, a1[None], a0[None])  # (T, m, r)
             clean = np.einsum("tmr,tr->tm", mixed, lat)
-        blocks.append(MtsBlock(
-            data=clean + config.noise_scale * noise,
-            p=config.n_x,
-            q=config.n_y,
-            sample_rate_hz=config.sample_rate_hz,
-            channel_names=names,
-            label=kind,
-        ))
-    return blocks
+        out[...] = clean + config.noise_scale * noise
+    return MtsDataset(data=data, p=config.n_x, q=config.n_y,
+                      sample_rate_hz=config.sample_rate_hz, channel_names=names,
+                      labels=tuple(kinds))
 
 
 def gen_block(config: SimConfig, kind: int, seed_key: Sequence[int]) -> MtsBlock:
     """Generate one block of the given kind (0, 1, or 2 = switching).
 
     Draws the latents, the indicator (switching blocks only) and the
-    noise from a stream derived from ``seed_key``; the block label
-    records the kind.
+    noise from a stream derived from ``seed_key``, as ``gen_dataset``
+    draws the block it keys.
     """
     if kind not in (_PURE0, _PURE1, SWITCHING):
         raise ConfigError(f"kind must be 0, 1 or 2, got {kind}")
-    return _gen_blocks(config, [kind], [seed_key])[0]
+    return _gen_blocks(config, [kind], [seed_key]).blocks[0]
 
 
 def apportion(n: int, proportions: Sequence[float]) -> list[int]:
@@ -352,15 +349,14 @@ def gen_dataset(config: SimConfig) -> MtsDataset:
     kinds = np.repeat([_PURE0, _PURE1, SWITCHING], counts)
     shuffle_rng = np.random.default_rng([config.seed, _NS_KINDS])
     shuffle_rng.shuffle(kinds)
-    blocks = _gen_blocks(config, [int(k) for k in kinds],
-                         [(config.seed, _NS_BLOCK, b) for b in range(config.n_blocks)])
-    return MtsDataset(blocks=tuple(blocks))
+    return _gen_blocks(config, [int(k) for k in kinds],
+                       [(config.seed, _NS_BLOCK, b) for b in range(config.n_blocks)])
 
 
 def truth_payload(config: SimConfig, dataset: MtsDataset) -> dict:
     """JSON-ready record of the generated kinds and the config echo."""
     return {
-        "kinds": [int(b.label) for b in dataset.blocks],
+        "kinds": list(dataset.labels),
         "proportions": list(config.proportions),
         "config": {k: v for k, v in asdict(config).items() if v is not None},
     }
@@ -376,26 +372,22 @@ def contaminate(
     """Add independent heavy-tailed noise to the named channels only.
 
     Untouched channels stay bit-identical; the same seed reproduces the
-    same contamination.  ``scale=0`` returns an identical dataset.
+    same contamination.  Block b's noise comes from its own stream, so a
+    block's contamination does not depend on the others.  ``scale=0``
+    returns an identical dataset.
     """
     if not channels:
         raise ConfigError("no channels selected for contamination")
     if family not in NOISE_FAMILIES:
         raise ConfigError(f"unknown noise family {family!r}")
     names = dataset.channel_names
-    if names is None:
-        raise ConfigError("dataset has no channel names")
     missing = [ch for ch in channels if ch not in names]
     if missing:
         raise ConfigError(f"unknown channels: {missing}")
     cols = [names.index(ch) for ch in channels]
-
-    new_blocks = []
-    for b, block in enumerate(dataset.blocks):
-        data = block.data.copy()
-        if scale != 0.0:
+    data = dataset.data.copy()
+    if scale != 0.0:
+        for b, block in enumerate(data):
             rng = np.random.default_rng([seed, _NS_CONTAM, b])
-            noise = _noise(rng, family, (block.n_samples, len(cols)))
-            data[:, cols] += scale * noise
-        new_blocks.append(block.with_data(data))
-    return dataset.with_blocks(new_blocks)
+            block[:, cols] += scale * _noise(rng, family, (dataset.n_samples, len(cols)))
+    return replace(dataset, data=data)

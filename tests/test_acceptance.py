@@ -54,7 +54,7 @@ def run_desk_scale(seed, noise, m, estimator="kendall", n_blocks=60, features=No
     """One desk-scale replication; returns (report, features) for reuse."""
     if features is None:
         dataset = gen_dataset(desk_scale_config(seed, noise, n_blocks))
-        kinds = np.array([b.label for b in dataset.blocks], dtype=int)
+        kinds = np.array(dataset.labels, dtype=int)
         feats = extract_features(
             dataset, max_lag=5, dependence_fn=DEPENDENCE_FNS[estimator]
         ).d_matrix
@@ -237,7 +237,7 @@ def test_criterion_9_contamination_stability():
         clean = gen_dataset(cfg)
         dirty = contaminate(clean, channels, scale=0.1, family="student_t1",
                             seed=9000 + seed)
-        kinds = np.array([b.label for b in clean.blocks], dtype=int)
+        kinds = np.array(clean.labels, dtype=int)
         for est in ("kendall", "pearson"):
             fn = DEPENDENCE_FNS[est]
             f_clean = extract_features(clean, max_lag=5, dependence_fn=fn).d_matrix

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import signal
@@ -114,7 +116,7 @@ class TestFilterBlock:
         x = noise_block(1024, channels=2, seed=1)
         y = noise_block(1024, channels=2, seed=2)
         a, b = 2.5, -1.25
-        combo = x.with_data(a * x.data + b * y.data)
+        combo = replace(x, data=a * x.data + b * y.data)
         lhs = filter_block(combo, design).data
         rhs = a * filter_block(x, design).data + b * filter_block(y, design).data
         assert np.abs(lhs - rhs).max() <= 1e-9 * max(1.0, np.abs(rhs).max())
@@ -187,7 +189,8 @@ class TestScipyOracle:
         design = design_bandpass(band(name), order=order)
         for T in (design.min_block_length(), 200, 1024):  # shortest block, capped and full pad
             blocks = tuple(noise_block(T, channels=3, seed=T + b) for b in range(4))
-            filtered = filter_dataset(MtsDataset(blocks=blocks), design)
+            filtered = filter_dataset(MtsDataset(data=np.stack([b.data for b in blocks]), p=1,
+                                                 q=2, sample_rate_hz=S), design)
             for block, out in zip(blocks, filtered.blocks):
                 expected = signal.sosfiltfilt(np.array(design.sos), np.array(block.data), axis=0,
                                               padtype="even", padlen=design.pad_length(T))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import grid_oracle_best_g, reference_solve_canonical
@@ -7,7 +9,6 @@ from fuzzcoh import (
     DataError,
     DegenerateBlockError,
     LaggedDependenceSet,
-    MtsBlock,
     MtsDataset,
     NumericError,
     dependence_set,
@@ -120,14 +121,10 @@ class TestSolveCanonical:
 
 class TestExtractFeatures:
     def make_dataset(self, n_blocks=3, T=64, seed=0, flatline_block=None):
-        rng = np.random.default_rng(seed)
-        blocks = []
-        for b in range(n_blocks):
-            data = rng.standard_normal((T, 8))
-            if b == flatline_block:
-                data[:, 2] = 0.0
-            blocks.append(MtsBlock(data=data, p=4, q=4, sample_rate_hz=128.0))
-        return MtsDataset(blocks=tuple(blocks))
+        data = np.random.default_rng(seed).standard_normal((n_blocks, T, 8))
+        if flatline_block is not None:
+            data[flatline_block, :, 2] = 0.0
+        return MtsDataset(data=data, p=4, q=4, sample_rate_hz=128.0)
 
     def test_feature_dimensions(self):
         ds = self.make_dataset(n_blocks=5)
@@ -174,10 +171,7 @@ class TestExtractFeatures:
     def test_monotone_invariance_end_to_end(self):
         ds = self.make_dataset(n_blocks=2, seed=9)
         fs1 = extract_features(ds, max_lag=2)
-        warped = [
-            b.with_data(np.arctan(b.data) * 3.0 + 1.5) for b in ds.blocks
-        ]
-        fs2 = extract_features(ds.with_blocks(warped), max_lag=2)
+        fs2 = extract_features(replace(ds, data=np.arctan(ds.data) * 3.0 + 1.5), max_lag=2)
         np.testing.assert_array_equal(fs1.d_matrix, fs2.d_matrix)
 
 
@@ -233,8 +227,7 @@ def mixed_stack(p, q, max_lag):
 
 def dataset_of(n_blocks, p, q, T=32):
     data = np.random.default_rng(0).standard_normal((T, p + q))
-    return MtsDataset(blocks=tuple(MtsBlock(data=data, p=p, q=q, sample_rate_hz=128.0)
-                                   for _ in range(n_blocks)))
+    return MtsDataset(data=np.stack([data] * n_blocks), p=p, q=q, sample_rate_hz=128.0)
 
 
 def serve(deps):
@@ -288,10 +281,9 @@ class TestStackedSolve:
     @pytest.mark.parametrize("estimator", [dependence_set, pearson_dependence_set])
     def test_estimated_sets_equal_per_block(self, estimator):
         rng = np.random.default_rng(21)
-        blocks = tuple(MtsBlock(data=rng.standard_cauchy((96, 6)), p=3, q=3, sample_rate_hz=1.0)
-                       for _ in range(12))
-        fs = extract_features(MtsDataset(blocks=blocks), max_lag=4, dependence_fn=estimator)
-        for feat, block in zip(fs.features, blocks, strict=True):
+        ds = MtsDataset(data=rng.standard_cauchy((12, 96, 6)), p=3, q=3, sample_rate_hz=1.0)
+        fs = extract_features(ds, max_lag=4, dependence_fn=estimator)
+        for feat, block in zip(fs.features, ds.blocks, strict=True):
             assert_feature_equal(feat, reference_solve_canonical(estimator(block, 4)))
 
     def test_leading_value_squared_with_pow(self):

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -196,7 +197,7 @@ class TestDependenceSet:
         data = block.data.copy()
         for c, fn in enumerate(transforms):
             data[:, c] = fn(data[:, c])
-        dep2 = dependence_set(block.with_data(data), max_lag=3)
+        dep2 = dependence_set(replace(block, data=data), max_lag=3)
         for lag in range(-3, 4):
             np.testing.assert_array_equal(dep.matrix(lag), dep2.matrix(lag))
 

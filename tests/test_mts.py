@@ -20,16 +20,13 @@ def test_block_validation():
     data = np.zeros((10, 3))
     block = MtsBlock(data=data, p=2, q=1, sample_rate_hz=128.0)
     assert block.n_samples == 10
-    assert block.x.shape == (10, 2)
-    assert block.y.shape == (10, 1)
+    assert block.n_channels == 3
     with pytest.raises(DataError):
         MtsBlock(data=data, p=2, q=2, sample_rate_hz=128.0)
     with pytest.raises(DataError):
         MtsBlock(data=np.full((10, 3), np.nan), p=2, q=1, sample_rate_hz=128.0)
     with pytest.raises(DataError):
         MtsBlock(data=data[:1], p=2, q=1, sample_rate_hz=128.0)
-    with pytest.raises(DataError):
-        MtsBlock(data=data, p=2, q=1, sample_rate_hz=128.0, channel_names=("a", "b"))
 
 
 def test_block_data_is_readonly():
@@ -38,11 +35,22 @@ def test_block_data_is_readonly():
         block.data[0, 0] = 1.0
 
 
-def test_strict_mode_equal_lengths():
-    b1 = MtsBlock(data=np.zeros((10, 2)), p=1, q=1, sample_rate_hz=1.0)
-    b2 = MtsBlock(data=np.zeros((8, 2)), p=1, q=1, sample_rate_hz=1.0)
-    with pytest.raises(DataError):
-        MtsDataset(blocks=(b1, b2))
+@pytest.mark.parametrize("shape, extra, match", [
+    ((10, 2), {}, "must be (blocks, samples, channels)"),
+    ((0, 10, 2), {}, "at least one block"),
+    ((2, 10, 3), {}, "block has 3 channels but p+q=2"),
+    ((2, 10, 2), {"labels": (0, 1, 1)}, "3 labels for 2 blocks"),
+    ((2, 10, 2), {"channel_names": ("a",)}, "channel_names has 1 entries, expected 2"),
+])
+def test_dataset_validation(shape, extra, match):
+    with pytest.raises(DataError, match=re.escape(match)):
+        MtsDataset(data=np.zeros(shape), p=1, q=1, sample_rate_hz=1.0, **extra)
+
+
+def test_dataset_defaults():
+    ds = MtsDataset(data=np.zeros((2, 10, 2)), p=1, q=1, sample_rate_hz=1.0, labels=(None, None))
+    assert ds.labels is None and ds.channel_names == ("ch0", "ch1")
+    assert (ds.n_blocks, ds.n_samples) == (2, 10) and not ds.data.flags.writeable
 
 
 def test_minimal_csv(tmp_path):
@@ -134,22 +142,17 @@ def test_paper_scale_segmentation(tmp_path):
 
 def test_round_trip_bit_identical(tmp_path):
     rng = np.random.default_rng(3)
-    blocks = [
-        MtsBlock(
-            data=rng.standard_normal((16, 3)) * 10.0 ** rng.integers(-8, 8),
-            p=2, q=1, sample_rate_hz=128.0,
-            channel_names=("a", "b", "c"), label=i % 2,
-        )
-        for i in range(3)
-    ]
-    ds = MtsDataset(blocks=tuple(blocks))
+    data = np.stack([rng.standard_normal((16, 3)) * 10.0 ** rng.integers(-8, 8)
+                     for _ in range(3)])
+    ds = MtsDataset(data=data, p=2, q=1, sample_rate_hz=128.0, channel_names=("a", "b", "c"),
+                    labels=tuple(i % 2 for i in range(3)))
     out = tmp_path / "out.csv"
     meta = tmp_path / "out.json"
     save_csv(ds, out, metadata_path=meta)
     ds2 = load_csv(out, sample_rate_hz=128.0, metadata_path=meta, groups=(2, 1))
     for b1, b2 in zip(ds.blocks, ds2.blocks):
         np.testing.assert_array_equal(b1.data, b2.data)
-        assert b1.label == b2.label
+    assert ds.labels == ds2.labels
     # a second save produces identical bytes
     out2 = tmp_path / "out2.csv"
     save_csv(ds2, out2)
@@ -188,11 +191,8 @@ class TestRegions:
 
     def make_dataset(self):
         rng = np.random.default_rng(0)
-        block = MtsBlock(
-            data=rng.standard_normal((12, 4)), p=2, q=2, sample_rate_hz=8.0,
-            channel_names=("f1", "f2", "t1", "o1"), label=1,
-        )
-        return MtsDataset(blocks=(block,))
+        return MtsDataset(data=rng.standard_normal((1, 12, 4)), p=2, q=2, sample_rate_hz=8.0,
+                          channel_names=("f1", "f2", "t1", "o1"), labels=(1,))
 
     def test_select_pair_order(self):
         ds = self.make_dataset()
@@ -200,7 +200,7 @@ class TestRegions:
         assert sel.channel_names == ("t1", "f1", "f2")
         assert (sel.p, sel.q) == (1, 2)
         np.testing.assert_array_equal(sel.blocks[0].data[:, 1], ds.blocks[0].data[:, 0])
-        assert sel.blocks[0].label == 1
+        assert sel.labels == (1,)
 
     def test_same_region_pair_rejected(self):
         with pytest.raises(ConfigError, match="differ"):

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from conftest import tree_digest
 
-from fuzzcoh import (ConfigError, PipelineConfig, clustering, fcm_fit, pipeline,
-                     reproduce_sim, run_pipeline)
+from fuzzcoh import (ConfigError, MtsDataset, PipelineConfig, clustering, fcm_fit, pipeline,
+                     reproduce_sim, run_pipeline, save_csv)
 from fuzzcoh.bands import default_band
 from fuzzcoh.cli import main
 from fuzzcoh.dependence import dependence_set
@@ -392,6 +392,22 @@ print("numpy.ma" in sys.modules)
             "raw__all", "Beta__all", "summary.json", "summary.csv"}
 
 
+    def test_unnamed_channels_are_ch_i_everywhere(self, tmp_path):
+        data = np.random.default_rng(0).standard_normal((4, 64, 3))
+        data[1, :, 2] = 1.0
+        ds = MtsDataset(data=data, p=2, q=1, sample_rate_hz=128.0)
+        cfg = PipelineConfig(seed=0, output_dir=str(tmp_path), sim=SIM_SMALL, max_lag=2,
+                             skip_degenerate=True)
+        pipeline._run_job((ds, "raw", None, None, cfg))
+        job = tmp_path / "raw__all"
+        assert json.loads((job / "excluded_blocks.json").read_text()) == [
+            {"block": 1, "reason": "constant channel(s): ch2"}]
+        cluster = json.loads((job / "connectivity_summary.json").read_text())["clusters"][0]
+        assert (list(cluster["x_weights"]), list(cluster["y_weights"])) == (["ch0", "ch1"], ["ch2"])
+        save_csv(ds, tmp_path / "data.csv")
+        assert (tmp_path / "data.csv").read_text().splitlines()[0] == "ch0,ch1,ch2"
+
+
 class TestReproduceSim:
     def test_rows_and_csv(self, tmp_path):
         out = tmp_path / "curves.csv"
@@ -682,6 +698,11 @@ class TestCliInputErrors:
         # resolved against the data's rate before the raw job runs
         ({"sim": {**SIM_SMALL, "sample_rate_hz": 64.0, "target_freqs": [2.0, 6.0, 10.0, 20.0]},
           "bands": ["raw", "Gamma"]}, "band 'Gamma' needs 0 <= low < high < Nyquist (32.0 Hz)"),
+        # checked against the data before the first pair's and the raw band's jobs run
+        ({"regions": {"a": ["X1"], "b": ["Y1"], "c": ["Q9"]}, "pairs": [["a", "b"], ["a", "c"]]},
+         "channels named in regions but absent from dataset: ['Q9']"),
+        ({"sim": {**SIM_SMALL, "block_length": 20}, "bands": ["raw", "Beta"]},
+         "block too short to filter: 20 samples, need at least 27"),
     ])
     def test_pipeline_setting_fails_before_dependence(self, tmp_path, capsys, monkeypatch,
                                                       setting, match):

@@ -240,7 +240,8 @@ class TestGenDataset:
         cfg = SimConfig(seed=6, n_blocks=10, block_length=80, noise_family=noise_family,
                         fuzzy_switch_rate=switch_rate, burn_in=40)
         a0, a1 = _mixing_for(cfg)
-        for b, block in enumerate(gen_dataset(cfg).blocks):
+        ds = gen_dataset(cfg)
+        for b, (block, label) in enumerate(zip(ds.blocks, ds.labels)):
             rng = np.random.default_rng([6, 7, b])
             columns = []
             for f in cfg.target_freqs:
@@ -249,12 +250,12 @@ class TestGenDataset:
                                         rng.standard_normal(80 + 40))[40:]
                 columns.append((series - series.mean()) / series.std())
             latents = np.column_stack(columns)
-            if block.label == 2:
+            if label == 2:
                 d = switching_indicator(80, rng, cfg.fuzzy_switch_prob, switch_rate)
                 mixed = np.where(d[:, None, None] == 1, a1[None], a0[None])
                 clean = np.einsum("tmr,tr->tm", mixed, latents)
             else:
-                clean = latents @ (a1 if block.label else a0).T
+                clean = latents @ (a1 if label else a0).T
             noise = (rng.standard_normal(clean.shape) if noise_family == "normal"
                      else rng.standard_t(1, size=clean.shape))
             np.testing.assert_array_equal(block.data, clean + noise)
@@ -267,7 +268,7 @@ class TestGenDataset:
     def test_all_pure_dataset(self):
         cfg = SimConfig(seed=2, n_blocks=10, block_length=64, proportions=(1.0, 0.0, 0.0))
         ds = gen_dataset(cfg)
-        assert all(b.label == 0 for b in ds.blocks)
+        assert all(label == 0 for label in ds.labels)
 
     def test_byte_identical_export(self, tmp_path):
         cfg = SimConfig(seed=5, n_blocks=6, block_length=64)
@@ -295,7 +296,7 @@ class TestGenDataset:
         cfg = SimConfig(seed=7, n_blocks=20, block_length=384,
                         proportions=(0.5, 0.5, 0.0))
         ds = gen_dataset(cfg)
-        kinds = np.array([b.label for b in ds.blocks])
+        kinds = np.array(ds.labels)
         feats = extract_features(ds, max_lag=5).d_matrix
         c0, c1 = feats[kinds == 0].mean(0), feats[kinds == 1].mean(0)
         inter = np.linalg.norm(c0 - c1)
