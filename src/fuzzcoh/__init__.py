@@ -7,7 +7,7 @@ score partitions against ground truth with a membership cutoff rule.
 """
 
 from .bands import BandSpec, DEFAULT_BANDS, FilterDesign, design_bandpass, filter_block, filter_dataset
-from .canonical import CanonicalFeature, FeatureSet, extract_features, solve_canonical
+from .canonical import FeatureSet, extract_features, solve_canonical
 from .clustering import (
     DEFAULT_C_GRID,
     DEFAULT_M_GRID,
@@ -47,7 +47,6 @@ __all__ = [
     "design_bandpass",
     "filter_block",
     "filter_dataset",
-    "CanonicalFeature",
     "FeatureSet",
     "extract_features",
     "solve_canonical",

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import ConfigError, DataError, NumericError
-from .mts import MtsBlock, MtsDataset
+from .mts import MtsBlock, MtsDataset, _readonly
 
 __all__ = [
     "BandSpec",
@@ -101,10 +101,9 @@ class FilterDesign:
     max_pole_radius: float
 
     def __post_init__(self):
-        sos = np.asarray(self.sos, dtype=np.float64)
+        sos = _readonly(self.sos)
         if sos.ndim != 2 or sos.shape[1] != 6 or not (sos[:, 3] == 1.0).all():
             raise ConfigError(f"sos must be (sections, 6) with every a0 = 1, got shape {sos.shape}")
-        sos.flags.writeable = False
         object.__setattr__(self, "sos", sos)
 
     def min_block_length(self) -> int:

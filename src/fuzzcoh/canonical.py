@@ -23,62 +23,38 @@ from .dependence import (
 from .exceptions import ConfigError, DataError, DegenerateBlockError, NumericError
 from .mts import MtsDataset
 
-__all__ = ["CanonicalFeature", "FeatureSet", "solve_canonical", "extract_features"]
+__all__ = ["FeatureSet", "solve_canonical", "extract_features"]
 
 _RIDGE = 1e-6
 _MIN_EIG = 1e-10
 
 
 @dataclass(frozen=True)
-class CanonicalFeature:
-    """Leading canonical solution of one block.
+class FeatureSet:
+    """Every kept block's leading canonical solution as (B, ...) columns, and the exclusions.
 
-    ``u`` and ``v`` satisfy the unit within-group dependence constraints;
-    ``g_value`` is the squared cross dependence at ``best_lag``; the
-    clustering feature is d = (|u_1|..|u_p|, |v_1|..|v_q|).
+    Row k is block ``block_indices[k]``: ``u`` (B, p) and ``v`` (B, q)
+    satisfy the unit within-group dependence constraints, ``g_value``
+    (B,) is the squared cross dependence at ``best_lag`` (B,), and
+    ``lags`` (B, L+1, m, m) holds the block's dependence matrices at
+    lags 0..L.  The clustering feature is row k of ``d_matrix``,
+    d = (|u_1|..|u_p|, |v_1|..|v_q|).
     """
 
     u: np.ndarray
     v: np.ndarray
-    g_value: float
-    best_lag: int
-
-    def __post_init__(self):
-        u = np.ascontiguousarray(self.u, dtype=np.float64)
-        v = np.ascontiguousarray(self.v, dtype=np.float64)
-        if u.ndim != 1 or v.ndim != 1:
-            raise DataError("u and v must be vectors")
-        if self.g_value < 0:
-            raise DataError(f"g_value must be non-negative, got {self.g_value}")
-        u.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-
-    @property
-    def d(self) -> np.ndarray:
-        return np.concatenate([np.abs(self.u), np.abs(self.v)])
-
-
-@dataclass(frozen=True)
-class FeatureSet:
-    """Ordered per-block features, the exclusion report and the kept blocks' lags.
-
-    ``lags`` is the (B, L+1, m, m) stack of the kept blocks' dependence
-    matrices at lags 0..L, in ``block_indices`` order.
-    """
-
-    features: tuple[CanonicalFeature, ...]
+    g_value: np.ndarray
+    best_lag: np.ndarray
     block_indices: tuple[int, ...]
     lags: np.ndarray
     excluded: tuple[tuple[int, str], ...] = field(default_factory=tuple)
 
     @property
     def d_matrix(self) -> np.ndarray:
-        return np.array([f.d for f in self.features])
+        return np.abs(np.hstack([self.u, self.v]))
 
     def __len__(self) -> int:
-        return len(self.features)
+        return len(self.block_indices)
 
 
 def _inv_sqrt_psd(mats: np.ndarray, what: str) -> np.ndarray:
@@ -109,11 +85,9 @@ def _lag_order(max_lag: int):
 # singular value is squared as a Python float (libm pow, as ``float(s) **
 # 2``; numpy's ``square`` multiplies and can differ by one ULP), and the
 # best lag is the first maximum in ``_lag_order`` order.
-def _solve_stack(lags: np.ndarray, p: int) -> list[CanonicalFeature]:
-    """The canonical solution of every block of a (B, L+1, m, m) lag stack."""
+def _solve_stack(lags: np.ndarray, p: int):
+    """``(u, v, g_value, best_lag)`` columns of every block of a (B, L+1, m, m) lag stack."""
     n_blocks = lags.shape[0]
-    if not n_blocks:
-        return []
     lag_of = list(_lag_order(lags.shape[1] - 1))
     p0 = lags[:, 0].copy()
     for k in np.flatnonzero(needs_psd_repair(p0)).tolist():
@@ -121,7 +95,7 @@ def _solve_stack(lags: np.ndarray, p: int) -> list[CanonicalFeature]:
     wx = _inv_sqrt_psd(p0[:, :p, :p], "P_XX(0)")
     wy = _inv_sqrt_psd(p0[:, p:, p:], "P_YY(0)")
     # K(l) = wx P_XY(l) wy in _lag_order order: 0, 1, -1, 2, -2, ...;
-    # P_XY(-l) is the transposed view of P_YX(l), as in ``matrix(-l)``
+    # P_XY(-l) is the transposed view of P_YX(l)
     cross = np.empty((n_blocks, len(lag_of), p, lags.shape[-1] - p))
     cross[:, 0] = wx @ p0[:, :p, p:]
     cross[:, 1::2] = wx[:, None] @ lags[:, 1:, :p, p:]
@@ -142,20 +116,18 @@ def _solve_stack(lags: np.ndarray, p: int) -> list[CanonicalFeature]:
     rows = np.arange(n_blocks)
     a = left[rows, best, :, 0]
     b = right_t[rows, best, 0]
-    zero = np.array([g[i] for g, i in zip(g_all, best)]) == 0.0
+    g_value = np.array([g[i] for g, i in zip(g_all, best)])
+    zero = g_value == 0.0
     a[zero], b[zero] = np.eye(1, a.shape[1]), np.eye(1, b.shape[1])
     u = (wx @ a[:, :, None])[:, :, 0]
     v = (wy @ b[:, :, None])[:, :, 0]
     flip = u[rows, np.argmax(np.abs(u), axis=1)] < 0
     u[flip], v[flip] = -u[flip], -v[flip]
-    return [
-        CanonicalFeature(u=u[k], v=v[k], g_value=g_all[k][i], best_lag=lag_of[i])
-        for k, i in enumerate(best)
-    ]
+    return u, v, g_value, np.array(lag_of)[best]
 
 
-def solve_canonical(dep: LaggedDependenceSet) -> CanonicalFeature:
-    """Maximize the squared cross dependence over directions and lags.
+def solve_canonical(dep: LaggedDependenceSet) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """One block's ``(u, v, g_value, best_lag)``, maximizing the squared cross dependence.
 
     The lag-0 matrix is PSD-repaired jointly (its XX and YY sub-blocks
     supply the whitening and its XY block the lag-0 cross term, keeping
@@ -174,7 +146,8 @@ def solve_canonical(dep: LaggedDependenceSet) -> CanonicalFeature:
     one block, so a block solved alone or within a dataset gets the same
     bits.
     """
-    return _solve_stack(dep.lags[None], dep.p)[0]
+    u, v, g_value, best_lag = _solve_stack(dep.lags[None], dep.p)
+    return u[0], v[0], float(g_value[0]), int(best_lag[0])
 
 
 def extract_features(
@@ -193,8 +166,9 @@ def extract_features(
     ``DegenerateBlockError`` unless ``skip_degenerate`` is set, in which
     case the block is excluded and reported.  The kept blocks'
     (L+1, m, m) lag arrays form one (B, L+1, m, m) stack, kept as
-    ``FeatureSet.lags``, and one stacked solve gives every block's
-    feature, bit for bit as ``solve_canonical`` gives it alone: batched
+    ``FeatureSet.lags``, and one stacked solve gives the set's u, v,
+    g_value and best_lag columns, each block's row bit for bit as
+    ``solve_canonical`` gives it alone: batched
     eigh, whitening, SVDs, lag pick and sign fix, with only the blocks
     that need it sent through ``repair_psd`` or the ridge retry.  A
     solve failure is a ``NumericError`` naming the first failing block.
@@ -229,7 +203,7 @@ def extract_features(
     m = dataset.p + dataset.q
     lags = np.stack(stack) if stack else np.empty((0, max_lag + 1, m, m))
     try:
-        features = _solve_stack(lags, dataset.p)
+        u, v, g_value, best_lag = _solve_stack(lags, dataset.p)
     except (DataError, NumericError):
         for k, i in enumerate(kept):  # solve block by block to name the first that fails
             try:
@@ -237,9 +211,5 @@ def extract_features(
             except (DataError, NumericError) as exc:
                 raise NumericError(f"block {i}: {exc}") from exc
         raise
-    return FeatureSet(
-        features=tuple(features),
-        block_indices=tuple(kept),
-        excluded=tuple(excluded),
-        lags=lags,
-    )
+    return FeatureSet(u=u, v=v, g_value=g_value, best_lag=best_lag,
+                      block_indices=tuple(kept), lags=lags, excluded=tuple(excluded))

@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exceptions import ConfigError, NumericError
+from .mts import _readonly
 
 __all__ = [
     "FuzzyPartition",
@@ -64,8 +65,7 @@ class FuzzyPartition:
     seed: int
 
     def __post_init__(self):
-        e = np.ascontiguousarray(self.memberships, dtype=np.float64)
-        c = np.ascontiguousarray(self.centers, dtype=np.float64)
+        e, c = _readonly(self.memberships), _readonly(self.centers)
         if e.ndim != 2 or c.ndim != 2 or e.shape[1] != c.shape[0]:
             raise ConfigError(
                 f"inconsistent shapes: memberships {e.shape}, centers {c.shape}"
@@ -81,8 +81,6 @@ class FuzzyPartition:
         for a, b in zip(trace, trace[1:]):
             if b > a + _TRACE_SLACK:
                 raise NumericError(f"objective increased: {a} -> {b}")
-        e.flags.writeable = False
-        c.flags.writeable = False
         object.__setattr__(self, "memberships", e)
         object.__setattr__(self, "centers", c)
         object.__setattr__(self, "objective_trace", trace)

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import DataError, NumericError
-from .mts import MtsBlock
+from .mts import MtsBlock, _readonly
 
 __all__ = [
     "kendall_tau",
@@ -154,11 +154,11 @@ def sine_transform(tau: float) -> float:
 
 @dataclass(frozen=True)
 class LaggedDependenceSet:
-    """Dependence matrices for lags -L..L with XX/XY/YY block views.
+    """A block's dependence matrices, checked: the input of ``solve_canonical``.
 
     ``lags`` is one read-only (L+1, m, m) array, m = p + q, holding the
     matrices at lags 0..L; the matrix at -l is the transpose of the one
-    at l, so ``matrix(-l)`` returns ``lags[l].T``.  Entries lie in
+    at l, so readers take the view ``lags[l].T`` for it.  Entries lie in
     [-1, 1]; the lag-0 matrix is symmetric with unit diagonal.
     ``degenerate_channels`` lists constant channels whose entries were
     zeroed.
@@ -171,7 +171,7 @@ class LaggedDependenceSet:
 
     def __post_init__(self):
         m = self.p + self.q
-        a = np.ascontiguousarray(self.lags, dtype=np.float64)
+        a = _readonly(self.lags)
         if a.ndim != 3 or a.shape[0] < 1 or a.shape[1:] != (m, m):
             raise DataError(f"lags has shape {a.shape}, expected (L+1, {m}, {m})")
         if np.abs(a).max() > 1.0 + 1e-12:
@@ -180,24 +180,7 @@ class LaggedDependenceSet:
             raise DataError("lag-0 matrix must be symmetric")
         if not np.all(np.diag(a[0]) == 1.0):
             raise DataError("lag-0 matrix must have unit diagonal")
-        a.flags.writeable = False
         object.__setattr__(self, "lags", a)
-
-    @property
-    def max_lag(self) -> int:
-        return self.lags.shape[0] - 1
-
-    def matrix(self, lag: int) -> np.ndarray:
-        return self.lags[lag] if lag >= 0 else self.lags[-lag].T
-
-    def xx(self, lag: int) -> np.ndarray:
-        return self.matrix(lag)[: self.p, : self.p]
-
-    def xy(self, lag: int) -> np.ndarray:
-        return self.matrix(lag)[: self.p, self.p :]
-
-    def yy(self, lag: int) -> np.ndarray:
-        return self.matrix(lag)[self.p :, self.p :]
 
 
 def lagged_tau_matrices(data: np.ndarray, max_lag: int) -> np.ndarray:

@@ -43,10 +43,11 @@ __all__ = [
 ]
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    a.flags.writeable = False
-    return a
+def _readonly(a) -> np.ndarray:
+    """A read-only C-contiguous float64 view of ``a``; ``a`` itself stays writeable."""
+    view = np.ascontiguousarray(a, dtype=np.float64).view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True)

@@ -193,12 +193,14 @@ def dependence_payload(feature_set: FeatureSet) -> list:
 
 
 def write_features_csv(path, feature_set: FeatureSet, band_name: str) -> None:
-    n_dim = len(feature_set.features[0].d) if len(feature_set) else 0
+    d = feature_set.d_matrix
+    n_dim = d.shape[1] if len(d) else 0
     write_table(
         path,
         ["block_id", "band", "best_lag", "g_value"] + [f"d_{i + 1}" for i in range(n_dim)],
-        ([idx, band_name, feat.best_lag, feat.g_value, *feat.d]
-         for idx, feat in zip(feature_set.block_indices, feature_set.features)),
+        ([idx, band_name, lag, g, *row] for idx, lag, g, row in zip(
+            feature_set.block_indices, feature_set.best_lag.tolist(),
+            feature_set.g_value.tolist(), d)),
     )
 
 
@@ -348,15 +350,13 @@ def _connectivity_summary(
         }
         for c, center in enumerate(partition.centers)
     ]
-    lags = [f.best_lag for f in feature_set.features]
-    gs = [f.g_value for f in feature_set.features]
     return {
         "band": band_name,
         "pair": pair_name,
         "clusters": clusters,
-        "mean_g_value": float(np.mean(gs)) if gs else None,
+        "mean_g_value": float(np.mean(feature_set.g_value)) if len(feature_set) else None,
         "best_lag_histogram": {str(l): int(n) for l, n in
-                               zip(*np.unique(lags, return_counts=True))} if lags else {},
+                               zip(*np.unique(feature_set.best_lag, return_counts=True))},
     }
 
 

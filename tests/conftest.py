@@ -280,19 +280,24 @@ def _reference_inv_sqrt_psd(mat, what):
     return (v * (1.0 / np.sqrt(w))) @ v.T
 
 
+def lag_matrix(dep, lag):
+    """A dependence set's matrix at ``lag``; at a negative lag, the view ``lags[-lag].T``."""
+    return dep.lags[lag] if lag >= 0 else dep.lags[-lag].T
+
+
 def reference_solve_canonical(dep):
     """One block's canonical solution: (u, v, g_value, best_lag), lag by lag."""
     from fuzzcoh.dependence import repair_psd
     from fuzzcoh.exceptions import NumericError
 
     p, q = dep.p, dep.q
-    p0 = repair_psd(dep.matrix(0))
+    p0 = repair_psd(dep.lags[0])
     wx = _reference_inv_sqrt_psd(p0[:p, :p], "P_XX(0)")
     wy = _reference_inv_sqrt_psd(p0[p:, p:], "P_YY(0)")
-    lags = [0] + [l for k in range(1, dep.max_lag + 1) for l in (k, -k)]
+    lags = [0] + [l for k in range(1, len(dep.lags)) for l in (k, -k)]
     best = None
     for lag in lags:
-        cross = p0[:p, p:] if lag == 0 else dep.xy(lag)
+        cross = p0[:p, p:] if lag == 0 else lag_matrix(dep, lag)[:p, p:]
         k = wx @ cross @ wy
         try:
             left, sing, right_t = np.linalg.svd(k)

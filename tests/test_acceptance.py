@@ -13,6 +13,7 @@ from conftest import (
     brute_force_rand_index,
     brute_force_tau_numerator,
     grid_oracle_best_g,
+    lag_matrix,
     two_blobs,
 )
 from scipy import signal
@@ -95,15 +96,16 @@ def test_criterion_2_canonical_solver_oracle():
     worst_resid = 0.0
     for seed in range(200):
         dep = stationary_var_instance(2, 2, 1, seed)
-        feat = solve_canonical(dep)
+        u, v, g, _ = solve_canonical(dep)
         oracle = grid_oracle_best_g(
-            dep.xx(0), dep.yy(0), [dep.xy(lag) for lag in (-1, 0, 1)]
+            dep.lags[0, :2, :2], dep.lags[0, 2:, 2:],
+            [lag_matrix(dep, lag)[:2, 2:] for lag in (-1, 0, 1)],
         )
-        worst_gap = min(worst_gap, feat.g_value - oracle)
-        p0 = repair_psd(dep.matrix(0))
+        worst_gap = min(worst_gap, g - oracle)
+        p0 = repair_psd(dep.lags[0])
         resid = max(
-            abs(feat.u @ p0[:2, :2] @ feat.u - 1.0),
-            abs(feat.v @ p0[2:, 2:] @ feat.v - 1.0),
+            abs(u @ p0[:2, :2] @ u - 1.0),
+            abs(v @ p0[2:, 2:] @ v - 1.0),
         )
         worst_resid = max(worst_resid, resid)
     elapsed = time.perf_counter() - start

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import grid_oracle_best_g, reference_solve_canonical
+from conftest import grid_oracle_best_g, lag_matrix, reference_solve_canonical
 from scipy import linalg as sla
 
 from fuzzcoh import (
@@ -51,64 +51,68 @@ def stationary_var_instance(p, q, max_lag, seed):
     return LaggedDependenceSet(p=p, q=q, lags=np.stack(mats))
 
 
+def d_of(u, v):
+    return np.abs(np.concatenate([u, v]))
+
+
 class TestSolveCanonical:
     def test_scalar_case(self):
-        feat = solve_canonical(scalar_dep(0.2, 0.7))
-        assert feat.best_lag == 1
-        assert feat.g_value == pytest.approx(0.49, abs=1e-12)
-        np.testing.assert_allclose(feat.u, [1.0])
-        np.testing.assert_allclose(feat.v, [1.0])
-        np.testing.assert_allclose(feat.d, [1.0, 1.0])
+        u, v, g, lag = solve_canonical(scalar_dep(0.2, 0.7))
+        assert lag == 1
+        assert g == pytest.approx(0.49, abs=1e-12)
+        np.testing.assert_allclose(u, [1.0])
+        np.testing.assert_allclose(v, [1.0])
+        np.testing.assert_allclose(d_of(u, v), [1.0, 1.0])
 
     def test_zero_cross_documented_rule(self):
-        feat = solve_canonical(scalar_dep(0.0, 0.0, yx1=0.0))
-        assert feat.g_value == 0.0
-        assert feat.best_lag == 0
-        np.testing.assert_allclose(feat.d, [1.0, 1.0])
+        u, v, g, lag = solve_canonical(scalar_dep(0.0, 0.0, yx1=0.0))
+        assert g == 0.0
+        assert lag == 0
+        np.testing.assert_allclose(d_of(u, v), [1.0, 1.0])
 
     def test_grid_oracle_dominated(self):
         for seed in range(25):
             dep = stationary_var_instance(2, 2, 1, seed)
-            feat = solve_canonical(dep)
-            crosses = [dep.xy(lag) for lag in (-1, 0, 1)]
-            oracle = grid_oracle_best_g(dep.xx(0), dep.yy(0), crosses)
-            assert feat.g_value >= oracle - 1e-6
-            assert feat.g_value <= 1.0 + 1e-8
+            g = solve_canonical(dep)[2]
+            crosses = [lag_matrix(dep, lag)[:2, 2:] for lag in (-1, 0, 1)]
+            oracle = grid_oracle_best_g(dep.lags[0, :2, :2], dep.lags[0, 2:, 2:], crosses)
+            assert g >= oracle - 1e-6
+            assert g <= 1.0 + 1e-8
 
     def test_constraint_residuals(self):
         from fuzzcoh import repair_psd
 
         for seed in range(10):
             dep = stationary_var_instance(3, 2, 2, seed)
-            feat = solve_canonical(dep)
-            p0 = repair_psd(dep.matrix(0))
-            ru = abs(feat.u @ p0[:3, :3] @ feat.u - 1.0)
-            rv = abs(feat.v @ p0[3:, 3:] @ feat.v - 1.0)
+            u, v, _, _ = solve_canonical(dep)
+            p0 = repair_psd(dep.lags[0])
+            ru = abs(u @ p0[:3, :3] @ u - 1.0)
+            rv = abs(v @ p0[3:, 3:] @ v - 1.0)
             assert ru <= 1e-8 and rv <= 1e-8
 
     def test_sign_convention_and_d_invariance(self):
         dep = stationary_var_instance(2, 2, 1, 3)
-        feat = solve_canonical(dep)
-        assert feat.u[np.argmax(np.abs(feat.u))] > 0
+        u, v, g, _ = solve_canonical(dep)
+        assert u[np.argmax(np.abs(u))] > 0
         # flipping every cross matrix flips (u, v) jointly; d is unchanged
         flipped = -dep.lags
         m0 = dep.lags[0].copy()
         m0[:2, 2:] *= -1
         m0[2:, :2] *= -1
         flipped[0] = m0
-        feat2 = solve_canonical(
+        u2, v2, g2, _ = solve_canonical(
             LaggedDependenceSet(p=2, q=2, lags=flipped)
         )
-        assert feat2.g_value == pytest.approx(feat.g_value, abs=1e-12)
-        np.testing.assert_allclose(feat2.d, feat.d, atol=1e-9)
+        assert g2 == pytest.approx(g, abs=1e-12)
+        np.testing.assert_allclose(d_of(u2, v2), d_of(u, v), atol=1e-9)
 
     def test_deterministic(self):
         dep = stationary_var_instance(2, 2, 2, 11)
-        a = solve_canonical(dep)
-        b = solve_canonical(dep)
-        np.testing.assert_array_equal(a.u, b.u)
-        np.testing.assert_array_equal(a.v, b.v)
-        assert a.g_value == b.g_value and a.best_lag == b.best_lag
+        au, av, ag, alag = solve_canonical(dep)
+        bu, bv, bg, blag = solve_canonical(dep)
+        np.testing.assert_array_equal(au, bu)
+        np.testing.assert_array_equal(av, bv)
+        assert ag == bg and alag == blag
 
     def test_lag_tiebreak_prefers_zero_then_positive(self):
         m0 = np.eye(2)
@@ -116,7 +120,7 @@ class TestSolveCanonical:
         m1 = np.array([[0.0, 0.5], [0.0, 0.0]])
         dep = LaggedDependenceSet(p=1, q=1, lags=np.stack([m0, m1]))
         # identical 0.5 cross at lags 0 and +1: lag 0 wins
-        assert solve_canonical(dep).best_lag == 0
+        assert solve_canonical(dep)[3] == 0
 
 
 class TestExtractFeatures:
@@ -131,7 +135,7 @@ class TestExtractFeatures:
         fs = extract_features(ds, max_lag=3)
         assert fs.d_matrix.shape == (5, 8)
         assert fs.block_indices == (0, 1, 2, 3, 4)
-        assert all(np.all(f.d >= 0) for f in fs.features)
+        assert np.all(fs.d_matrix >= 0)
 
     def test_singleton_dataset(self):
         fs = extract_features(self.make_dataset(n_blocks=1), max_lag=2)
@@ -236,11 +240,16 @@ def serve(deps):
     return lambda block, max_lag: next(it)
 
 
+def rows(fs):
+    """The set's (u, v, g_value, best_lag) per kept block."""
+    return zip(fs.u, fs.v, fs.g_value, fs.best_lag, strict=True)
+
+
 def assert_feature_equal(feat, reference):
-    u, v, g, lag = reference
-    assert np.array_equal(feat.u, u) and np.array_equal(feat.v, v)
-    assert feat.u.tobytes() == u.tobytes() and feat.v.tobytes() == v.tobytes()
-    assert feat.g_value == g and feat.best_lag == lag
+    (u, v, g, lag), (ref_u, ref_v, ref_g, ref_lag) = feat, reference
+    assert np.array_equal(u, ref_u) and np.array_equal(v, ref_v)
+    assert u.tobytes() == ref_u.tobytes() and v.tobytes() == ref_v.tobytes()
+    assert g == ref_g and lag == ref_lag
 
 
 class TestStackedSolve:
@@ -253,14 +262,16 @@ class TestStackedSolve:
         fs = extract_features(dataset_of(len(deps), p, q), max_lag=max_lag,
                               dependence_fn=serve(deps))
         assert fs.block_indices == tuple(range(len(deps)))
-        for feat, dep in zip(fs.features, deps, strict=True):
+        for feat, dep in zip(rows(fs), deps, strict=True):
             assert_feature_equal(feat, reference_solve_canonical(dep))
             assert_feature_equal(solve_canonical(dep), reference_solve_canonical(dep))
         np.testing.assert_array_equal(fs.lags, np.stack([d.lags for d in deps]))
+        reference_d = [d_of(*reference_solve_canonical(d)[:2]) for d in deps]
+        assert fs.d_matrix.tobytes() == np.array(reference_d).tobytes()
         # the stack reaches every special path of the per-block solve
         assert any(reference_solve_canonical(d)[2] == 0.0 for d in deps)
         if max_lag:  # ties go to lag 0, then to the positive lag
-            assert [f.best_lag for f in (fs.features[4], fs.features[-1])] == [0, max_lag]
+            assert [fs.best_lag[4], fs.best_lag[-1]] == [0, max_lag]
         assert any(not np.array_equal(canonical.repair_psd(d.lags[0]), d.lags[0])
                    for d in deps) == (p + q > 2)
 
@@ -273,7 +284,7 @@ class TestStackedSolve:
         assert [i for i, _ in fs.excluded] == [2, 6]
         kept = [d for i, d in enumerate(deps) if i not in (2, 6)]
         assert fs.block_indices == tuple(i for i in range(len(deps)) if i not in (2, 6))
-        for feat, dep in zip(fs.features, kept, strict=True):
+        for feat, dep in zip(rows(fs), kept, strict=True):
             assert_feature_equal(feat, reference_solve_canonical(dep))
         with pytest.raises(DegenerateBlockError, match="block 2: constant channel"):
             extract_features(dataset_of(len(deps), 2, 2), max_lag=2, dependence_fn=serve(deps))
@@ -283,7 +294,7 @@ class TestStackedSolve:
         rng = np.random.default_rng(21)
         ds = MtsDataset(data=rng.standard_cauchy((12, 96, 6)), p=3, q=3, sample_rate_hz=1.0)
         fs = extract_features(ds, max_lag=4, dependence_fn=estimator)
-        for feat, block in zip(fs.features, ds.blocks, strict=True):
+        for feat, block in zip(rows(fs), ds.blocks, strict=True):
             assert_feature_equal(feat, reference_solve_canonical(estimator(block, 4)))
 
     def test_leading_value_squared_with_pow(self):
@@ -291,7 +302,7 @@ class TestStackedSolve:
         assert c ** 2 != c * c
         deps = [scalar_dep(0.1, c), scalar_dep(0.1, -c)]
         fs = extract_features(dataset_of(2, 1, 1), max_lag=1, dependence_fn=serve(deps))
-        assert [(f.g_value, f.best_lag) for f in fs.features] == [(c ** 2, 1), (c ** 2, 1)]
+        assert [(g, lag) for _, _, g, lag in rows(fs)] == [(c ** 2, 1), (c ** 2, 1)]
 
     def test_singular_block_named(self, monkeypatch):
         # unrepaired, blocks 2 and 4 have an indefinite XX block; the first is named

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import brute_force_tau, brute_force_tau_numerator
+from conftest import brute_force_tau, brute_force_tau_numerator, lag_matrix
 
 from fuzzcoh import (
     DataError,
@@ -94,7 +94,7 @@ class TestDependenceSet:
         x = rng.standard_normal(64)
         block = MtsBlock(data=np.column_stack([x, x]), p=1, q=1, sample_rate_hz=1.0)
         dep = dependence_set(block, max_lag=0)
-        assert dep.xy(0)[0, 0] == pytest.approx(1.0)
+        assert dep.lags[0, 0, 1] == pytest.approx(1.0)
 
     def test_exact_lag_relation(self):
         # y(t) = x(t-1): the cross entry peaks at lag +1 where y(t+1) = x(t)
@@ -104,8 +104,8 @@ class TestDependenceSet:
             data=np.column_stack([x[1:], x[:-1]]), p=1, q=1, sample_rate_hz=1.0
         )
         dep = dependence_set(block, max_lag=2)
-        assert dep.xy(1)[0, 0] == pytest.approx(1.0)
-        assert dep.xy(0)[0, 0] < 0.9
+        assert dep.lags[1, 0, 1] == pytest.approx(1.0)
+        assert dep.lags[0, 0, 1] < 0.9
 
     def test_white_noise_null_rate(self):
         # per-entry null: |entry| <= 0.15 should hold ~99% of the time at n=384
@@ -117,7 +117,7 @@ class TestDependenceSet:
                 data=rng.standard_normal((384, 2)), p=1, q=1, sample_rate_hz=128.0
             )
             dep = dependence_set(block, max_lag=0)
-            exceed += abs(dep.xy(0)[0, 0]) > 0.15
+            exceed += abs(dep.lags[0, 0, 1]) > 0.15
         assert exceed / trials <= 0.03
 
     def test_vectorized_equals_scalar_exactly(self):
@@ -199,16 +199,16 @@ class TestDependenceSet:
             data[:, c] = fn(data[:, c])
         dep2 = dependence_set(replace(block, data=data), max_lag=3)
         for lag in range(-3, 4):
-            np.testing.assert_array_equal(dep.matrix(lag), dep2.matrix(lag))
+            np.testing.assert_array_equal(lag_matrix(dep, lag), lag_matrix(dep2, lag))
 
     def test_lag_antisymmetry_bitwise(self):
         dep = dependence_set(random_block(seed=5), max_lag=4)
         for lag in range(1, 5):
-            np.testing.assert_array_equal(dep.matrix(-lag), dep.matrix(lag).T)
+            np.testing.assert_array_equal(lag_matrix(dep, -lag), dep.lags[lag].T)
 
     def test_unit_diagonal_exact(self):
         dep = dependence_set(random_block(seed=6), max_lag=2)
-        assert np.all(np.diag(dep.matrix(0)) == 1.0)
+        assert np.all(np.diag(dep.lags[0]) == 1.0)
 
     def test_constant_channel_flagged_zeroed(self):
         rng = np.random.default_rng(2)
@@ -217,9 +217,9 @@ class TestDependenceSet:
         block = MtsBlock(data=data, p=2, q=1, sample_rate_hz=1.0)
         dep = dependence_set(block, max_lag=1)
         assert dep.degenerate_channels == (1,)
-        assert np.all(dep.matrix(0)[1, [0, 2]] == 0.0)
-        assert dep.matrix(0)[1, 1] == 1.0
-        assert np.all(dep.matrix(1)[1, :] == 0.0)
+        assert np.all(dep.lags[0, 1, [0, 2]] == 0.0)
+        assert dep.lags[0, 1, 1] == 1.0
+        assert np.all(dep.lags[1, 1, :] == 0.0)
 
     @pytest.mark.parametrize("lags", [np.eye(4), np.stack([np.eye(3)] * 2)])
     def test_lags_shape_checked(self, lags):

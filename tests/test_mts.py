@@ -1,11 +1,14 @@
 import json
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fuzzcoh import DataError, ConfigError, MtsBlock, MtsDataset, RegionMap, load_csv, save_csv, select_regions
+from fuzzcoh import (BandSpec, ConfigError, DataError, FuzzyPartition, LaggedDependenceSet, MtsBlock,
+                     MtsDataset, RegionMap, SimConfig, design_bandpass, load_csv, save_csv,
+                     select_regions)
 from fuzzcoh.mts import _read_table, format_float, segment_rows
 
 
@@ -29,10 +32,43 @@ def test_block_validation():
         MtsBlock(data=data[:1], p=2, q=1, sample_rate_hz=128.0)
 
 
-def test_block_data_is_readonly():
-    block = MtsBlock(data=np.zeros((5, 2)), p=1, q=1, sample_rate_hz=1.0)
+def _partition(memberships=None, centers=None):
+    return FuzzyPartition(
+        memberships=np.full((3, 2), 0.5) if memberships is None else memberships,
+        centers=np.zeros((2, 2)) if centers is None else centers,
+        fuzziness=2.0, objective_trace=(1.0,), iterations=1, converged=True, seed=0)
+
+
+_BETA = BandSpec("Beta", 12.0, 30.0, 128.0)
+
+# (array passed in, object built from it, the array the object stores)
+FROZEN_ARRAYS = {
+    "MtsBlock.data": (lambda: np.zeros((5, 2)),
+                      lambda a: MtsBlock(data=a, p=1, q=1, sample_rate_hz=1.0).data),
+    "MtsDataset.data": (lambda: np.zeros((2, 10, 2)),
+                        lambda a: MtsDataset(data=a, p=1, q=1, sample_rate_hz=1.0).data),
+    "LaggedDependenceSet.lags": (lambda: np.stack([np.eye(2)] * 2),
+                                 lambda a: LaggedDependenceSet(p=1, q=1, lags=a).lags),
+    "FilterDesign.sos": (lambda: design_bandpass(_BETA).sos.copy(),
+                         lambda a: replace(design_bandpass(_BETA), sos=a).sos),
+    "FuzzyPartition.memberships": (lambda: np.full((3, 2), 0.5),
+                                   lambda a: _partition(memberships=a).memberships),
+    "FuzzyPartition.centers": (lambda: np.zeros((2, 2)),
+                               lambda a: _partition(centers=a).centers),
+    "SimConfig.mixing_a0": (lambda: np.zeros((8, 5)),
+                            lambda a: SimConfig(seed=0, mixing_a0=a,
+                                                mixing_a1=np.zeros((8, 5))).mixing_a0),
+}
+
+
+@pytest.mark.parametrize("stored", FROZEN_ARRAYS)
+def test_block_data_is_readonly(stored):
+    make, build = FROZEN_ARRAYS[stored]
+    given = make()
+    kept = build(given)
+    assert given.flags.writeable  # the caller's array is left alone
     with pytest.raises(ValueError):
-        block.data[0, 0] = 1.0
+        kept[(0,) * kept.ndim] = 1.0
 
 
 @pytest.mark.parametrize("shape, extra, match", [

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import lag_matrix
 
 from fuzzcoh import MtsBlock, dependence_set, pearson_dependence_set
 
@@ -15,7 +16,7 @@ class TestPearsonSet:
         rng = np.random.default_rng(0)
         x = rng.standard_normal(256)
         dep = pearson_dependence_set(block_from(np.column_stack([x, x]), p=1), 0)
-        assert dep.xy(0)[0, 0] == pytest.approx(1.0)
+        assert dep.lags[0, 0, 1] == pytest.approx(1.0)
 
     def test_known_correlation_recovered(self):
         # sampling oracle: correlated Gaussian pair at rho = 0.8
@@ -24,7 +25,7 @@ class TestPearsonSet:
         x = z[:, 0]
         y = 0.8 * z[:, 0] + np.sqrt(1 - 0.64) * z[:, 1]
         dep = pearson_dependence_set(block_from(np.column_stack([x, y]), p=1), 0)
-        assert dep.xy(0)[0, 0] == pytest.approx(0.8, abs=0.05)
+        assert dep.lags[0, 0, 1] == pytest.approx(0.8, abs=0.05)
 
     def test_matches_sine_tau_on_clean_gaussian(self):
         # the elliptical-model relation ties the two estimators together
@@ -36,7 +37,7 @@ class TestPearsonSet:
         lin = pearson_dependence_set(block, 1)
         rank = dependence_set(block, 1)
         for lag in (-1, 0, 1):
-            assert np.abs(lin.matrix(lag) - rank.matrix(lag)).max() <= 0.05
+            assert np.abs(lag_matrix(lin, lag) - lag_matrix(rank, lag)).max() <= 0.05
 
     def test_cauchy_contamination_separates_estimators(self):
         # one contaminated channel: the linear estimator moves, the rank
@@ -47,8 +48,8 @@ class TestPearsonSet:
         y = 0.8 * z[:, 0] + 0.6 * z[:, 1]
         y_bad = y + 0.1 * rng.standard_t(1, size=4096)
         block = block_from(np.column_stack([x, y_bad]), p=1)
-        lin = pearson_dependence_set(block, 0).xy(0)[0, 0]
-        rank = dependence_set(block, 0).xy(0)[0, 0]
+        lin = pearson_dependence_set(block, 0).lags[0, 0, 1]
+        rank = dependence_set(block, 0).lags[0, 0, 1]
         assert abs(lin - rank) >= 0.2
         assert abs(rank - 0.8) <= 0.1
 
@@ -59,10 +60,10 @@ class TestPearsonSet:
         block = block_from(data, p=2)
         dep = pearson_dependence_set(block, 2)
         assert dep.degenerate_channels == (3,)
-        assert np.all(np.diag(dep.matrix(0)) == 1.0)
+        assert np.all(np.diag(dep.lags[0]) == 1.0)
         for lag in (1, 2):
-            np.testing.assert_array_equal(dep.matrix(-lag), dep.matrix(lag).T)
-        assert np.all(dep.matrix(1)[3, :] == 0.0)
+            np.testing.assert_array_equal(lag_matrix(dep, -lag), dep.lags[lag].T)
+        assert np.all(dep.lags[1, 3, :] == 0.0)
 
     def test_inexact_constant_channel_zeroed_at_every_lag(self):
         # 0.1 repeated has an inexact float mean, so its centred values are
@@ -75,7 +76,7 @@ class TestPearsonSet:
             assert dep.degenerate_channels == (1,)
             for lag in range(-2, 3):
                 expected = 1.0 if lag == 0 else 0.0
-                mat = dep.matrix(lag)
+                mat = lag_matrix(dep, lag)
                 assert np.all(np.delete(mat[1], 1) == 0.0)
                 assert np.all(np.delete(mat[:, 1], 1) == 0.0)
                 assert mat[1, 1] == expected
@@ -86,5 +87,5 @@ class TestPearsonSet:
         x = rng.standard_normal(512)
         block = block_from(np.column_stack([x[1:], x[:-1]]), p=1)
         dep = pearson_dependence_set(block, 2)
-        assert dep.xy(1)[0, 0] == pytest.approx(1.0, abs=1e-9)
-        assert abs(dep.xy(0)[0, 0]) < 0.2
+        assert dep.lags[1, 0, 1] == pytest.approx(1.0, abs=1e-9)
+        assert abs(dep.lags[0, 0, 1]) < 0.2

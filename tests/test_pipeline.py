@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import tree_digest
+from conftest import lag_matrix, tree_digest
 
 from fuzzcoh import (ConfigError, MtsDataset, PipelineConfig, clustering, fcm_fit, pipeline,
                      reproduce_sim, run_pipeline, save_csv)
@@ -319,7 +319,7 @@ class TestRunPipeline:
         for i, block in enumerate(load_input(cfg).blocks):
             dep = dependence_set(block, 2)
             fresh.append({"block": i, "max_lag": 2,
-                          "matrices": {str(l): dep.matrix(l).tolist() for l in range(-2, 3)},
+                          "matrices": {str(l): lag_matrix(dep, l).tolist() for l in range(-2, 3)},
                           "degenerate_channels": list(dep.degenerate_channels)})
         write_json(tmp_path / "fresh.json", fresh)
         assert path.read_bytes() == (tmp_path / "fresh.json").read_bytes()
@@ -729,6 +729,25 @@ class TestCliInputErrors:
         assert calls == []  # the block count alone rules the job out
         assert_one_error_line(capsys, "need more objects than clusters: B=6, C=7")
         assert not (tmp_path / "out" / "summary.json").exists()
+
+    def test_every_block_excluded(self, tmp_path, capsys):
+        table = np.random.default_rng(0).standard_normal((3 * 32, 4))
+        table[:, 1] = 7.0  # every block has a constant channel
+        data = tmp_path / "flat.csv"
+        np.savetxt(data, table, delimiter=",", header="a,b,c,d", comments="", fmt="%.6f")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 0, "output_dir": str(tmp_path / "out"),
+                                   "csv": str(data), "sample_rate_hz": 128.0,
+                                   "block_length": 32, "groups": [2, 2], "max_lag": 2,
+                                   "skip_degenerate": True}))
+        assert main(["pipeline", "--config", str(cfg)]) == 2
+        assert_one_error_line(capsys, "need more objects than clusters: B=0, C=2")
+        assert not (tmp_path / "out" / "summary.json").exists()
+        out = tmp_path / "f.csv"
+        assert main(["features", "--input", str(data), "--sample-rate", "128",
+                     "--block-length", "32", "--groups", "2", "2", "--max-lag", "2",
+                     "--skip-degenerate", "--output", str(out)]) == 0
+        assert out.read_bytes() == b"block_id,band,best_lag,g_value\r\n"
 
     def test_distance_budget_fails_before_dependence(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "cfg.json"
