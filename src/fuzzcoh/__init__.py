@@ -6,7 +6,7 @@ get direction-magnitude features, cluster them with fuzzy C-means, and
 score partitions against ground truth with a membership cutoff rule.
 """
 
-from .bands import BandSpec, DEFAULT_BANDS, FilterDesign, design_bandpass, filter_block, filter_dataset
+from .bands import BandSpec, DEFAULT_BANDS, FilterDesign, design_bandpass, filter_dataset
 from .canonical import FeatureSet, extract_features, solve_canonical
 from .clustering import (
     DEFAULT_C_GRID,
@@ -19,9 +19,9 @@ from .clustering import (
 )
 from .dependence import (
     LaggedDependenceSet,
-    dependence_set,
     kendall_tau,
     repair_psd,
+    sine_tau_matrices,
     sine_transform,
 )
 from .evaluation import (
@@ -34,9 +34,9 @@ from .evaluation import (
 )
 from .exceptions import ConfigError, DataError, DegenerateBlockError, FuzzCohError, NumericError
 from .mts import MtsBlock, MtsDataset, RegionMap, load_csv, save_csv, select_regions
-from .pearson import pearson_dependence_set
+from .pearson import pearson_matrices
 from .pipeline import PipelineConfig, reproduce_sim, run_pipeline
-from .simulate import SimConfig, contaminate, gen_ar2, gen_block, gen_dataset
+from .simulate import SimConfig, contaminate, gen_ar2, gen_dataset
 
 __version__ = "0.1.0"
 
@@ -45,7 +45,6 @@ __all__ = [
     "DEFAULT_BANDS",
     "FilterDesign",
     "design_bandpass",
-    "filter_block",
     "filter_dataset",
     "FeatureSet",
     "extract_features",
@@ -58,9 +57,9 @@ __all__ = [
     "fsi",
     "grid_search",
     "LaggedDependenceSet",
-    "dependence_set",
     "kendall_tau",
     "repair_psd",
+    "sine_tau_matrices",
     "sine_transform",
     "SWITCHING",
     "AssignmentReport",
@@ -79,13 +78,12 @@ __all__ = [
     "load_csv",
     "save_csv",
     "select_regions",
-    "pearson_dependence_set",
+    "pearson_matrices",
     "PipelineConfig",
     "reproduce_sim",
     "run_pipeline",
     "SimConfig",
     "contaminate",
     "gen_ar2",
-    "gen_block",
     "gen_dataset",
 ]

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import ConfigError, DataError, NumericError
-from .mts import MtsBlock, MtsDataset, _readonly
+from .mts import MtsDataset, _readonly
 
 __all__ = [
     "BandSpec",
@@ -25,7 +25,6 @@ __all__ = [
     "band_edges",
     "default_band",
     "design_bandpass",
-    "filter_block",
     "filter_dataset",
 ]
 
@@ -280,15 +279,6 @@ def _zero_phase(design: FilterDesign, data: np.ndarray, sample_rate_hz: float) -
     backward = ext[::-1]  # the backward pass runs in place too, so ext ends in time order
     _sosfilt(design.sos, backward, zi * backward[0])
     return ext[pad:-pad]
-
-
-def filter_block(block: MtsBlock, design: FilterDesign) -> MtsBlock:
-    """Zero-phase band-pass of every channel of a block.
-
-    Applies the design forward and backward with even (reflective)
-    padding of 3x the settling length, capped at block length - 1.
-    """
-    return replace(block, data=_zero_phase(design, block.data, block.sample_rate_hz))
 
 
 def filter_dataset(dataset: MtsDataset, design: FilterDesign) -> MtsDataset:

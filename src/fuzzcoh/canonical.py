@@ -16,9 +16,10 @@ import numpy as np
 from .dependence import (
     MIN_ALIGNED,
     LaggedDependenceSet,
-    dependence_set,
+    check_contract,
     needs_psd_repair,
     repair_psd,
+    sine_tau_matrices,
 )
 from .exceptions import ConfigError, DataError, DegenerateBlockError, NumericError
 from .mts import MtsDataset
@@ -153,55 +154,55 @@ def solve_canonical(dep: LaggedDependenceSet) -> tuple[np.ndarray, np.ndarray, f
 def extract_features(
     dataset: MtsDataset,
     max_lag: int = 5,
-    dependence_fn: Callable[..., LaggedDependenceSet] = dependence_set,
+    dependence_fn: Callable[[np.ndarray, int], np.ndarray] = sine_tau_matrices,
     skip_degenerate: bool = False,
 ) -> FeatureSet:
     """Solve the canonical problem for every block of a (filtered) dataset.
 
-    ``dependence_fn`` builds a block's lagged dependence set (the rank
-    path by default; the linear-correlation foil plugs in here); it is
-    called once per block, in block order.  Its ``DataError`` or
-    ``NumericError`` is raised again, of the same class, naming the
-    block.  A block with a flatlined channel raises
-    ``DegenerateBlockError`` unless ``skip_degenerate`` is set, in which
-    case the block is excluded and reported.  The kept blocks'
-    (L+1, m, m) lag arrays form one (B, L+1, m, m) stack, kept as
-    ``FeatureSet.lags``, and one stacked solve gives the set's u, v,
-    g_value and best_lag columns, each block's row bit for bit as
-    ``solve_canonical`` gives it alone: batched
-    eigh, whitening, SVDs, lag pick and sign fix, with only the blocks
-    that need it sent through ``repair_psd`` or the ridge retry.  A
-    solve failure is a ``NumericError`` naming the first failing block.
     A ``max_lag`` below 0, or one that leaves fewer than 8 aligned
-    samples in a block, raises ``ConfigError`` before any block is
-    touched.
+    samples in a block, is a ``ConfigError``.  Before any estimate, the
+    first block with a flatlined channel raises ``DegenerateBlockError``,
+    unless ``skip_degenerate`` excludes and reports every such block.
+    ``dependence_fn(dataset.data[i], max_lag)`` (the rank path by default;
+    the linear-correlation foil plugs in here) gives kept block i's
+    (L+1, m, m) matrices at lags 0..L, in block order; its ``DataError``
+    or ``NumericError``, or a result of another shape, comes back naming
+    the block, its class kept.  On the (B, L+1, m, m) stack of results,
+    kept as ``FeatureSet.lags``, every lag-0 matrix is symmetrised with
+    an exact unit diagonal and ``check_contract`` names the first bad
+    block.  One stacked solve gives the u, v, g_value and best_lag
+    columns, each row bit for bit as ``solve_canonical`` gives it alone;
+    a solve failure is a ``NumericError`` naming the first failing block.
     """
-    n_samples = dataset.n_samples
+    data, n_samples = dataset.data, dataset.n_samples
     if not 0 <= max_lag <= n_samples - MIN_ALIGNED:
         raise ConfigError(
             f"max_lag must lie in [0, {n_samples - MIN_ALIGNED}] so that {n_samples}-sample "
             f"blocks keep at least {MIN_ALIGNED} aligned samples, got {max_lag}"
         )
-    stack: list[np.ndarray] = []
-    kept: list[int] = []
-    excluded: list[tuple[int, str]] = []
-    for i, block in enumerate(dataset.blocks):
+    # (B, m) constant channels; block by block, the temporary is one block's size
+    flat = np.array([(block == block[0]).all(axis=0) for block in data])
+    names = np.array(dataset.channel_names)
+    excluded = tuple((i, "constant channel(s): " + ", ".join(names[row]))
+                     for i, row in enumerate(flat) if row.any())
+    if excluded and not skip_degenerate:
+        raise DegenerateBlockError(*excluded[0])
+    kept = np.flatnonzero(~flat.any(axis=1)).tolist()
+    m = dataset.p + dataset.q
+    lags = np.empty((len(kept), max_lag + 1, m, m))
+    for k, i in enumerate(kept):
         try:
-            dep = dependence_fn(block, max_lag)
+            out = dependence_fn(data[i], max_lag)
+            if np.shape(out) != lags.shape[1:]:  # assigning it could broadcast silently
+                raise DataError(f"lags has shape {np.shape(out)}, expected {lags.shape[1:]}")
+            lags[k] = out
         except (DataError, NumericError) as exc:  # the class sets the exit code
             raise (DataError if isinstance(exc, DataError) else NumericError)(
                 f"block {i}: {exc}") from exc
-        if dep.degenerate_channels:
-            reason = "constant channel(s): " + ", ".join(
-                dataset.channel_names[c] for c in dep.degenerate_channels)
-            if not skip_degenerate:
-                raise DegenerateBlockError(i, reason)
-            excluded.append((i, reason))
-            continue
-        stack.append(dep.lags)
-        kept.append(i)
-    m = dataset.p + dataset.q
-    lags = np.stack(stack) if stack else np.empty((0, max_lag + 1, m, m))
+    l0 = lags[:, 0]
+    l0[...] = (l0 + l0.transpose(0, 2, 1)) / 2.0  # symmetric up to roundoff already
+    l0[:, np.arange(m), np.arange(m)] = 1.0
+    check_contract(lags, kept)
     try:
         u, v, g_value, best_lag = _solve_stack(lags, dataset.p)
     except (DataError, NumericError):
@@ -212,4 +213,4 @@ def extract_features(
                 raise NumericError(f"block {i}: {exc}") from exc
         raise
     return FeatureSet(u=u, v=v, g_value=g_value, best_lag=best_lag,
-                      block_indices=tuple(kept), lags=lags, excluded=tuple(excluded))
+                      block_indices=tuple(kept), lags=lags, excluded=excluded)

@@ -1,11 +1,12 @@
-"""Lagged rank-dependence matrices of filtered blocks.
+"""Lagged rank-dependence matrices of a block.
 
 For each lag the block-level dependence matrix holds, entrywise, the
 sine-transformed Kendall tau between one channel and a lag-shifted
 other channel.  Tau uses the tau-a convention (ties add zero
 concordance) over all sample pairs, so every entry is invariant under
 strictly monotone channel transforms and bounded regardless of heavy
-tails.
+tails.  ``sine_tau_matrices`` is the per-block estimator; the contract
+is applied once to every block's stack, in ``canonical.extract_features``.
 
 One exact kernel serves block matrices and scalar ``kendall_tau``: it
 sums sign products over pairs s < t in fixed-size tiles, with O(m^2 L T^2)
@@ -19,19 +20,18 @@ flat (m, rows * cols) sign planes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .exceptions import DataError, NumericError
-from .mts import MtsBlock, _readonly
+from .mts import _readonly
 
 __all__ = [
     "kendall_tau",
     "sine_transform",
-    "dependence_set",
-    "build_dependence_set",
+    "sine_tau_matrices",
     "repair_psd",
     "LaggedDependenceSet",
 ]
@@ -50,6 +50,14 @@ __all__ = [
 # m = 8 and max lag 5, the sign and head buffers take 0.9 MB together.
 TILE_ROWS = 32
 TILE_COLS = 384
+
+
+def _aligned_f32(n: int) -> np.ndarray:
+    """Uninitialised float32[n] on a 64-byte boundary: the tile buffers' heap offset
+    alone moved T=2048 kernel times by ~9%."""
+    raw = np.empty(n + 16, dtype=np.float32)
+    start = -raw.ctypes.data % 64 // 4
+    return raw[start : start + n]
 
 
 def _concordance_sums(data: np.ndarray, max_lag: int) -> np.ndarray:
@@ -76,7 +84,7 @@ def _concordance_sums(data: np.ndarray, max_lag: int) -> np.ndarray:
     np.put_along_axis(ranks, order, np.cumsum(steps, axis=1, out=steps), axis=1)
     acc = np.zeros((max_lag + 1, m, m))
     tile = (TILE_ROWS + max_lag) * (TILE_COLS + max_lag) * m
-    sign_buf, head_buf = np.empty(tile, dtype=np.float32), np.empty(tile, dtype=np.float32)
+    sign_buf, head_buf = _aligned_f32(tile), _aligned_f32(tile)
     for a in range(0, T - 1, TILE_ROWS):
         b = min(a + TILE_ROWS, T)
         rows = ranks[:, a : min(b + max_lag, T), None]
@@ -152,6 +160,20 @@ def sine_transform(tau: float) -> float:
 # block-level lagged dependence
 # ---------------------------------------------------------------------------
 
+def check_contract(stack: np.ndarray, block_ids: Optional[Sequence[int]] = None) -> None:
+    """A ``DataError`` naming the first (L+1, m, m) array of a stack with an entry outside
+    [-1, 1] (a NaN passes) or a lag-0 matrix that is not symmetric with unit diagonal."""
+    l0 = stack[:, 0]
+    bad = np.stack([np.abs(stack).max(axis=(1, 2, 3)) > 1.0 + 1e-12,
+                    (l0 != l0.transpose(0, 2, 1)).any(axis=(1, 2)),
+                    (np.diagonal(l0, axis1=1, axis2=2) != 1.0).any(axis=1)])
+    if bad.any():
+        k = int(bad.any(axis=0).argmax())
+        why = ("dependence entries outside [-1, 1]", "lag-0 matrix must be symmetric",
+               "lag-0 matrix must have unit diagonal")[int(bad[:, k].argmax())]
+        raise DataError(why if block_ids is None else f"block {block_ids[k]}: {why}")
+
+
 @dataclass(frozen=True)
 class LaggedDependenceSet:
     """A block's dependence matrices, checked: the input of ``solve_canonical``.
@@ -160,26 +182,18 @@ class LaggedDependenceSet:
     matrices at lags 0..L; the matrix at -l is the transpose of the one
     at l, so readers take the view ``lags[l].T`` for it.  Entries lie in
     [-1, 1]; the lag-0 matrix is symmetric with unit diagonal.
-    ``degenerate_channels`` lists constant channels whose entries were
-    zeroed.
     """
 
     p: int
     q: int
     lags: np.ndarray  # (L+1, m, m)
-    degenerate_channels: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         m = self.p + self.q
         a = _readonly(self.lags)
         if a.ndim != 3 or a.shape[0] < 1 or a.shape[1:] != (m, m):
             raise DataError(f"lags has shape {a.shape}, expected (L+1, {m}, {m})")
-        if np.abs(a).max() > 1.0 + 1e-12:
-            raise DataError("dependence entries outside [-1, 1]")
-        if not np.array_equal(a[0], a[0].T):
-            raise DataError("lag-0 matrix must be symmetric")
-        if not np.all(np.diag(a[0]) == 1.0):
-            raise DataError("lag-0 matrix must have unit diagonal")
+        check_contract(a[None])
         object.__setattr__(self, "lags", a)
 
 
@@ -197,53 +211,13 @@ def lagged_tau_matrices(data: np.ndarray, max_lag: int) -> np.ndarray:
 MIN_ALIGNED = 8  # fewest aligned samples a lag may leave in a block
 
 
-def build_dependence_set(
-    block: MtsBlock,
-    max_lag: int,
-    lag_matrices: Callable[[np.ndarray, int], np.ndarray],
-) -> LaggedDependenceSet:
-    """The dependence-set contract shared by every estimator.
-
-    ``lag_matrices(data, max_lag)`` gives the estimator's (L+1, m, m)
-    array of matrices for lags 0..max_lag.  This checks ``max_lag`` and
-    the block length, zeroes the rows and columns of constant channels
-    at every lag (they are flagged rather than raising) and symmetrises
-    the lag-0 matrix with an exact unit diagonal, all in place on that
-    array; negative lags are transposed views, never copies.
-    """
-    if max_lag < 0:
-        raise DataError(f"max_lag must be >= 0, got {max_lag}")
-    T = block.n_samples
-    if T - max_lag < MIN_ALIGNED:
-        raise DataError(
-            f"block too short: {T} samples leave {T - max_lag} aligned pairs "
-            f"at lag {max_lag}, need at least {MIN_ALIGNED}"
-        )
-    data = block.data
-    degenerate = tuple(
-        int(c) for c in range(block.n_channels)
-        if np.all(data[:, c] == data[0, c])
-    )
-    lags = lag_matrices(data, max_lag)
-    lags[:, degenerate, :] = 0.0
-    lags[:, :, degenerate] = 0.0
-    lags[0] = (lags[0] + lags[0].T) / 2.0  # symmetric up to roundoff already
-    np.fill_diagonal(lags[0], 1.0)
-    return LaggedDependenceSet(p=block.p, q=block.q, lags=lags, degenerate_channels=degenerate)
-
-
-def _sine_tau_matrices(data: np.ndarray, max_lag: int) -> np.ndarray:
-    return np.sin(np.pi / 2.0 * lagged_tau_matrices(data, max_lag))
-
-
-def dependence_set(block: MtsBlock, max_lag: int = 5) -> LaggedDependenceSet:
-    """Estimate the block's lagged sine-tau dependence matrices.
+def sine_tau_matrices(data: np.ndarray, max_lag: int) -> np.ndarray:
+    """A block's lagged sine-tau matrices, shape (L+1, m, m), from its (T, m) samples.
 
     For lag l >= 0 and channels (j, k) the entry is
-    sin(pi/2 * tau(Z_j(t), Z_k(t + l))) over the T - l aligned samples;
-    the rest of the contract comes from ``build_dependence_set``.
+    sin(pi/2 * tau(Z_j(t), Z_k(t + l))) over the T - l aligned samples.
     """
-    return build_dependence_set(block, max_lag, _sine_tau_matrices)
+    return np.sin(np.pi / 2.0 * lagged_tau_matrices(data, max_lag))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 A recording is a long multichannel matrix cut into fixed-length blocks,
 held as one (blocks, samples, channels) array.  Within a block the series
-is treated as stationary; every downstream estimator works block by block.
+is treated as stationary; an estimator reads one block, ``data[i]``.
 Channels are split into an X group (first ``p`` columns) and a Y group
 (next ``q`` columns).
 """
@@ -52,41 +52,16 @@ def _readonly(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MtsBlock:
-    """One locally-stationary block as an estimator reads it: a T x (p+q) signal matrix.
+    """One block of a dataset as ``MtsDataset.blocks`` gives it: (T, p+q) ``data``, unchecked.
 
-    Attributes
-    ----------
-    data : ndarray, shape (T, p+q)
-        Signal amplitudes; the first ``p`` columns are the X group.
-    p, q : int
-        Channel counts of the X and Y groups.
-    sample_rate_hz : float
-        Sampling rate in Hz.
+    The package reads ``dataset.data``; this record stays because the
+    benchmark tracer counts ``len(dataset.blocks)`` and ``n_samples * n_channels``.
     """
 
     data: np.ndarray
     p: int
     q: int
     sample_rate_hz: float
-
-    def __post_init__(self):
-        if self.p < 1 or self.q < 1:
-            raise DataError(f"need p >= 1 and q >= 1, got p={self.p}, q={self.q}")
-        data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim != 2:
-            raise DataError(f"block data must be 2-D, got shape {data.shape}")
-        if data.shape[0] < 2:
-            raise DataError(f"block needs at least 2 samples, got {data.shape[0]}")
-        if data.shape[1] != self.p + self.q:
-            raise DataError(
-                f"block has {data.shape[1]} channels but p+q={self.p + self.q}"
-            )
-        if not np.isfinite(data).all():
-            t, c = np.argwhere(~np.isfinite(data))[0]
-            raise DataError(f"non-finite value at sample {t}, channel {c}")
-        if self.sample_rate_hz <= 0:
-            raise DataError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
-        object.__setattr__(self, "data", _readonly(data))
 
     @property
     def n_samples(self) -> int:
@@ -101,8 +76,8 @@ class MtsBlock:
 class MtsDataset:
     """B equal-length blocks as one read-only float64 ``data`` array of shape (B, T, p+q).
 
-    Block i is ``data[i]``; ``p``, ``q`` and ``sample_rate_hz`` are as in
-    ``MtsBlock`` and hold for every block.  ``channel_names`` has p+q
+    Block i is ``data[i]``: its first ``p`` channels are the X group, the
+    next ``q`` the Y group, sampled at ``sample_rate_hz``.  ``channel_names`` has p+q
     entries, ``ch<i>`` for channel i when none are given.  ``labels`` holds
     one ground-truth class tag (or None) per block for the evaluation
     protocol, and is None when no block has one.
@@ -120,9 +95,19 @@ class MtsDataset:
         if data.ndim != 3 or not len(data):
             raise DataError(f"dataset data must be (blocks, samples, channels) with at least "
                             f"one block, got shape {data.shape}")
-        object.__setattr__(self, "data", data)
-        self.blocks  # each block checks the layout, the rate and the values
+        if self.p < 1 or self.q < 1:
+            raise DataError(f"need p >= 1 and q >= 1, got p={self.p}, q={self.q}")
+        if data.shape[1] < 2:
+            raise DataError(f"block needs at least 2 samples, got {data.shape[1]}")
         m = self.p + self.q
+        if data.shape[2] != m:
+            raise DataError(f"block has {data.shape[2]} channels but p+q={m}")
+        if not np.isfinite(data).all():
+            b, t, c = np.argwhere(~np.isfinite(data))[0]
+            raise DataError(f"non-finite value at block {b}, sample {t}, channel {c}")
+        if self.sample_rate_hz <= 0:
+            raise DataError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
+        object.__setattr__(self, "data", data)
         names = tuple(f"ch{i}" for i in range(m)) if self.channel_names is None else tuple(
             self.channel_names)
         if len(names) != m:

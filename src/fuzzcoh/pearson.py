@@ -1,19 +1,17 @@
 """Non-robust linear-correlation foil for the rank dependence path.
 
-Swaps sine-tau entries for lagged sample Pearson correlations with an
-otherwise identical contract, so filtering, the canonical solver,
-clustering and evaluation are shared code paths and any performance gap
-isolates the dependence estimator.
+Swaps sine-tau entries for lagged sample Pearson correlations:
+``pearson_matrices`` has the signature of ``sine_tau_matrices`` and
+``canonical.extract_features`` applies the same contract to both, so
+filtering, the canonical solver, clustering and evaluation are shared
+code paths and any performance gap isolates the dependence estimator.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dependence import LaggedDependenceSet, build_dependence_set
-from .mts import MtsBlock
-
-__all__ = ["pearson_dependence_set"]
+__all__ = ["pearson_matrices"]
 
 
 def _lagged_correlation(data: np.ndarray, lag: int) -> np.ndarray:
@@ -33,14 +31,6 @@ def _lagged_correlation(data: np.ndarray, lag: int) -> np.ndarray:
     return np.clip(corr, -1.0, 1.0)
 
 
-def _correlation_matrices(data: np.ndarray, max_lag: int) -> np.ndarray:
+def pearson_matrices(data: np.ndarray, max_lag: int) -> np.ndarray:
+    """A block's lagged Pearson matrices, shape (L+1, m, m); constant channels give zero entries."""
     return np.stack([_lagged_correlation(data, lag) for lag in range(max_lag + 1)])
-
-
-def pearson_dependence_set(block: MtsBlock, max_lag: int = 5) -> LaggedDependenceSet:
-    """Lagged Pearson analogue of the rank dependence set.
-
-    Same shape, symmetry and degeneracy contract, from the shared
-    ``build_dependence_set``; constant channels give zero entries.
-    """
-    return build_dependence_set(block, max_lag, _correlation_matrices)

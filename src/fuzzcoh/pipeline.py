@@ -31,7 +31,7 @@ from .clustering import (
 )
 # not called here; bench/tracing.py patches pipeline.fcm_fit and pipeline.fsi
 from .clustering import fcm_fit, fsi  # noqa: F401
-from .dependence import dependence_set
+from .dependence import sine_tau_matrices
 from .evaluation import SWITCHING, assign, rand_index, simulation_accuracy
 from .exceptions import ConfigError, DataError, NumericError
 from .mts import (
@@ -47,7 +47,7 @@ from .mts import (
     write_json,
     write_table,
 )
-from .pearson import pearson_dependence_set
+from .pearson import pearson_matrices
 from .simulate import SimConfig, gen_dataset, truth_payload
 
 __all__ = [
@@ -66,8 +66,8 @@ __all__ = [
 ]
 
 DEPENDENCE_FNS = {
-    "kendall": dependence_set,
-    "pearson": pearson_dependence_set,
+    "kendall": sine_tau_matrices,
+    "pearson": pearson_matrices,
 }
 
 

@@ -16,13 +16,12 @@ import numpy as np
 
 from .evaluation import SWITCHING
 from .exceptions import ConfigError, DataError
-from .mts import JsonConfig, MtsBlock, MtsDataset, check_fields
+from .mts import JsonConfig, MtsDataset, check_fields
 
 __all__ = [
     "SimConfig",
     "gen_ar2",
     "default_mixing",
-    "gen_block",
     "gen_dataset",
     "contaminate",
     "NOISE_FAMILIES",
@@ -313,18 +312,6 @@ def _gen_blocks(config: SimConfig, kinds: Sequence[int],
     return MtsDataset(data=data, p=config.n_x, q=config.n_y,
                       sample_rate_hz=config.sample_rate_hz, channel_names=names,
                       labels=tuple(kinds))
-
-
-def gen_block(config: SimConfig, kind: int, seed_key: Sequence[int]) -> MtsBlock:
-    """Generate one block of the given kind (0, 1, or 2 = switching).
-
-    Draws the latents, the indicator (switching blocks only) and the
-    noise from a stream derived from ``seed_key``, as ``gen_dataset``
-    draws the block it keys.
-    """
-    if kind not in (_PURE0, _PURE1, SWITCHING):
-        raise ConfigError(f"kind must be 0, 1 or 2, got {kind}")
-    return _gen_blocks(config, [kind], [seed_key]).blocks[0]
 
 
 def apportion(n: int, proportions: Sequence[float]) -> list[int]:

@@ -285,6 +285,16 @@ def lag_matrix(dep, lag):
     return dep.lags[lag] if lag >= 0 else dep.lags[-lag].T
 
 
+def contracted_set(data, max_lag, p, fn=None):
+    """One (T, m) block's matrices from ``fn`` (sine-tau by default), as
+    ``extract_features`` leaves them after the dependence-set contract."""
+    from fuzzcoh import LaggedDependenceSet, MtsDataset, extract_features, sine_tau_matrices
+
+    dataset = MtsDataset(data=data[None], p=p, q=data.shape[1] - p, sample_rate_hz=128.0)
+    lags = extract_features(dataset, max_lag=max_lag, dependence_fn=fn or sine_tau_matrices).lags
+    return LaggedDependenceSet(p=dataset.p, q=dataset.q, lags=lags[0])
+
+
 def reference_solve_canonical(dep):
     """One block's canonical solution: (u, v, g_value, best_lag), lag by lag."""
     from fuzzcoh.dependence import repair_psd

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from scipy import signal
@@ -9,11 +7,9 @@ from fuzzcoh import (
     ConfigError,
     DataError,
     DEFAULT_BANDS,
-    MtsBlock,
     FilterDesign,
     MtsDataset,
     design_bandpass,
-    filter_block,
     filter_dataset,
 )
 
@@ -30,18 +26,23 @@ def magnitude(design, freq_hz):
     return float(np.abs(h[np.argmin(np.abs(w - freq_hz))]))
 
 
+def one_block(data, sample_rate_hz=S):
+    """A one-block dataset over the (T, m) samples; the first channel is X."""
+    return MtsDataset(data=data[None], p=1, q=data.shape[1] - 1, sample_rate_hz=sample_rate_hz)
+
+
+def filter_block(data, design):
+    """The (T, m) samples filtered as a one-block dataset."""
+    return filter_dataset(one_block(data), design).data[0]
+
+
 def noise_block(T, channels=1, seed=0):
-    rng = np.random.default_rng(seed)
-    return MtsBlock(
-        data=rng.standard_normal((T, max(2, channels)))[:, : max(2, channels)],
-        p=1, q=max(1, channels - 1), sample_rate_hz=S,
-    )
+    return np.random.default_rng(seed).standard_normal((T, max(2, channels)))
 
 
 def tone_block(freq_hz, T=4096):
     t = np.arange(T) / S
-    data = np.column_stack([np.sin(2 * np.pi * freq_hz * t), np.zeros(T)])
-    return MtsBlock(data=data, p=1, q=1, sample_rate_hz=S)
+    return np.column_stack([np.sin(2 * np.pi * freq_hz * t), np.zeros(T)])
 
 
 class TestDesign:
@@ -90,7 +91,7 @@ class TestFilterBlock:
         assert theoretical == pytest.approx(0.02453, abs=2e-4)  # frozen from the oracle
 
         filtered = filter_block(noise_block(4096, channels=2, seed=0), design)
-        freqs, power = signal.periodogram(filtered.data[:, 0], fs=S)
+        freqs, power = signal.periodogram(filtered[:, 0], fs=S)
         outside = (freqs < 12.0) | (freqs >= 30.0)
         empirical = power[outside].sum() / power.sum()
         assert abs(empirical - theoretical) < 0.01
@@ -98,16 +99,15 @@ class TestFilterBlock:
 
     def test_zero_block_stays_zero(self):
         design = design_bandpass(band("Beta"), order=4)
-        block = MtsBlock(data=np.zeros((512, 2)), p=1, q=1, sample_rate_hz=S)
-        out = filter_block(block, design)
-        np.testing.assert_array_equal(out.data, np.zeros((512, 2)))
+        out = filter_block(np.zeros((512, 2)), design)
+        np.testing.assert_array_equal(out, np.zeros((512, 2)))
 
     def test_passband_tone_preserved(self):
         design = design_bandpass(band("Beta"), order=4)
         block = tone_block(20.0)
         out = filter_block(block, design)
         trim = slice(256, -256)
-        corr = np.corrcoef(block.data[trim, 0], out.data[trim, 0])[0, 1]
+        corr = np.corrcoef(block[trim, 0], out[trim, 0])[0, 1]
         assert corr >= 0.99
 
     def test_linearity(self):
@@ -116,9 +116,8 @@ class TestFilterBlock:
         x = noise_block(1024, channels=2, seed=1)
         y = noise_block(1024, channels=2, seed=2)
         a, b = 2.5, -1.25
-        combo = replace(x, data=a * x.data + b * y.data)
-        lhs = filter_block(combo, design).data
-        rhs = a * filter_block(x, design).data + b * filter_block(y, design).data
+        lhs = filter_block(a * x + b * y, design)
+        rhs = a * filter_block(x, design) + b * filter_block(y, design)
         assert np.abs(lhs - rhs).max() <= 1e-9 * max(1.0, np.abs(rhs).max())
 
     def test_zero_phase(self):
@@ -126,8 +125,8 @@ class TestFilterBlock:
         block = tone_block(21.0)
         out = filter_block(block, design)
         trim = slice(256, -256)
-        a = block.data[trim, 0] - block.data[trim, 0].mean()
-        b = out.data[trim, 0] - out.data[trim, 0].mean()
+        a = block[trim, 0] - block[trim, 0].mean()
+        b = out[trim, 0] - out[trim, 0].mean()
         xc = np.correlate(b, a, mode="full")
         assert np.argmax(xc) - (len(a) - 1) == 0
 
@@ -136,8 +135,8 @@ class TestFilterBlock:
         once = filter_block(tone_block(21.0), design)
         twice = filter_block(once, design)
         trim = slice(256, -256)
-        e1 = float((once.data[trim, 0] ** 2).sum())
-        e2 = float((twice.data[trim, 0] ** 2).sum())
+        e1 = float((once[trim, 0] ** 2).sum())
+        e2 = float((twice[trim, 0] ** 2).sum())
         assert abs(e2 - e1) / e1 <= 0.01
 
     def test_short_block_rejected(self):
@@ -147,16 +146,15 @@ class TestFilterBlock:
 
     def test_rate_mismatch_rejected(self):
         design = design_bandpass(band("Beta"), order=4)
-        block = MtsBlock(data=np.zeros((512, 2)), p=1, q=1, sample_rate_hz=256.0)
         with pytest.raises(ConfigError, match="rate"):
-            filter_block(block, design)
+            filter_dataset(one_block(np.zeros((512, 2)), sample_rate_hz=256.0), design)
 
     def test_short_delta_block_pads_capped(self):
         # T=384 with the slow-settling Delta band still filters (pad capped)
         design = design_bandpass(band("Delta"), order=4)
         out = filter_block(noise_block(384, channels=2, seed=3), design)
-        assert out.data.shape == (384, 2)
-        assert np.isfinite(out.data).all()
+        assert out.shape == (384, 2)
+        assert np.isfinite(out).all()
 
 
 class TestScipyOracle:
@@ -189,13 +187,13 @@ class TestScipyOracle:
         design = design_bandpass(band(name), order=order)
         for T in (design.min_block_length(), 200, 1024):  # shortest block, capped and full pad
             blocks = tuple(noise_block(T, channels=3, seed=T + b) for b in range(4))
-            filtered = filter_dataset(MtsDataset(data=np.stack([b.data for b in blocks]), p=1,
-                                                 q=2, sample_rate_hz=S), design)
-            for block, out in zip(blocks, filtered.blocks):
-                expected = signal.sosfiltfilt(np.array(design.sos), np.array(block.data), axis=0,
+            filtered = filter_dataset(MtsDataset(data=np.stack(blocks), p=1, q=2,
+                                                 sample_rate_hz=S), design)
+            for block, out in zip(blocks, filtered.data):
+                expected = signal.sosfiltfilt(np.array(design.sos), block, axis=0,
                                               padtype="even", padlen=design.pad_length(T))
-                np.testing.assert_array_equal(out.data, expected)
-                np.testing.assert_array_equal(filter_block(block, design).data, expected)
+                np.testing.assert_array_equal(out, expected)
+                np.testing.assert_array_equal(filter_block(block, design), expected)
 
     def test_sections_must_be_normalised(self):
         design = design_bandpass(band("Beta"), order=4)

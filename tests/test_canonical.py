@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,9 +12,9 @@ from fuzzcoh import (
     LaggedDependenceSet,
     MtsDataset,
     NumericError,
-    dependence_set,
     extract_features,
-    pearson_dependence_set,
+    pearson_matrices,
+    sine_tau_matrices,
     solve_canonical,
 )
 from fuzzcoh import canonical
@@ -152,17 +153,58 @@ class TestExtractFeatures:
         message = "16777216 samples exceed the Kendall kernel's limit of 2**24 - 1"
         calls = []
 
-        def fails_on_block_1(block, max_lag):
-            calls.append(block)
+        def fails_on_block_1(data, max_lag):
+            calls.append(data)
             if len(calls) == 2:
                 raise error(message)
-            return dependence_set(block, max_lag)
+            return sine_tau_matrices(data, max_lag)
 
         with pytest.raises(error) as info:
             extract_features(self.make_dataset(n_blocks=3), max_lag=2,
                              dependence_fn=fails_on_block_1)
         assert type(info.value) is error and len(calls) == 2
         assert str(info.value) == f"block 1: {message}"
+
+    @pytest.mark.parametrize("estimator", [sine_tau_matrices, pearson_matrices])
+    def test_flat_blocks_found_before_any_estimate(self, estimator):
+        # 0.1 repeated has an inexact float mean, so its centred values are tiny
+        # but nonzero; the block is still found flat from its samples
+        data = np.random.default_rng(6).standard_cauchy((5, 37, 4))
+        data[2, :, 1] = 0.1
+        ds = MtsDataset(data=data, p=2, q=2, sample_rate_hz=1.0)
+        calls = []
+
+        def counting(block, max_lag):
+            calls.append(block)
+            return estimator(block, max_lag)
+
+        with pytest.raises(DegenerateBlockError, match=r"^block 2: constant channel\(s\): ch1$"):
+            extract_features(ds, max_lag=2, dependence_fn=counting)
+        assert calls == []
+        fs = extract_features(ds, max_lag=2, dependence_fn=counting, skip_degenerate=True)
+        assert len(calls) == 4 and fs.block_indices == (0, 1, 3, 4)
+        assert fs.excluded == ((2, "constant channel(s): ch1"),)
+
+    def test_estimator_result_shape_checked(self):
+        ds = self.make_dataset(n_blocks=3)
+        with pytest.raises(DataError, match=re.escape(
+                "block 0: lags has shape (8, 8), expected (3, 8, 8)")):
+            extract_features(ds, max_lag=2, dependence_fn=lambda data, max_lag: np.eye(8))
+
+    def test_out_of_range_entry_names_its_block(self):
+        calls = []
+
+        def too_large_in_block_1(data, max_lag):
+            calls.append(data)
+            lags = sine_tau_matrices(data, max_lag)
+            if len(calls) == 2:
+                lags[1, 0, 5] = 1.5
+            return lags
+
+        with pytest.raises(DataError, match=re.escape(
+                "block 1: dependence entries outside [-1, 1]")):
+            extract_features(self.make_dataset(n_blocks=3), max_lag=2,
+                             dependence_fn=too_large_in_block_1)
 
     def test_flatline_excluded_with_skip(self):
         ds = self.make_dataset(n_blocks=4, flatline_block=2)
@@ -235,9 +277,9 @@ def dataset_of(n_blocks, p, q, T=32):
 
 
 def serve(deps):
-    """A dependence function that hands out the given sets in call order."""
+    """A dependence function that hands out the given sets' matrices in call order."""
     it = iter(deps)
-    return lambda block, max_lag: next(it)
+    return lambda data, max_lag: next(it).lags.copy()
 
 
 def rows(fs):
@@ -277,25 +319,29 @@ class TestStackedSolve:
 
     def test_degenerate_blocks_skipped_from_the_stack(self):
         deps = mixed_stack(2, 2, 2)
-        flagged = LaggedDependenceSet(p=2, q=2, lags=deps[1].lags, degenerate_channels=(3,))
-        deps = deps[:2] + [flagged] + deps[2:5] + [flagged] + deps[5:]
-        fs = extract_features(dataset_of(len(deps), 2, 2), max_lag=2,
-                              dependence_fn=serve(deps), skip_degenerate=True)
-        assert [i for i, _ in fs.excluded] == [2, 6]
-        kept = [d for i, d in enumerate(deps) if i not in (2, 6)]
-        assert fs.block_indices == tuple(i for i in range(len(deps)) if i not in (2, 6))
-        for feat, dep in zip(rows(fs), kept, strict=True):
+        ds = dataset_of(len(deps) + 2, 2, 2)
+        data = ds.data.copy()
+        data[[2, 6], :, 3] = 0.5  # flat channel Y2 in blocks 2 and 6
+        ds = replace(ds, data=data)
+        fs = extract_features(ds, max_lag=2, dependence_fn=serve(deps), skip_degenerate=True)
+        assert fs.excluded == ((2, "constant channel(s): ch3"), (6, "constant channel(s): ch3"))
+        assert fs.block_indices == tuple(i for i in range(len(deps) + 2) if i not in (2, 6))
+        for feat, dep in zip(rows(fs), deps, strict=True):
             assert_feature_equal(feat, reference_solve_canonical(dep))
         with pytest.raises(DegenerateBlockError, match="block 2: constant channel"):
-            extract_features(dataset_of(len(deps), 2, 2), max_lag=2, dependence_fn=serve(deps))
+            extract_features(ds, max_lag=2, dependence_fn=serve(deps))
 
-    @pytest.mark.parametrize("estimator", [dependence_set, pearson_dependence_set])
+    @pytest.mark.parametrize("estimator", [sine_tau_matrices, pearson_matrices])
     def test_estimated_sets_equal_per_block(self, estimator):
         rng = np.random.default_rng(21)
         ds = MtsDataset(data=rng.standard_cauchy((12, 96, 6)), p=3, q=3, sample_rate_hz=1.0)
         fs = extract_features(ds, max_lag=4, dependence_fn=estimator)
-        for feat, block in zip(rows(fs), ds.blocks, strict=True):
-            assert_feature_equal(feat, reference_solve_canonical(estimator(block, 4)))
+        for feat, data in zip(rows(fs), ds.data, strict=True):
+            lags = estimator(data, 4)
+            lags[0] = (lags[0] + lags[0].T) / 2.0
+            np.fill_diagonal(lags[0], 1.0)
+            dep = LaggedDependenceSet(p=3, q=3, lags=lags)
+            assert_feature_equal(feat, reference_solve_canonical(dep))
 
     def test_leading_value_squared_with_pow(self):
         c = 0.37796883434360806  # libm pow squares it one ULP above c * c

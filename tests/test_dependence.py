@@ -1,19 +1,17 @@
 import math
 import re
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import brute_force_tau, brute_force_tau_numerator, lag_matrix
+from conftest import brute_force_tau, brute_force_tau_numerator, contracted_set, lag_matrix
 
 from fuzzcoh import (
     DataError,
     LaggedDependenceSet,
-    MtsBlock,
-    dependence_set,
     kendall_tau,
     repair_psd,
+    sine_tau_matrices,
     sine_transform,
 )
 from fuzzcoh import dependence
@@ -21,11 +19,7 @@ from fuzzcoh.dependence import concordant_minus_discordant, lagged_tau_matrices
 
 
 def random_block(T=64, channels=4, seed=0):
-    rng = np.random.default_rng(seed)
-    return MtsBlock(
-        data=rng.standard_normal((T, channels)), p=channels // 2,
-        q=channels - channels // 2, sample_rate_hz=128.0,
-    )
+    return np.random.default_rng(seed).standard_normal((T, channels))
 
 
 class TestKendallTau:
@@ -92,20 +86,16 @@ class TestDependenceSet:
     def test_identical_channels_unit_cross(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(64)
-        block = MtsBlock(data=np.column_stack([x, x]), p=1, q=1, sample_rate_hz=1.0)
-        dep = dependence_set(block, max_lag=0)
-        assert dep.lags[0, 0, 1] == pytest.approx(1.0)
+        lags = sine_tau_matrices(np.column_stack([x, x]), max_lag=0)
+        assert lags[0, 0, 1] == pytest.approx(1.0)
 
     def test_exact_lag_relation(self):
         # y(t) = x(t-1): the cross entry peaks at lag +1 where y(t+1) = x(t)
         rng = np.random.default_rng(1)
         x = rng.standard_normal(129)
-        block = MtsBlock(
-            data=np.column_stack([x[1:], x[:-1]]), p=1, q=1, sample_rate_hz=1.0
-        )
-        dep = dependence_set(block, max_lag=2)
-        assert dep.lags[1, 0, 1] == pytest.approx(1.0)
-        assert dep.lags[0, 0, 1] < 0.9
+        lags = sine_tau_matrices(np.column_stack([x[1:], x[:-1]]), max_lag=2)
+        assert lags[1, 0, 1] == pytest.approx(1.0)
+        assert lags[0, 0, 1] < 0.9
 
     def test_white_noise_null_rate(self):
         # per-entry null: |entry| <= 0.15 should hold ~99% of the time at n=384
@@ -113,21 +103,18 @@ class TestDependenceSet:
         trials = 200
         for seed in range(trials):
             rng = np.random.default_rng(seed)
-            block = MtsBlock(
-                data=rng.standard_normal((384, 2)), p=1, q=1, sample_rate_hz=128.0
-            )
-            dep = dependence_set(block, max_lag=0)
-            exceed += abs(dep.lags[0, 0, 1]) > 0.15
+            lags = sine_tau_matrices(rng.standard_normal((384, 2)), max_lag=0)
+            exceed += abs(lags[0, 0, 1]) > 0.15
         assert exceed / trials <= 0.03
 
     def test_vectorized_equals_scalar_exactly(self):
-        block = random_block(T=48, channels=4, seed=7)
-        taus = lagged_tau_matrices(block.data, 3)
+        data = random_block(T=48, channels=4, seed=7)
+        taus = lagged_tau_matrices(data, 3)
         for lag in range(4):
             n = 48 - lag
             for j in range(4):
                 for k in range(4):
-                    expected = kendall_tau(block.data[:n, j], block.data[lag:, k])
+                    expected = kendall_tau(data[:n, j], data[lag:, k])
                     assert taus[lag][j, k] == expected
 
     @pytest.mark.parametrize("rows, cols", [(3, 5), (5, 2)])
@@ -191,45 +178,34 @@ class TestDependenceSet:
             lagged_tau_matrices(data, 0)
 
     def test_monotone_transform_invariance(self):
-        block = random_block(T=96, channels=4, seed=3)
-        dep = dependence_set(block, max_lag=3)
+        data = random_block(T=96, channels=4, seed=3)
+        dep = contracted_set(data, 3, p=2)
         transforms = [np.exp, lambda v: v ** 3, np.arctan, lambda v: 2.5 * v + 7.0]
-        data = block.data.copy()
         for c, fn in enumerate(transforms):
             data[:, c] = fn(data[:, c])
-        dep2 = dependence_set(replace(block, data=data), max_lag=3)
+        dep2 = contracted_set(data, 3, p=2)
         for lag in range(-3, 4):
             np.testing.assert_array_equal(lag_matrix(dep, lag), lag_matrix(dep2, lag))
 
     def test_lag_antisymmetry_bitwise(self):
-        dep = dependence_set(random_block(seed=5), max_lag=4)
+        dep = contracted_set(random_block(seed=5), 4, p=2)
         for lag in range(1, 5):
             np.testing.assert_array_equal(lag_matrix(dep, -lag), dep.lags[lag].T)
 
     def test_unit_diagonal_exact(self):
-        dep = dependence_set(random_block(seed=6), max_lag=2)
+        dep = contracted_set(random_block(seed=6), 2, p=2)
         assert np.all(np.diag(dep.lags[0]) == 1.0)
-
-    def test_constant_channel_flagged_zeroed(self):
-        rng = np.random.default_rng(2)
-        data = rng.standard_normal((64, 3))
-        data[:, 1] = 4.2
-        block = MtsBlock(data=data, p=2, q=1, sample_rate_hz=1.0)
-        dep = dependence_set(block, max_lag=1)
-        assert dep.degenerate_channels == (1,)
-        assert np.all(dep.lags[0, 1, [0, 2]] == 0.0)
-        assert dep.lags[0, 1, 1] == 1.0
-        assert np.all(dep.lags[1, 1, :] == 0.0)
 
     @pytest.mark.parametrize("lags", [np.eye(4), np.stack([np.eye(3)] * 2)])
     def test_lags_shape_checked(self, lags):
         with pytest.raises(DataError, match=re.escape("expected (L+1, 4, 4)")):
             LaggedDependenceSet(p=2, q=2, lags=lags)
 
-    def test_too_short_block(self):
-        block = random_block(T=10, channels=2)
-        with pytest.raises(DataError, match="too short"):
-            dependence_set(block, max_lag=5)
+    def test_tile_buffers_cache_line_aligned(self):
+        for n in (1, 5, 16, 17, 100003):
+            buf = dependence._aligned_f32(n)
+            assert buf.dtype == np.float32 and buf.shape == (n,)
+            assert buf.ctypes.data % 64 == 0
 
 
 class TestRepairPsd:

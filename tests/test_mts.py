@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fuzzcoh import (BandSpec, ConfigError, DataError, FuzzyPartition, LaggedDependenceSet, MtsBlock,
+from fuzzcoh import (BandSpec, ConfigError, DataError, FuzzyPartition, LaggedDependenceSet,
                      MtsDataset, RegionMap, SimConfig, design_bandpass, load_csv, save_csv,
                      select_regions)
 from fuzzcoh.mts import _read_table, format_float, segment_rows
@@ -17,19 +17,6 @@ def write_csv(path, header, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(str(v) for v in row) + "\n")
-
-
-def test_block_validation():
-    data = np.zeros((10, 3))
-    block = MtsBlock(data=data, p=2, q=1, sample_rate_hz=128.0)
-    assert block.n_samples == 10
-    assert block.n_channels == 3
-    with pytest.raises(DataError):
-        MtsBlock(data=data, p=2, q=2, sample_rate_hz=128.0)
-    with pytest.raises(DataError):
-        MtsBlock(data=np.full((10, 3), np.nan), p=2, q=1, sample_rate_hz=128.0)
-    with pytest.raises(DataError):
-        MtsBlock(data=data[:1], p=2, q=1, sample_rate_hz=128.0)
 
 
 def _partition(memberships=None, centers=None):
@@ -44,7 +31,8 @@ _BETA = BandSpec("Beta", 12.0, 30.0, 128.0)
 # (array passed in, object built from it, the array the object stores)
 FROZEN_ARRAYS = {
     "MtsBlock.data": (lambda: np.zeros((5, 2)),
-                      lambda a: MtsBlock(data=a, p=1, q=1, sample_rate_hz=1.0).data),
+                      lambda a: MtsDataset(data=a[None], p=1, q=1,
+                                           sample_rate_hz=1.0).blocks[0].data),
     "MtsDataset.data": (lambda: np.zeros((2, 10, 2)),
                         lambda a: MtsDataset(data=a, p=1, q=1, sample_rate_hz=1.0).data),
     "LaggedDependenceSet.lags": (lambda: np.stack([np.eye(2)] * 2),
@@ -77,16 +65,25 @@ def test_block_data_is_readonly(stored):
     ((2, 10, 3), {}, "block has 3 channels but p+q=2"),
     ((2, 10, 2), {"labels": (0, 1, 1)}, "3 labels for 2 blocks"),
     ((2, 10, 2), {"channel_names": ("a",)}, "channel_names has 1 entries, expected 2"),
+    ((2, 10, 2), {"p": 0}, "need p >= 1 and q >= 1, got p=0, q=1"),
+    ((2, 1, 2), {}, "block needs at least 2 samples, got 1"),
+    ((3, 10, 2), {"nan_at": (1, 7, 1)}, "non-finite value at block 1, sample 7, channel 1"),
+    ((2, 10, 2), {"sample_rate_hz": 0.0}, "sample_rate_hz must be positive, got 0.0"),
 ])
 def test_dataset_validation(shape, extra, match):
+    data, extra = np.zeros(shape), dict(extra)
+    if "nan_at" in extra:
+        data[extra.pop("nan_at")] = np.nan
+        data[2, 0, 0] = np.inf  # only the first non-finite value is named
     with pytest.raises(DataError, match=re.escape(match)):
-        MtsDataset(data=np.zeros(shape), p=1, q=1, sample_rate_hz=1.0, **extra)
+        MtsDataset(**{"data": data, "p": 1, "q": 1, "sample_rate_hz": 1.0, **extra})
 
 
 def test_dataset_defaults():
     ds = MtsDataset(data=np.zeros((2, 10, 2)), p=1, q=1, sample_rate_hz=1.0, labels=(None, None))
     assert ds.labels is None and ds.channel_names == ("ch0", "ch1")
     assert (ds.n_blocks, ds.n_samples) == (2, 10) and not ds.data.flags.writeable
+    assert [(b.n_samples, b.n_channels) for b in ds.blocks] == [(10, 2), (10, 2)]
 
 
 def test_minimal_csv(tmp_path):

@@ -9,13 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import lag_matrix, tree_digest
+from conftest import contracted_set, lag_matrix, tree_digest
 
 from fuzzcoh import (ConfigError, MtsDataset, PipelineConfig, clustering, fcm_fit, pipeline,
                      reproduce_sim, run_pipeline, save_csv)
 from fuzzcoh.bands import default_band
 from fuzzcoh.cli import main
-from fuzzcoh.dependence import dependence_set
+from fuzzcoh.dependence import sine_tau_matrices
 from fuzzcoh.pipeline import (
     DEPENDENCE_FNS,
     load_input,
@@ -303,9 +303,9 @@ class TestRunPipeline:
         )
         calls = []
 
-        def counting(block, max_lag):
-            calls.append(block)
-            return dependence_set(block, max_lag)
+        def counting(data, max_lag):
+            calls.append(data)
+            return sine_tau_matrices(data, max_lag)
 
         monkeypatch.setitem(DEPENDENCE_FNS, "kendall", counting)
         run_pipeline(cfg)
@@ -314,13 +314,13 @@ class TestRunPipeline:
         dump = json.loads(path.read_text())
         assert len(dump) == 3
         assert set(dump[0]["matrices"]) == {"-2", "-1", "0", "1", "2"}
-        # same bytes as dumping a fresh dependence set of every block
+        # same bytes as dumping every block's freshly estimated, contracted matrices
         fresh = []
-        for i, block in enumerate(load_input(cfg).blocks):
-            dep = dependence_set(block, 2)
+        for i, data in enumerate(load_input(cfg).data):
+            dep = contracted_set(data, 2, p=4)
             fresh.append({"block": i, "max_lag": 2,
                           "matrices": {str(l): lag_matrix(dep, l).tolist() for l in range(-2, 3)},
-                          "degenerate_channels": list(dep.degenerate_channels)})
+                          "degenerate_channels": []})
         write_json(tmp_path / "fresh.json", fresh)
         assert path.read_bytes() == (tmp_path / "fresh.json").read_bytes()
 

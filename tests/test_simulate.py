@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from scipy import signal
 
-from fuzzcoh import ConfigError, SimConfig, contaminate, gen_ar2, gen_block, gen_dataset, save_csv
+from fuzzcoh import ConfigError, SimConfig, contaminate, gen_ar2, gen_dataset, save_csv
 from fuzzcoh.dependence import kendall_tau
 from fuzzcoh.mts import write_json
 from fuzzcoh.simulate import (
+    _gen_blocks,
     apportion,
     ar2_coefficients,
     default_mixing,
@@ -115,10 +116,15 @@ class TestMixing:
         assert a0.shape == (8, 5) and a1.shape == (8, 5)
 
 
+def block_of_kind(config, kind, seed_key):
+    """One block's (T, m) samples of the given kind, drawn from the stream of ``seed_key``."""
+    return _gen_blocks(config, [kind], [seed_key]).data[0]
+
+
 class TestGenBlock:
     def test_pure_block_exact_reconstruction(self):
         cfg = SimConfig(seed=9, n_blocks=4, block_length=96)
-        block = gen_block(cfg, 0, (9, 7, 0))
+        block = block_of_kind(cfg, 0, (9, 7, 0))
         # replay the stream: latents first, then the noise draw
         from fuzzcoh.simulate import _mixing_for
 
@@ -129,14 +135,14 @@ class TestGenBlock:
             for f in cfg.target_freqs
         ])
         clean = latents @ a0.T
-        noise = block.data - clean
+        noise = block - clean
         np.testing.assert_allclose(noise, rng.standard_normal(noise.shape), atol=1e-12)
 
     def test_determinism(self):
         cfg = SimConfig(seed=1, n_blocks=2, block_length=64)
-        a = gen_block(cfg, 2, (1, 7, 0))
-        b = gen_block(cfg, 2, (1, 7, 0))
-        np.testing.assert_array_equal(a.data, b.data)
+        a = block_of_kind(cfg, 2, (1, 7, 0))
+        b = block_of_kind(cfg, 2, (1, 7, 0))
+        np.testing.assert_array_equal(a, b)
 
     def test_fuzzy_occupancy_in_range(self):
         cfg = SimConfig(seed=3, n_blocks=2, block_length=384)
@@ -151,14 +157,9 @@ class TestGenBlock:
         cfg = SimConfig(seed=4, n_blocks=2, block_length=384, noise_family="student_t1")
         hits = 0
         for b in range(20):
-            block = gen_block(cfg, 0, (4, 7, b))
-            hits += np.abs(block.data).max() > 50.0
+            block = block_of_kind(cfg, 0, (4, 7, b))
+            hits += np.abs(block).max() > 50.0
         assert hits >= 18  # heavy tails: extreme values in nearly every block
-
-    def test_bad_kind(self):
-        cfg = SimConfig(seed=0, n_blocks=1, block_length=64)
-        with pytest.raises(ConfigError):
-            gen_block(cfg, 3, (0, 7, 0))
 
     def test_mixing_shape_validation(self):
         with pytest.raises(ConfigError, match="shape"):
