@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import math
 import numbers
+import re
 import typing
 import warnings
-from array import array
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -171,14 +172,6 @@ class RegionMap:
 # file formats: every CSV and JSON file of the package is read and written here
 # ---------------------------------------------------------------------------
 
-def format_float(v: float) -> str:
-    """Canonical decimal formatting: shortest round-trip repr of a float.
-
-    Guarantees load -> save -> load reproduces float64 values bit for bit.
-    """
-    return repr(float(v))
-
-
 def _jsonable(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
@@ -283,15 +276,13 @@ class JsonConfig:
 def write_table(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """A header line, then one CSV line per row.
 
-    Floats are written by ``format_float`` and None as an empty cell.
+    ``csv`` writes a float (``np.float64`` too) as its shortest round-trip repr,
+    so a reload is bit-identical, and None as an empty cell.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(
-            ["" if v is None else format_float(v) if isinstance(v, float) else v for v in row]
-            for row in rows
-        )
+        writer.writerows(rows)
 
 
 def _open_csv(path):
@@ -313,17 +304,37 @@ def read_header(path) -> list[str]:
         return _header(csv.reader(fh), path)
 
 
-def _parse_cell(text: str, path, row: int, col: int, block_id: bool) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise DataError(f"{path}: non-numeric cell at row {row}, column {col}: {text!r}") from None
-    if not math.isfinite(v):
-        raise DataError(f"{path}: non-finite value at row {row}, column {col}: {text!r}")
-    if block_id and not (v.is_integer() and v >= 0):
-        raise DataError(f"{path}: bad block id at row {row}, column {col}: {text!r} "
-                        "(need an integer >= 0)")
-    return v
+def _file_row(path, k: int) -> int:
+    """The row number (from 1, after the header, blank lines counted) of body line ``k``.
+
+    ``k`` counts non-blank body lines from 0, as numpy's parser does.
+    """
+    with open(path, encoding="utf-8") as fh:
+        next(fh)
+        filled = (r for r, line in enumerate(fh, start=1) if line != "\n")
+        return next(itertools.islice(filled, k, None))
+
+
+def _width_error(path, k: int, width: int, got: int) -> DataError:
+    return DataError(f"{path}: row {_file_row(path, k)}: expected {width} cells, got {got}")
+
+
+def _body_error(path, exc: ValueError, width: int) -> DataError:
+    """The ``DataError`` for numpy's error on a non-numeric cell or a ragged row.
+
+    numpy counts rows among non-blank lines (from 0 for a cell, from 1 for
+    a row) and columns from 1.
+    """
+    msg = str(exc)
+    if cell := re.fullmatch(r"could not convert string (.*) to float64 at row (\d+), column (\d+)\.",
+                            msg):
+        text, k, c = cell.groups()  # numpy quotes the cell as repr() does
+        return DataError(f"{path}: non-numeric cell at row {_file_row(path, int(k))}, "
+                         f"column {int(c) - 1}: {text}")
+    if ragged := re.match(r"the number of columns changed from \d+ to (\d+) at row (\d+);", msg):
+        got, r = map(int, ragged.groups())
+        return _width_error(path, r - 1, width, got)
+    raise exc
 
 
 def _read_table(path, skip: Sequence[str] = (), block_ids: Sequence[str] = ()):
@@ -332,24 +343,39 @@ def _read_table(path, skip: Sequence[str] = (), block_ids: Sequence[str] = ()):
     Columns named in ``skip`` are neither parsed nor returned; those in
     ``block_ids`` must hold integers >= 0.  A ragged row, a non-numeric
     or non-finite cell, a bad block id, or an empty body raises a
-    ``DataError`` naming the row (from 1, after the header) and column
-    (from 0).  The body is parsed into one flat float64 buffer.
+    ``DataError`` naming the first such row (from 1, after the header,
+    blank lines counted) and column (from 0).  numpy's C parser reads the
+    body into one float64 array; blank lines are skipped.
     """
-    values, n_rows = array("d"), 0
-    with _open_csv(path) as fh:
-        reader = csv.reader(fh)
-        header = _header(reader, path)
-        cols = [(c, h in block_ids) for c, h in enumerate(header) if h not in skip]
-        for r, line in enumerate(reader, start=1):
-            if not line:
-                continue
-            if len(line) != len(header):
-                raise DataError(f"{path}: row {r}: expected {len(header)} cells, got {len(line)}")
-            values.extend(_parse_cell(line[c], path, r, c, is_id) for c, is_id in cols)
-            n_rows += 1
-    if not n_rows:
-        raise DataError(f"{path}: no data rows")
-    return [header[c] for c, _ in cols], np.frombuffer(values).reshape(n_rows, len(cols))
+    header = read_header(path)
+    cols = [c for c, h in enumerate(header) if h not in skip]
+    body = dict(delimiter=",", quotechar='"', comments=None, encoding="utf-8", skiprows=1, ndmin=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # numpy's notes on blank lines and no data
+        first = np.loadtxt(path, dtype=str, max_rows=1, **body)
+        if not first.size:
+            raise DataError(f"{path}: no data rows")
+        if first.shape[1] != len(header):  # numpy checks every other row against this one
+            raise _width_error(path, 0, len(header), first.shape[1])
+        try:  # a skipped cell is not parsed
+            values = np.loadtxt(path, converters={c: lambda _: 0.0 for c, h in enumerate(header)
+                                                  if h in skip}, **body)
+        except ValueError as exc:
+            raise _body_error(path, exc, len(header)) from None
+    if len(cols) < len(header):
+        values = values[:, cols]
+    ok = np.isfinite(values)
+    for j, c in enumerate(cols):
+        if header[c] in block_ids:
+            ok[:, j] &= (values[:, j] >= 0) & (values[:, j] == np.floor(values[:, j]))
+    if not ok.all():
+        i, j = np.unravel_index(ok.argmin(), ok.shape)
+        v = float(values[i, j])
+        at = f"at row {_file_row(path, int(i))}, column {cols[j]}: {v!r}"
+        if not math.isfinite(v):
+            raise DataError(f"{path}: non-finite value {at}")
+        raise DataError(f"{path}: bad block id {at} (need an integer >= 0)")
+    return [header[c] for c in cols], values
 
 
 def read_block_table(path, prefix: str) -> tuple[np.ndarray, list[int]]:
@@ -442,7 +468,8 @@ def save_csv(dataset: MtsDataset, path, metadata_path=None) -> None:
     bit-identical float64 data.  When ``metadata_path`` is given, block
     length and labels are written there as JSON.
     """
-    write_table(path, dataset.channel_names, dataset.data.reshape(-1, dataset.data.shape[2]))
+    rows = dataset.data.reshape(-1, dataset.data.shape[2])
+    write_table(path, dataset.channel_names, (row.tolist() for row in rows))
     if metadata_path is not None:
         meta = {"block_length": dataset.n_samples, "sample_rate_hz": dataset.sample_rate_hz}
         if dataset.labels is not None:

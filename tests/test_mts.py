@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from fuzzcoh import (BandSpec, ConfigError, DataError, FuzzyPartition, LaggedDependenceSet,
                      MtsDataset, RegionMap, SimConfig, design_bandpass, load_csv, save_csv,
                      select_regions)
-from fuzzcoh.mts import _read_table, format_float, segment_rows
+from fuzzcoh.mts import _read_table, segment_rows, write_table
 
 
 def write_csv(path, header, rows):
@@ -194,9 +195,70 @@ def test_round_trip_bit_identical(tmp_path):
     assert out2.read_bytes() == save0
 
 
-def test_format_float_shortest_roundtrip():
-    for v in [0.1, 1.0, -3.5e-17, 123456.789, 2.0 ** -52]:
-        assert float(format_float(v)) == v
+def test_write_table_round_trip_bit_exact(tmp_path):
+    edge = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+            -1.7976931348623157e308, 1e16, 1e-300, 1e300, 0.1, 2.0 ** -52, -3.5e-17, 123456.789]
+    data = np.random.default_rng(4).standard_normal((300, 8))
+    data.flat[:len(edge)] = edge
+    path = tmp_path / "t.csv"
+    write_table(path, [f"ch{i}" for i in range(8)], (row.tolist() for row in data))
+    header, values = _read_table(path)
+    assert header == [f"ch{i}" for i in range(8)]
+    np.testing.assert_array_equal(values.view(np.int64), data.view(np.int64))  # -0.0 kept
+    write_table(path, ["id", "band", "a", "b", "c", "d"],
+                [[3, "raw", None, np.float64(0.1), 1e16, -0.0], [np.int64(4), "", 2, 5e-324, 1.5, 7]])
+    assert path.read_bytes() == b"id,band,a,b,c,d\r\n3,raw,,0.1,1e+16,-0.0\r\n4,,2,5e-324,1.5,7\r\n"
+
+
+# a CSV file and what _read_table makes of it under features.csv's rules (band
+# skipped, block_id an integer >= 0): the values, or the DataError text after the path
+INPUT_RULES = {
+    "quoted numbers": ('a,b\n"1.5","2"\n3,4\n', [[1.5, 2.0], [3.0, 4.0]]),
+    "spaces around a number": ("a,b\n 1.5 , 2\n3,4\t\n", [[1.5, 2.0], [3.0, 4.0]]),
+    "CRLF line endings": ("a,b\r\n1,2\r\n\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+    "UTF-8 BOM": ("\ufeffa,b\n1,2\n", [[1.0, 2.0]]),
+    "quoted text cell with a comma": ('block_id,band,d_1\n0,"a,b",0.5\n', [[0.0, 0.5]]),
+    "comment line": ("a,b\n1,2\n# note\n3,4\n", "row 2: expected 2 cells, got 1"),
+    "comment line first": ("a,b\n# note\n1,2\n", "row 1: expected 2 cells, got 1"),
+    "long row": ("a,b\n1,2\n3,4,5\n", "row 2: expected 2 cells, got 3"),
+    "short row": ("a,b\n1,2\n\n3\n", "row 3: expected 2 cells, got 1"),
+    "long first row": ("a,b\n1,2,3\n4,5\n", "row 1: expected 2 cells, got 3"),
+    "long features row": ("block_id,band,d_1\n0,raw,0.5\n1,raw,0.5,0.7\n",
+                          "row 2: expected 3 cells, got 4"),
+    "short features row": ("block_id,band,d_1\n0,raw,0.5\n1,raw\n",
+                           "row 2: expected 3 cells, got 2"),
+    "features rows without the text cell": ("block_id,band,d_1\n0\n1\n",
+                                            "row 1: expected 3 cells, got 1"),
+    "every row one cell short": ("a,b,c\n1,2\n3,4\n", "row 1: expected 3 cells, got 2"),
+    "every row one cell short after a blank": ("a,b\n\n1\n2\n", "row 2: expected 2 cells, got 1"),
+    "header only": ("a,b\n", "no data rows"),
+    "header and blank lines": ("a,b\n\n\n", "no data rows"),
+    "digit separator": ("a,b\n1_000,2\n", "non-numeric cell at row 1, column 0: '1_000'"),
+    "bad cell after blanks": ("a,b\n1,2\n\n\n3,oops\n", "non-numeric cell at row 4, column 1: 'oops'"),
+    "empty cell": ("a,b\n1,2\n,4\n", "non-numeric cell at row 2, column 0: ''"),
+    "nan after blanks": ("a,b\n\n1,2\n\n3,nan\n", "non-finite value at row 4, column 1"),
+    "inf after blanks": ("a,b\r\n\r\n-inf,2\r\n", "non-finite value at row 2, column 0"),
+    "bad block id after blanks": ("block_id,band,d_1\n0,raw,0.5\n\n1.5,raw,0.5\n",
+                                  "bad block id at row 3, column 0"),
+    "first bad cell wins": ("block_id,e_1\n0,0.5\n-1,inf\n2,nan\n",
+                            "bad block id at row 2, column 0"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_RULES)
+def test_csv_input_rules(tmp_path, case):
+    text, expected = INPUT_RULES[case]
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's "input contained no data" must not escape
+        if isinstance(expected, str):
+            with pytest.raises(DataError) as err:
+                _read_table(path, skip=("band",), block_ids=("block_id",))
+            assert str(err.value).startswith(f"{path}: {expected}"), str(err.value)
+        else:
+            np.testing.assert_array_equal(
+                _read_table(path, skip=("band",), block_ids=("block_id",))[1], expected)
 
 
 def test_metadata_sidecar_labels(tmp_path):
