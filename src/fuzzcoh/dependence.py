@@ -11,10 +11,11 @@ is applied once to every block's stack, in ``canonical.extract_features``.
 One exact kernel serves block matrices and scalar ``kendall_tau``: it
 sums sign products over pairs s < t in fixed-size tiles, with O(m^2 L T^2)
 work for m channels, max lag L and T samples, and a working set fixed by
-the tile shape and m, not by T.  Ranks are stored channel-major (m, T)
-and each sign tile as (m, rows, cols), so a channel's signs come from
-one contiguous subtraction and each lag is one GEMM over the channels'
-flat (m, rows * cols) sign planes.
+the tile shape and m, not by T.  Tiles cover the pair plane in the
+coordinates (s, d = t - s).  A tile's signs sign(r[s + d] - r[s]) are laid
+out (m, rows, cols), one contiguous plane per channel, so lag l pairs row
+s with row s + l of the same column: each lag is one GEMM over the
+channels' flat sign planes, the head against the tail l whole rows on.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import DataError, NumericError
 from .mts import _readonly
@@ -41,15 +43,16 @@ __all__ = [
 # exact tiled Kendall kernel, O(m^2 L T^2) work, O(m * tile) memory
 # ---------------------------------------------------------------------------
 
-# A tile pairs TILE_ROWS first indices s with TILE_COLS second indices t;
-# its float32 sums are integers below TILE_ROWS * TILE_COLS < 2**24, hence
-# exact, and the float64 accumulator is exact below 2**53.  A tile is laid
-# out (m, rows, cols): each channel's sign plane is one run of cols-long
-# contiguous rows, and a lag's GEMM reads m contiguous rows of about 12k
-# float32 per operand (an NT product), not 12k rows of m.  At 32 x 384,
-# m = 8 and max lag 5, the sign and head buffers take 0.9 MB together.
-TILE_ROWS = 32
-TILE_COLS = 384
+# A tile covers TILE_ROWS first indices s by TILE_COLS gaps d = t - s; its
+# sign buffer holds max_lag more rows of s for the lag tails.  A GEMM's
+# depth is at most TILE_ROWS * TILE_COLS < 2**24, so its float32 sums are
+# integers, hence exact, and the float64 accumulator is exact below 2**53.
+# OpenBLAS uses its small-matrix sgemm only while M * N * K <= 10**6 (at
+# m = 8 a depth of 15,626 ran 4x slower than one of 15,625), so m >= 10
+# channels take fewer rows: 52 at m = 10, 20 at m = 16.  At 56 x 192, m = 8
+# and max lag 5, the sign and head buffers take 0.7 MB together.
+TILE_ROWS = 56
+TILE_COLS = 192
 
 
 def _aligned_f32(n: int) -> np.ndarray:
@@ -65,9 +68,10 @@ def _concordance_sums(data: np.ndarray, max_lag: int) -> np.ndarray:
 
     Entry [l, j, k] sums sign(data[t, j] - data[s, j]) *
     sign(data[t + l, k] - data[s + l, k]) over 0 <= s < t < T - l, i.e.
-    #concordant - #discordant of (data[:T-l, j], data[l:, k]).  Signs are
-    computed once per tile over rows [a, b + L) x cols [c, d + L); lag l
-    pairs the head [0:hb, 0:hw] with the tail shifted by l on both axes.
+    #concordant - #discordant of (data[:T-l, j], data[l:, k]).  A tile with
+    cells past t = s + d = T - 1 zeroes them with a slice of one anti-triangular
+    0/1 mask, for every lag at once: lag l pairs cell (s, d) with (s + l, d),
+    which is out of range whenever the pair is, and then 0.
     """
     T, m = data.shape
     if T >= 2**24:
@@ -80,34 +84,36 @@ def _concordance_sums(data: np.ndarray, max_lag: int) -> np.ndarray:
     ordered = np.take_along_axis(data.T, order, axis=1)
     steps = np.zeros((m, T), dtype=np.float32)
     np.not_equal(ordered[:, 1:], ordered[:, :-1], out=steps[:, 1:])
-    ranks = np.empty_like(steps)
-    np.put_along_axis(ranks, order, np.cumsum(steps, axis=1, out=steps), axis=1)
+    rows, cols = max(1, min(TILE_ROWS, 10**6 // (m * m * TILE_COLS))), TILE_COLS
+    pad = np.zeros((m, T + rows + max_lag + cols), dtype=np.float32)  # the ranks, then zeros
+    np.put_along_axis(pad[:, :T], order, np.cumsum(steps, axis=1, out=steps), axis=1)
+    windows = sliding_window_view(pad, cols, axis=1)  # [c, x, j] = pad[c, x + j]
+    edge = rows + max_lag + cols  # mask[x, j] = 1 iff x + j <= edge
+    mask = sliding_window_view((np.arange(2 * edge) <= edge).astype(np.float32), cols)
     acc = np.zeros((max_lag + 1, m, m))
-    tile = (TILE_ROWS + max_lag) * (TILE_COLS + max_lag) * m
-    sign_buf, head_buf = _aligned_f32(tile), _aligned_f32(tile)
-    for a in range(0, T - 1, TILE_ROWS):
-        b = min(a + TILE_ROWS, T)
-        rows = ranks[:, a : min(b + max_lag, T), None]
-        for c in range(a + 1, T, TILE_COLS):
-            d = min(c + TILE_COLS, T)
-            cols = ranks[:, None, c : min(d + max_lag, T)]
-            nr, nc = rows.shape[1], cols.shape[2]
-            signs = sign_buf[: m * nr * nc].reshape(m, nr, nc)
-            np.clip(np.subtract(cols, rows, out=signs), -1.0, 1.0, out=signs)
-            head = head_buf[: m * (b - a) * nc].reshape(m, b - a, nc)
-            np.copyto(head, signs[:, : b - a])
-            if c < b:  # the tile meets the diagonal: drop pairs with t <= s
-                nd = min(nc, b - c)
-                head[:, :, :nd][:, np.arange(c, c + nd) <= np.arange(a, b)[:, None]] = 0.0
-            for lag in range(max_lag + 1):
-                hb, hw = min(b, T - lag) - a, min(d, T - lag) - c
-                if hb <= 0 or hw <= 0:
-                    break
-                # In a channel's flat plane the tail is the head offset by lag * (nc + 1);
-                # it wraps into the next row past column hw, where the head is zeroed.
-                head[:, :, hw:] = 0.0
-                k, off = hb * nc - lag, lag * (nc + 1)
-                acc[lag] += head.reshape(m, -1)[:, :k] @ signs.reshape(m, -1)[:, off : off + k].T
+    sign_buf, head_buf = _aligned_f32(m * (rows + max_lag) * cols), _aligned_f32(m * rows * cols)
+    for a in range(0, T - 1, rows):
+        hb = min(rows, T - 1 - a)
+        nr = hb + max_lag
+        for d0 in range(1, T - a, cols):
+            # cell (i, j) is the pair s = a + i, t = s + d0 + j, in range iff i + j <= e
+            w, e = min(cols, T - a - d0), T - 1 - a - d0
+            signs = sign_buf[: m * nr * w].reshape(m, nr, w)
+            np.subtract(windows[:, a + d0 : a + d0 + nr, :w], pad[:, a : a + nr, None], out=signs)
+            np.clip(signs, -1.0, 1.0, out=signs)
+            if e < nr + w - 2:  # the tile crosses t = T - 1
+                signs *= mask[edge - e : edge - e + nr, :w]
+            flat = signs.reshape(m, -1)
+            for lag in range(min(max_lag, e) + 1):
+                k = min(hb, e - lag + 1) * w  # the rows with a pair in range
+                # Lag 0 reads a copy of the head: given one pointer twice, numpy
+                # calls ssyrk, 49 us against sgemm's 11 us at 8 x 10,752.
+                if lag == 0:
+                    head = head_buf[: m * k].reshape(m, k)
+                    head[...] = flat[:, :k]
+                else:
+                    head = flat[:, :k]
+                acc[lag] += head @ flat[:, lag * w : lag * w + k].T
     return acc
 
 

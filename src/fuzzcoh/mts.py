@@ -305,13 +305,15 @@ def read_header(path) -> list[str]:
 
 
 def _file_row(path, k: int) -> int:
-    """The row number (from 1, after the header, blank lines counted) of body line ``k``.
+    """The row number (from 1, after the header, blank lines counted) of body record ``k``.
 
-    ``k`` counts non-blank body lines from 0, as numpy's parser does.
+    ``k`` counts non-blank records from 0, as numpy's parser does: a quoted
+    cell that spans lines is one record.
     """
-    with open(path, encoding="utf-8") as fh:
-        next(fh)
-        filled = (r for r, line in enumerate(fh, start=1) if line != "\n")
+    with _open_csv(path) as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        filled = (r for r, record in enumerate(reader, start=1) if record)
         return next(itertools.islice(filled, k, None))
 
 

@@ -117,48 +117,56 @@ class TestDependenceSet:
                     expected = kendall_tau(data[:n, j], data[lag:, k])
                     assert taus[lag][j, k] == expected
 
-    @pytest.mark.parametrize("rows, cols", [(3, 5), (5, 2)])
-    def test_tiled_kernel_matches_oracle_across_tile_edges(self, monkeypatch, rows, cols):
-        # small tiles make short series cross many strip, tile and diagonal edges
-        monkeypatch.setattr(dependence, "TILE_ROWS", rows)
-        monkeypatch.setattr(dependence, "TILE_COLS", cols)
-        rng = np.random.default_rng(rows * 10 + cols)
-        for T in sorted({2, rows, rows + 1, max(2, cols - 1), cols + 1, rows + cols,
-                         4 * (rows + cols) + 1}):
-            data = np.column_stack([
-                rng.standard_normal(T),
-                rng.integers(0, 3, T).astype(float),  # heavy ties
-                np.round(2 * rng.standard_normal(T)),
-                np.full(T, 0.5),  # constant channel
-            ])
-            max_lag = min(7, T - 2)  # exceeds cols for the longer series
-            taus = lagged_tau_matrices(data, max_lag)
-            for lag in range(max_lag + 1):
-                n = T - lag
-                for j in range(4):
-                    for k in range(4):
-                        expected = (brute_force_tau_numerator(data[:n, j], data[lag:, k])
-                                    / (n * (n - 1) // 2))
-                        assert taus[lag][j, k] == expected, (T, lag, j, k)
-
-    def test_tiled_kernel_matches_oracle_at_production_tiles(self):
-        # unpatched tiles: three column tiles per early row strip, the last one
-        # partial, and lag tails past every tile edge and past the end
-        T, max_lag = 2 * dependence.TILE_COLS + 7, 5
-        rng = np.random.default_rng(775)
-        data = np.column_stack([
+    @staticmethod
+    def tied_block(T, rng):
+        return np.column_stack([
             rng.standard_normal(T),
             rng.integers(0, 3, T).astype(float),  # heavy ties
             np.round(2 * rng.standard_normal(T)),
             np.full(T, 0.5),  # constant channel
         ])
+
+    def assert_sums_match_oracle(self, data, max_lag):
+        T, m = data.shape
         sums = dependence._concordance_sums(data, max_lag)
         for lag in range(max_lag + 1):
             n = T - lag
-            for j in range(4):
-                for k in range(4):
+            for j in range(m):
+                for k in range(m):
                     expected = brute_force_tau_numerator(data[:n, j], data[lag:, k])
-                    assert sums[lag, j, k] == expected, (lag, j, k)
+                    assert sums[lag, j, k] == expected, (T, lag, j, k)
+
+    @pytest.mark.parametrize("rows, cols", [(3, 5), (5, 2), (2, 7)])
+    def test_tiled_kernel_matches_oracle_across_tile_edges(self, monkeypatch, rows, cols):
+        # small tiles make short series cross many strip and tile edges and t = T - 1;
+        # T = 3 * rows + 2 ends on a strip of one row, the longer series have several
+        # d-tiles per strip and a max lag past TILE_ROWS
+        monkeypatch.setattr(dependence, "TILE_ROWS", rows)
+        monkeypatch.setattr(dependence, "TILE_COLS", cols)
+        rng = np.random.default_rng(rows * 10 + cols)
+        for T in sorted({2, rows, rows + 1, 3 * rows + 2, max(2, cols - 1), cols + 1,
+                         rows + cols, 4 * (rows + cols) + 1}):
+            self.assert_sums_match_oracle(self.tied_block(T, rng), min(rows + 4, T - 2))
+
+    def test_tiled_kernel_matches_oracle_at_production_tiles(self):
+        # unpatched tiles: T - 1 gaps d make three d-tiles in the early row strips, the
+        # last one 6 columns wide, and lag tails run past strip edges and past t = T - 1
+        T = 2 * dependence.TILE_COLS + 7
+        self.assert_sums_match_oracle(self.tied_block(T, np.random.default_rng(775)), 5)
+
+    def test_tiled_kernel_matches_oracle_with_many_channels(self):
+        # 11 channels take fewer production tile rows (43) than 8 do
+        T, rng = dependence.TILE_COLS + 60, np.random.default_rng(777)
+        data = np.column_stack([self.tied_block(T, rng), rng.standard_normal((T, 4)),
+                                rng.integers(0, 4, (T, 3)).astype(float)])
+        self.assert_sums_match_oracle(data, 3)
+
+    def test_tiled_kernel_matches_oracle_at_the_largest_lag(self):
+        # max_lag = T - MIN_ALIGNED, the largest lag a block may have: the sign
+        # buffer holds far more tail rows than head rows
+        T = dependence.TILE_ROWS + dependence.TILE_COLS + 3
+        data = self.tied_block(T, np.random.default_rng(776))[:, :3]
+        self.assert_sums_match_oracle(data, T - dependence.MIN_ALIGNED)
 
     def test_kernel_memory_does_not_grow_with_block_length(self):
         # the full (m, T, T) sign tensor would need 1 GiB here
@@ -200,6 +208,22 @@ class TestDependenceSet:
     def test_lags_shape_checked(self, lags):
         with pytest.raises(DataError, match=re.escape("expected (L+1, 4, 4)")):
             LaggedDependenceSet(p=2, q=2, lags=lags)
+
+    def test_tile_buffers_come_from_the_aligned_allocator(self, monkeypatch):
+        made, aligned = [], dependence._aligned_f32
+
+        def spy(n):
+            made.append(n)
+            return aligned(n)
+
+        monkeypatch.setattr(dependence, "_aligned_f32", spy)
+        for m in (3, 8, 12):
+            made.clear()
+            dependence._concordance_sums(random_block(T=300, channels=m, seed=9), 4)
+            assert len(made) == 2  # the sign buffer and the lag-0 head copy
+            # the head copy spans the deepest GEMM: m * m * depth stays within
+            # OpenBLAS's small-matrix sgemm
+            assert m * made[1] <= 10**6
 
     def test_tile_buffers_cache_line_aligned(self):
         for n in (1, 5, 16, 17, 100003):

@@ -235,6 +235,11 @@ INPUT_RULES = {
     "header and blank lines": ("a,b\n\n\n", "no data rows"),
     "digit separator": ("a,b\n1_000,2\n", "non-numeric cell at row 1, column 0: '1_000'"),
     "bad cell after blanks": ("a,b\n1,2\n\n\n3,oops\n", "non-numeric cell at row 4, column 1: 'oops'"),
+    "bad cell after a quoted line break": ('a,b\n"1\n",2\n\n3,x\n',
+                                           "non-numeric cell at row 3, column 1: 'x'"),
+    "long row after a quoted line break": ('a,b\n"1\n\n",2\n3,4,5\n', "row 2: expected 2 cells, got 3"),
+    "nan after a quoted line break": ('a,b\n1,"2\r\n"\r\n\r\n3,nan\r\n',
+                                      "non-finite value at row 3, column 1"),
     "empty cell": ("a,b\n1,2\n,4\n", "non-numeric cell at row 2, column 0: ''"),
     "nan after blanks": ("a,b\n\n1,2\n\n3,nan\n", "non-finite value at row 4, column 1"),
     "inf after blanks": ("a,b\r\n\r\n-inf,2\r\n", "non-finite value at row 2, column 0"),
