@@ -17,13 +17,7 @@ from .clustering import (
     fsi,
     grid_search,
 )
-from .dependence import (
-    LaggedDependenceSet,
-    kendall_tau,
-    repair_psd,
-    sine_tau_matrices,
-    sine_transform,
-)
+from .dependence import kendall_tau, repair_psd, sine_tau_matrices
 from .evaluation import (
     SWITCHING,
     AssignmentReport,
@@ -56,11 +50,9 @@ __all__ = [
     "fcm_fit",
     "fsi",
     "grid_search",
-    "LaggedDependenceSet",
     "kendall_tau",
     "repair_psd",
     "sine_tau_matrices",
-    "sine_transform",
     "SWITCHING",
     "AssignmentReport",
     "RandReport",

@@ -13,14 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dependence import (
-    MIN_ALIGNED,
-    LaggedDependenceSet,
-    check_contract,
-    needs_psd_repair,
-    repair_psd,
-    sine_tau_matrices,
-)
+from .dependence import MIN_ALIGNED, check_contract, needs_psd_repair, repair_psd, sine_tau_matrices
 from .exceptions import ConfigError, DataError, DegenerateBlockError, NumericError
 from .mts import MtsDataset
 
@@ -127,8 +120,14 @@ def _solve_stack(lags: np.ndarray, p: int):
     return u, v, g_value, np.array(lag_of)[best]
 
 
-def solve_canonical(dep: LaggedDependenceSet) -> tuple[np.ndarray, np.ndarray, float, int]:
+def solve_canonical(lags: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, float, int]:
     """One block's ``(u, v, g_value, best_lag)``, maximizing the squared cross dependence.
+
+    ``lags`` is the block's (L+1, m, m) array of dependence matrices at lags
+    0..L, the first ``p`` channels the X group; the matrix at -l is the
+    transpose of the one at l.  A ``DataError`` rejects another shape, a p
+    outside [1, m), or an array that breaks the contract ``check_contract``
+    applies to ``extract_features``'s stack.
 
     The lag-0 matrix is PSD-repaired jointly (its XX and YY sub-blocks
     supply the whitening and its XY block the lag-0 cross term, keeping
@@ -147,7 +146,13 @@ def solve_canonical(dep: LaggedDependenceSet) -> tuple[np.ndarray, np.ndarray, f
     one block, so a block solved alone or within a dataset gets the same
     bits.
     """
-    u, v, g_value, best_lag = _solve_stack(dep.lags[None], dep.p)
+    lags = np.asarray(lags, dtype=np.float64)
+    if lags.ndim != 3 or not len(lags) or lags.shape[1] != lags.shape[2]:
+        raise DataError(f"lags has shape {lags.shape}, expected (L+1, m, m)")
+    if not 1 <= p < lags.shape[1]:
+        raise DataError(f"need 1 <= p < m = {lags.shape[1]}, got p={p}")
+    check_contract(lags[None])
+    u, v, g_value, best_lag = _solve_stack(lags[None], p)
     return u[0], v[0], float(g_value[0]), int(best_lag[0])
 
 

@@ -5,8 +5,11 @@ sine-transformed Kendall tau between one channel and a lag-shifted
 other channel.  Tau uses the tau-a convention (ties add zero
 concordance) over all sample pairs, so every entry is invariant under
 strictly monotone channel transforms and bounded regardless of heavy
-tails.  ``sine_tau_matrices`` is the per-block estimator; the contract
-is applied once to every block's stack, in ``canonical.extract_features``.
+tails.  ``sine_tau_matrices`` is the per-block estimator.  Its
+(L+1, m, m) array is the only dependence container: ``check_contract``
+applies the contract to a (B, L+1, m, m) stack of them, once per dataset
+in ``canonical.extract_features`` and on a stack of one in
+``canonical.solve_canonical``.
 
 One exact kernel serves block matrices and scalar ``kendall_tau``: it
 sums sign products over pairs s < t in fixed-size tiles, with O(m^2 L T^2)
@@ -20,23 +23,14 @@ channels' flat sign planes, the head against the tail l whole rows on.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import DataError, NumericError
-from .mts import _readonly
 
-__all__ = [
-    "kendall_tau",
-    "sine_transform",
-    "sine_tau_matrices",
-    "repair_psd",
-    "LaggedDependenceSet",
-]
+__all__ = ["kendall_tau", "sine_tau_matrices", "repair_psd"]
 
 
 # ---------------------------------------------------------------------------
@@ -117,49 +111,19 @@ def _concordance_sums(data: np.ndarray, max_lag: int) -> np.ndarray:
     return acc
 
 
-def concordant_minus_discordant(x: np.ndarray, y: np.ndarray) -> int:
-    """Exact integer (#concordant - #discordant) over all unordered pairs.
-
-    The lag-0 cross entry of the tiled kernel on the two columns; equals
-    the brute-force sum of sign(dx)*sign(dy) exactly, ties included.
-    """
-    return int(_concordance_sums(np.column_stack([x, y]), 0)[0, 0, 1])
-
-
 def kendall_tau(x, y) -> float:
-    """Kendall's tau-a of two equal-length series.
+    """Kendall's tau-a of two equal-length 1-D series of n >= 2 samples, else a ``DataError``.
 
-    Returns (#concordant - #discordant) / C(n, 2) over all unordered
-    index pairs; tied pairs contribute zero.  The numerator comes from
-    the tiled kernel in O(n^2) work: integer tile sums below 2**24 are
-    exact in float32 and add exactly in float64, matching the definition.
-    A constant input series yields 0.0 (degenerate case).
-
-    Raises
-    ------
-    DataError
-        If the series lengths differ or n < 2.
+    (#concordant - #discordant) / C(n, 2) over all unordered index pairs,
+    tied pairs adding zero, so a constant series gives 0.0: the lag-0 cross
+    entry of ``lagged_tau_matrices`` on the two columns, exact as its sums are.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise DataError(f"need two equal-length 1-D series, got {x.shape} and {y.shape}")
-    n = x.size
-    if n < 2:
-        raise DataError(f"need at least 2 observations, got {n}")
-    if np.all(x == x[0]) or np.all(y == y[0]):
-        return 0.0
-    return concordant_minus_discordant(x, y) / (n * (n - 1) // 2)
-
-
-def sine_transform(tau: float) -> float:
-    """Map a rank correlation to the elliptical-model linear scale.
-
-    sin(pi * tau / 2): odd, monotone, fixes 0 and +-1.
-    """
-    if not -1.0 <= tau <= 1.0:
-        raise DataError(f"tau must lie in [-1, 1], got {tau}")
-    return math.sin(math.pi * tau / 2.0)
+    if x.size < 2:
+        raise DataError(f"need at least 2 observations, got {x.size}")
+    return float(lagged_tau_matrices(np.column_stack([x, y]), 0)[0, 0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -178,29 +142,6 @@ def check_contract(stack: np.ndarray, block_ids: Optional[Sequence[int]] = None)
         why = ("dependence entries outside [-1, 1]", "lag-0 matrix must be symmetric",
                "lag-0 matrix must have unit diagonal")[int(bad[:, k].argmax())]
         raise DataError(why if block_ids is None else f"block {block_ids[k]}: {why}")
-
-
-@dataclass(frozen=True)
-class LaggedDependenceSet:
-    """A block's dependence matrices, checked: the input of ``solve_canonical``.
-
-    ``lags`` is one read-only (L+1, m, m) array, m = p + q, holding the
-    matrices at lags 0..L; the matrix at -l is the transpose of the one
-    at l, so readers take the view ``lags[l].T`` for it.  Entries lie in
-    [-1, 1]; the lag-0 matrix is symmetric with unit diagonal.
-    """
-
-    p: int
-    q: int
-    lags: np.ndarray  # (L+1, m, m)
-
-    def __post_init__(self):
-        m = self.p + self.q
-        a = _readonly(self.lags)
-        if a.ndim != 3 or a.shape[0] < 1 or a.shape[1:] != (m, m):
-            raise DataError(f"lags has shape {a.shape}, expected (L+1, {m}, {m})")
-        check_contract(a[None])
-        object.__setattr__(self, "lags", a)
 
 
 def lagged_tau_matrices(data: np.ndarray, max_lag: int) -> np.ndarray:

@@ -45,10 +45,11 @@ __all__ = [
 
 
 def _readonly(a) -> np.ndarray:
-    """A read-only C-contiguous float64 view of ``a``; ``a`` itself stays writeable."""
-    view = np.ascontiguousarray(a, dtype=np.float64).view()
-    view.flags.writeable = False
-    return view
+    """A read-only C-contiguous float64 copy of ``a``: the record owns it, and a later
+    write to ``a``, which stays writeable, cannot reach behind the record's checks."""
+    own = np.array(a, dtype=np.float64, order="C")
+    own.flags.writeable = False
+    return own
 
 
 @dataclass(frozen=True)
@@ -192,13 +193,15 @@ def write_json(path, payload) -> None:
 
 
 def read_json(path, what: str):
-    """Parsed JSON file; a missing or malformed file is a ``ConfigError``."""
+    """Parsed JSON file; a missing, non-UTF-8 or malformed file is a ``ConfigError``."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"{what} not found: {path}")
+    if not path.is_file():
+        raise ConfigError(f"{path}: not a file")
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
 
 
@@ -288,7 +291,27 @@ def write_table(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 def _open_csv(path):
     if not Path(path).exists():
         raise ConfigError(f"input file not found: {path}")
+    if not Path(path).is_file():
+        raise DataError(f"{path}: not a file")
     return open(path, newline="", encoding="utf-8")
+
+
+def _utf8(read):
+    """``read(path, ...)``, with a file that is not UTF-8 text a ``DataError`` naming the line."""
+    @functools.wraps(read)
+    def checked(path, *args, **kwargs):
+        try:
+            return read(path, *args, **kwargs)
+        except UnicodeDecodeError as exc:  # numpy's offset counts from the start of a read chunk
+            raw = Path(path).read_bytes()
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as whole:
+                exc = whole
+            line = raw.count(b"\n", 0, exc.start) + 1
+            raise DataError(f"{path}: line {line} is not UTF-8 text: {exc.reason} "
+                            f"{raw[exc.start:exc.end]!r}") from None
+    return checked
 
 
 def _header(reader, path) -> list[str]:
@@ -298,6 +321,7 @@ def _header(reader, path) -> list[str]:
         raise DataError(f"{path}: empty file") from None
 
 
+@_utf8
 def read_header(path) -> list[str]:
     """The column names of a CSV file."""
     with _open_csv(path) as fh:
@@ -339,6 +363,7 @@ def _body_error(path, exc: ValueError, width: int) -> DataError:
     raise exc
 
 
+@_utf8
 def _read_table(path, skip: Sequence[str] = (), block_ids: Sequence[str] = ()):
     """Header and float body of a CSV file, every parsed cell checked.
 

@@ -280,34 +280,33 @@ def _reference_inv_sqrt_psd(mat, what):
     return (v * (1.0 / np.sqrt(w))) @ v.T
 
 
-def lag_matrix(dep, lag):
-    """A dependence set's matrix at ``lag``; at a negative lag, the view ``lags[-lag].T``."""
-    return dep.lags[lag] if lag >= 0 else dep.lags[-lag].T
+def lag_matrix(lags, lag):
+    """An (L+1, m, m) array's matrix at ``lag``; at a negative lag, the view ``lags[-lag].T``."""
+    return lags[lag] if lag >= 0 else lags[-lag].T
 
 
 def contracted_set(data, max_lag, p, fn=None):
-    """One (T, m) block's matrices from ``fn`` (sine-tau by default), as
-    ``extract_features`` leaves them after the dependence-set contract."""
-    from fuzzcoh import LaggedDependenceSet, MtsDataset, extract_features, sine_tau_matrices
+    """One (T, m) block's (L+1, m, m) matrices from ``fn`` (sine-tau by default),
+    as ``extract_features`` leaves them after the dependence-set contract."""
+    from fuzzcoh import MtsDataset, extract_features, sine_tau_matrices
 
     dataset = MtsDataset(data=data[None], p=p, q=data.shape[1] - p, sample_rate_hz=128.0)
-    lags = extract_features(dataset, max_lag=max_lag, dependence_fn=fn or sine_tau_matrices).lags
-    return LaggedDependenceSet(p=dataset.p, q=dataset.q, lags=lags[0])
+    return extract_features(dataset, max_lag=max_lag, dependence_fn=fn or sine_tau_matrices).lags[0]
 
 
-def reference_solve_canonical(dep):
+def reference_solve_canonical(lags, p):
     """One block's canonical solution: (u, v, g_value, best_lag), lag by lag."""
     from fuzzcoh.dependence import repair_psd
     from fuzzcoh.exceptions import NumericError
 
-    p, q = dep.p, dep.q
-    p0 = repair_psd(dep.lags[0])
+    p0 = repair_psd(lags[0])
     wx = _reference_inv_sqrt_psd(p0[:p, :p], "P_XX(0)")
     wy = _reference_inv_sqrt_psd(p0[p:, p:], "P_YY(0)")
-    lags = [0] + [l for k in range(1, len(dep.lags)) for l in (k, -k)]
+    q = p0.shape[0] - p
+    order = [0] + [l for k in range(1, len(lags)) for l in (k, -k)]
     best = None
-    for lag in lags:
-        cross = p0[:p, p:] if lag == 0 else lag_matrix(dep, lag)[:p, p:]
+    for lag in order:
+        cross = p0[:p, p:] if lag == 0 else lag_matrix(lags, lag)[:p, p:]
         k = wx @ cross @ wy
         try:
             left, sing, right_t = np.linalg.svd(k)

@@ -9,7 +9,6 @@ from scipy import linalg as sla
 from fuzzcoh import (
     DataError,
     DegenerateBlockError,
-    LaggedDependenceSet,
     MtsDataset,
     NumericError,
     extract_features,
@@ -21,10 +20,10 @@ from fuzzcoh import canonical
 
 
 def scalar_dep(xy0, xy1, yx1=0.1):
-    """p=q=1 dependence set with chosen cross entries at lags 0 and 1."""
+    """p=q=1 lag matrices with chosen cross entries at lags 0 and 1."""
     m0 = np.array([[1.0, xy0], [xy0, 1.0]])
     m1 = np.array([[0.05, xy1], [yx1, 0.05]])
-    return LaggedDependenceSet(p=1, q=1, lags=np.stack([m0, m1]))
+    return np.stack([m0, m1])
 
 
 def stationary_var_instance(p, q, max_lag, seed):
@@ -49,16 +48,41 @@ def stationary_var_instance(p, q, max_lag, seed):
     for lag in range(1, max_lag + 1):
         cov = a @ cov  # Gamma(lag) = A Gamma(lag-1); entry = cov(Z_t, Z_{t+lag})
         mats.append(np.clip((cov * np.outer(scale, scale)).T, -1.0, 1.0))
-    return LaggedDependenceSet(p=p, q=q, lags=np.stack(mats))
+    return np.stack(mats)
 
 
 def d_of(u, v):
     return np.abs(np.concatenate([u, v]))
 
 
+def _breaks(edit):
+    """Valid p=q=2 lag matrices at lags 0 and 1, then ``edit`` applied."""
+    lags = np.stack([np.eye(4), np.full((4, 4), 0.2)])
+    edit(lags)
+    return lags
+
+
 class TestSolveCanonical:
+    @pytest.mark.parametrize("lags, p, message", [
+        (np.eye(4), 2, "lags has shape (4, 4), expected (L+1, m, m)"),
+        (np.zeros((0, 4, 4)), 2, "lags has shape (0, 4, 4), expected (L+1, m, m)"),
+        (np.zeros((2, 4, 3)), 2, "lags has shape (2, 4, 3), expected (L+1, m, m)"),
+        (_breaks(lambda a: None), 0, "need 1 <= p < m = 4, got p=0"),
+        (_breaks(lambda a: None), 4, "need 1 <= p < m = 4, got p=4"),
+        (_breaks(lambda a: a.__setitem__((1, 0, 3), -1.5)), 2,
+         "dependence entries outside [-1, 1]"),
+        (_breaks(lambda a: a.__setitem__((0, 0, 1), 0.3)), 2, "lag-0 matrix must be symmetric"),
+        (_breaks(lambda a: a.__setitem__((0, 2, 2), 0.9)), 2,
+         "lag-0 matrix must have unit diagonal"),
+    ], ids=["not 3-D", "no lags", "not square", "p = 0", "p = m", "entry past 1",
+            "asymmetric lag 0", "lag-0 diagonal not 1"])
+    def test_input_checked(self, lags, p, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            solve_canonical(lags, p)
+        assert solve_canonical(_breaks(lambda a: None), 2)[2] > 0  # the unedited matrices solve
+
     def test_scalar_case(self):
-        u, v, g, lag = solve_canonical(scalar_dep(0.2, 0.7))
+        u, v, g, lag = solve_canonical(scalar_dep(0.2, 0.7), 1)
         assert lag == 1
         assert g == pytest.approx(0.49, abs=1e-12)
         np.testing.assert_allclose(u, [1.0])
@@ -66,17 +90,17 @@ class TestSolveCanonical:
         np.testing.assert_allclose(d_of(u, v), [1.0, 1.0])
 
     def test_zero_cross_documented_rule(self):
-        u, v, g, lag = solve_canonical(scalar_dep(0.0, 0.0, yx1=0.0))
+        u, v, g, lag = solve_canonical(scalar_dep(0.0, 0.0, yx1=0.0), 1)
         assert g == 0.0
         assert lag == 0
         np.testing.assert_allclose(d_of(u, v), [1.0, 1.0])
 
     def test_grid_oracle_dominated(self):
         for seed in range(25):
-            dep = stationary_var_instance(2, 2, 1, seed)
-            g = solve_canonical(dep)[2]
-            crosses = [lag_matrix(dep, lag)[:2, 2:] for lag in (-1, 0, 1)]
-            oracle = grid_oracle_best_g(dep.lags[0, :2, :2], dep.lags[0, 2:, 2:], crosses)
+            lags = stationary_var_instance(2, 2, 1, seed)
+            g = solve_canonical(lags, 2)[2]
+            crosses = [lag_matrix(lags, lag)[:2, 2:] for lag in (-1, 0, 1)]
+            oracle = grid_oracle_best_g(lags[0, :2, :2], lags[0, 2:, 2:], crosses)
             assert g >= oracle - 1e-6
             assert g <= 1.0 + 1e-8
 
@@ -84,33 +108,31 @@ class TestSolveCanonical:
         from fuzzcoh import repair_psd
 
         for seed in range(10):
-            dep = stationary_var_instance(3, 2, 2, seed)
-            u, v, _, _ = solve_canonical(dep)
-            p0 = repair_psd(dep.lags[0])
+            lags = stationary_var_instance(3, 2, 2, seed)
+            u, v, _, _ = solve_canonical(lags, 3)
+            p0 = repair_psd(lags[0])
             ru = abs(u @ p0[:3, :3] @ u - 1.0)
             rv = abs(v @ p0[3:, 3:] @ v - 1.0)
             assert ru <= 1e-8 and rv <= 1e-8
 
     def test_sign_convention_and_d_invariance(self):
-        dep = stationary_var_instance(2, 2, 1, 3)
-        u, v, g, _ = solve_canonical(dep)
+        lags = stationary_var_instance(2, 2, 1, 3)
+        u, v, g, _ = solve_canonical(lags, 2)
         assert u[np.argmax(np.abs(u))] > 0
         # flipping every cross matrix flips (u, v) jointly; d is unchanged
-        flipped = -dep.lags
-        m0 = dep.lags[0].copy()
+        flipped = -lags
+        m0 = lags[0].copy()
         m0[:2, 2:] *= -1
         m0[2:, :2] *= -1
         flipped[0] = m0
-        u2, v2, g2, _ = solve_canonical(
-            LaggedDependenceSet(p=2, q=2, lags=flipped)
-        )
+        u2, v2, g2, _ = solve_canonical(flipped, 2)
         assert g2 == pytest.approx(g, abs=1e-12)
         np.testing.assert_allclose(d_of(u2, v2), d_of(u, v), atol=1e-9)
 
     def test_deterministic(self):
-        dep = stationary_var_instance(2, 2, 2, 11)
-        au, av, ag, alag = solve_canonical(dep)
-        bu, bv, bg, blag = solve_canonical(dep)
+        lags = stationary_var_instance(2, 2, 2, 11)
+        au, av, ag, alag = solve_canonical(lags, 2)
+        bu, bv, bg, blag = solve_canonical(lags, 2)
         np.testing.assert_array_equal(au, bu)
         np.testing.assert_array_equal(av, bv)
         assert ag == bg and alag == blag
@@ -119,9 +141,8 @@ class TestSolveCanonical:
         m0 = np.eye(2)
         m0[0, 1] = m0[1, 0] = 0.5
         m1 = np.array([[0.0, 0.5], [0.0, 0.0]])
-        dep = LaggedDependenceSet(p=1, q=1, lags=np.stack([m0, m1]))
         # identical 0.5 cross at lags 0 and +1: lag 0 wins
-        assert solve_canonical(dep)[3] == 0
+        assert solve_canonical(np.stack([m0, m1]), 1)[3] == 0
 
 
 class TestExtractFeatures:
@@ -222,7 +243,7 @@ class TestExtractFeatures:
 
 
 def needs_repair_dep(p, q, max_lag, seed):
-    """A set whose lag-0 matrix is indefinite (three strong, inconsistent correlations)."""
+    """Lag matrices whose lag-0 matrix is indefinite (three strong, inconsistent correlations)."""
     rng = np.random.default_rng(seed)
     m = p + q
     lags = np.clip(rng.uniform(-0.4, 0.4, (max_lag + 1, m, m)), -1.0, 1.0)
@@ -231,9 +252,8 @@ def needs_repair_dep(p, q, max_lag, seed):
     m0[0, m - 1] = m0[m - 1, 0] = 0.95
     m0[1, m - 1] = m0[m - 1, 1] = -0.95
     lags[0] = m0
-    dep = LaggedDependenceSet(p=p, q=q, lags=lags)
-    assert np.linalg.eigvalsh(dep.lags[0]).min() < 0
-    return dep
+    assert np.linalg.eigvalsh(lags[0]).min() < 0
+    return lags
 
 
 def zero_cross_dep(p, q, max_lag):
@@ -241,7 +261,7 @@ def zero_cross_dep(p, q, max_lag):
     lags[0] = np.eye(p + q)
     lags[0, :p, :p] = lags[0, p:, p:] = 0.3
     np.fill_diagonal(lags[0], 1.0)
-    return LaggedDependenceSet(p=p, q=q, lags=lags)
+    return lags
 
 
 def tied_lags_dep(p, q, max_lag, lag, at_zero):
@@ -255,7 +275,7 @@ def tied_lags_dep(p, q, max_lag, lag, at_zero):
         lags[0, p:, :p] = cross.T
     lags[lag, :p, p:] = cross        # P_XY(lag)
     lags[lag, p:, :p] = cross.T      # P_YX(lag), i.e. P_XY(-lag) transposed
-    return LaggedDependenceSet(p=p, q=q, lags=lags)
+    return lags
 
 
 def mixed_stack(p, q, max_lag):
@@ -277,9 +297,9 @@ def dataset_of(n_blocks, p, q, T=32):
 
 
 def serve(deps):
-    """A dependence function that hands out the given sets' matrices in call order."""
+    """A dependence function that hands out the given lag matrices in call order."""
     it = iter(deps)
-    return lambda data, max_lag: next(it).lags.copy()
+    return lambda data, max_lag: next(it).copy()
 
 
 def rows(fs):
@@ -305,16 +325,16 @@ class TestStackedSolve:
                               dependence_fn=serve(deps))
         assert fs.block_indices == tuple(range(len(deps)))
         for feat, dep in zip(rows(fs), deps, strict=True):
-            assert_feature_equal(feat, reference_solve_canonical(dep))
-            assert_feature_equal(solve_canonical(dep), reference_solve_canonical(dep))
-        np.testing.assert_array_equal(fs.lags, np.stack([d.lags for d in deps]))
-        reference_d = [d_of(*reference_solve_canonical(d)[:2]) for d in deps]
+            assert_feature_equal(feat, reference_solve_canonical(dep, p))
+            assert_feature_equal(solve_canonical(dep, p), reference_solve_canonical(dep, p))
+        np.testing.assert_array_equal(fs.lags, np.stack(deps))
+        reference_d = [d_of(*reference_solve_canonical(d, p)[:2]) for d in deps]
         assert fs.d_matrix.tobytes() == np.array(reference_d).tobytes()
         # the stack reaches every special path of the per-block solve
-        assert any(reference_solve_canonical(d)[2] == 0.0 for d in deps)
+        assert any(reference_solve_canonical(d, p)[2] == 0.0 for d in deps)
         if max_lag:  # ties go to lag 0, then to the positive lag
             assert [fs.best_lag[4], fs.best_lag[-1]] == [0, max_lag]
-        assert any(not np.array_equal(canonical.repair_psd(d.lags[0]), d.lags[0])
+        assert any(not np.array_equal(canonical.repair_psd(d[0]), d[0])
                    for d in deps) == (p + q > 2)
 
     def test_degenerate_blocks_skipped_from_the_stack(self):
@@ -327,7 +347,7 @@ class TestStackedSolve:
         assert fs.excluded == ((2, "constant channel(s): ch3"), (6, "constant channel(s): ch3"))
         assert fs.block_indices == tuple(i for i in range(len(deps) + 2) if i not in (2, 6))
         for feat, dep in zip(rows(fs), deps, strict=True):
-            assert_feature_equal(feat, reference_solve_canonical(dep))
+            assert_feature_equal(feat, reference_solve_canonical(dep, 2))
         with pytest.raises(DegenerateBlockError, match="block 2: constant channel"):
             extract_features(ds, max_lag=2, dependence_fn=serve(deps))
 
@@ -340,8 +360,7 @@ class TestStackedSolve:
             lags = estimator(data, 4)
             lags[0] = (lags[0] + lags[0].T) / 2.0
             np.fill_diagonal(lags[0], 1.0)
-            dep = LaggedDependenceSet(p=3, q=3, lags=lags)
-            assert_feature_equal(feat, reference_solve_canonical(dep))
+            assert_feature_equal(feat, reference_solve_canonical(lags, 3))
 
     def test_leading_value_squared_with_pow(self):
         c = 0.37796883434360806  # libm pow squares it one ULP above c * c
@@ -354,20 +373,18 @@ class TestStackedSolve:
         # unrepaired, blocks 2 and 4 have an indefinite XX block; the first is named
         deps = [stationary_var_instance(3, 1, 1, s) for s in range(5)]
         deps[2] = needs_repair_dep(3, 1, 1, 0)
-        lags = deps[2].lags.copy()
+        lags = deps[2].copy()
         lags[0, 1, 2] = lags[0, 2, 1] = -0.95
-        deps[2] = deps[4] = LaggedDependenceSet(p=3, q=1, lags=lags)
+        deps[2] = deps[4] = lags
         monkeypatch.setattr(canonical, "repair_psd", lambda matrix: matrix)
         with pytest.raises(NumericError, match=r"^block 2: P_XX\(0\) remains singular"):
             extract_features(dataset_of(5, 3, 1), max_lag=1, dependence_fn=serve(deps))
 
     def test_failed_svd_named_as_per_block(self):
         deps = [stationary_var_instance(2, 2, 2, s) for s in range(6)]
-        lags = deps[3].lags.copy()
-        lags[2, 0, 3] = np.nan  # passes the set's checks; the lag -2 and 2 SVDs fail
-        deps[3] = LaggedDependenceSet(p=2, q=2, lags=lags)
+        deps[3][2, 0, 3] = np.nan  # passes the contract; the lag -2 and 2 SVDs fail
         with pytest.raises(NumericError) as reference:
-            reference_solve_canonical(deps[3])
+            reference_solve_canonical(deps[3], 2)
         with pytest.raises(NumericError) as batched:
             extract_features(dataset_of(6, 2, 2), max_lag=2, dependence_fn=serve(deps))
         assert str(reference.value).startswith("SVD failed at lag 2:")

@@ -1,21 +1,13 @@
 import math
-import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import brute_force_tau, brute_force_tau_numerator, contracted_set, lag_matrix
 
-from fuzzcoh import (
-    DataError,
-    LaggedDependenceSet,
-    kendall_tau,
-    repair_psd,
-    sine_tau_matrices,
-    sine_transform,
-)
+from fuzzcoh import DataError, kendall_tau, repair_psd, sine_tau_matrices
 from fuzzcoh import dependence
-from fuzzcoh.dependence import concordant_minus_discordant, lagged_tau_matrices
+from fuzzcoh.dependence import lagged_tau_matrices
 
 
 def random_block(T=64, channels=4, seed=0):
@@ -48,38 +40,48 @@ class TestKendallTau:
             else:
                 x = rng.standard_normal(n)
                 y = rng.standard_normal(n)
-            assert concordant_minus_discordant(x, y) == brute_force_tau_numerator(x, y)
+            assert kendall_tau(x, y) == brute_force_tau_numerator(x, y) / (n * (n - 1) // 2)
 
     def test_constant_series_returns_zero(self):
-        assert kendall_tau(np.ones(10), np.arange(10.0)) == 0.0
-        assert kendall_tau(np.arange(10.0), np.full(10, 3.0)) == 0.0
+        for tau in (kendall_tau(np.ones(10), np.arange(10.0)),
+                    kendall_tau(np.arange(10.0), np.full(10, 3.0)),
+                    kendall_tau([2.0, 2.0], [5.0, 5.0])):
+            assert type(tau) is float and tau == 0.0 and math.copysign(1.0, tau) == 1.0
 
     def test_too_short_rejected(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="need at least 2 observations, got 1"):
             kendall_tau(np.array([1.0]), np.array([2.0]))
+
+    @pytest.mark.parametrize("x, y", [(np.zeros(5), np.zeros(6)),
+                                      (np.zeros((5, 2)), np.zeros((5, 2)))])
+    def test_shapes_checked(self, x, y):
+        with pytest.raises(DataError, match="need two equal-length 1-D series"):
+            kendall_tau(x, y)
 
 
 class TestSineTransform:
+    """``sine_tau_matrices`` maps every tau entry through sin(pi * tau / 2)."""
+
     def test_fixed_points(self):
-        assert sine_transform(0.0) == 0.0
-        assert sine_transform(1.0) == 1.0
-        assert sine_transform(-1.0) == -1.0
+        # tau of x with y is 0 (three concordant, three discordant pairs), with -x is -1
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        lags = sine_tau_matrices(np.column_stack([x, [1.0, 4.0, 3.0, 2.0], -x]), 0)
+        assert (lags[0, 0, 0], lags[0, 0, 1], lags[0, 0, 2]) == (1.0, 0.0, -1.0)
 
     def test_two_thirds(self):
-        # sin(pi/3), cross-checked against the high-precision value
-        assert sine_transform(2 / 3) == pytest.approx(math.sqrt(3) / 2, abs=1e-15)
-
-    def test_domain(self):
-        with pytest.raises(DataError):
-            sine_transform(1.0001)
-        with pytest.raises(DataError):
-            sine_transform(-2.0)
+        # tau 4/6 (the hand example), so sin(pi/3), against the high-precision value
+        lags = sine_tau_matrices(np.array([[1.0, 1.0], [2.0, 3.0], [3.0, 2.0], [4.0, 4.0]]), 0)
+        assert lags[0, 0, 1] == pytest.approx(math.sqrt(3) / 2, abs=1e-15)
 
     def test_odd_and_monotone(self):
-        grid = np.linspace(-1, 1, 41)
-        vals = np.array([sine_transform(t) for t in grid])
-        assert np.all(np.diff(vals) > 0)
-        np.testing.assert_allclose(vals, -vals[::-1], atol=1e-15)
+        data = random_block(T=40, channels=6, seed=4)
+        taus, vals = lagged_tau_matrices(data, 3).ravel(), sine_tau_matrices(data, 3)
+        order = np.argsort(taus)
+        steps = np.diff(vals.ravel()[order])
+        np.testing.assert_array_equal(steps > 0, np.diff(taus[order]) > 0)
+        assert (steps >= 0).all()
+        data[:, 0] *= -1  # negates tau between channel 0 and the others, exactly
+        np.testing.assert_array_equal(sine_tau_matrices(data, 3)[:, 0, 1:], -vals[:, 0, 1:])
 
 
 class TestDependenceSet:
@@ -187,27 +189,22 @@ class TestDependenceSet:
 
     def test_monotone_transform_invariance(self):
         data = random_block(T=96, channels=4, seed=3)
-        dep = contracted_set(data, 3, p=2)
+        lags = contracted_set(data, 3, p=2)
         transforms = [np.exp, lambda v: v ** 3, np.arctan, lambda v: 2.5 * v + 7.0]
         for c, fn in enumerate(transforms):
             data[:, c] = fn(data[:, c])
-        dep2 = contracted_set(data, 3, p=2)
+        lags2 = contracted_set(data, 3, p=2)
         for lag in range(-3, 4):
-            np.testing.assert_array_equal(lag_matrix(dep, lag), lag_matrix(dep2, lag))
+            np.testing.assert_array_equal(lag_matrix(lags, lag), lag_matrix(lags2, lag))
 
     def test_lag_antisymmetry_bitwise(self):
-        dep = contracted_set(random_block(seed=5), 4, p=2)
+        lags = contracted_set(random_block(seed=5), 4, p=2)
         for lag in range(1, 5):
-            np.testing.assert_array_equal(lag_matrix(dep, -lag), dep.lags[lag].T)
+            np.testing.assert_array_equal(lag_matrix(lags, -lag), lags[lag].T)
 
     def test_unit_diagonal_exact(self):
-        dep = contracted_set(random_block(seed=6), 2, p=2)
-        assert np.all(np.diag(dep.lags[0]) == 1.0)
-
-    @pytest.mark.parametrize("lags", [np.eye(4), np.stack([np.eye(3)] * 2)])
-    def test_lags_shape_checked(self, lags):
-        with pytest.raises(DataError, match=re.escape("expected (L+1, 4, 4)")):
-            LaggedDependenceSet(p=2, q=2, lags=lags)
+        lags = contracted_set(random_block(seed=6), 2, p=2)
+        assert np.all(np.diag(lags[0]) == 1.0)
 
     def test_tile_buffers_come_from_the_aligned_allocator(self, monkeypatch):
         made, aligned = [], dependence._aligned_f32

@@ -7,9 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fuzzcoh import (BandSpec, ConfigError, DataError, FuzzyPartition, LaggedDependenceSet,
-                     MtsDataset, RegionMap, SimConfig, design_bandpass, load_csv, save_csv,
-                     select_regions)
+from fuzzcoh import (BandSpec, ConfigError, DataError, FuzzyPartition, MtsDataset, RegionMap,
+                     SimConfig, design_bandpass, load_csv, save_csv, select_regions)
 from fuzzcoh.mts import _read_table, segment_rows, write_table
 
 
@@ -36,8 +35,6 @@ FROZEN_ARRAYS = {
                                            sample_rate_hz=1.0).blocks[0].data),
     "MtsDataset.data": (lambda: np.zeros((2, 10, 2)),
                         lambda a: MtsDataset(data=a, p=1, q=1, sample_rate_hz=1.0).data),
-    "LaggedDependenceSet.lags": (lambda: np.stack([np.eye(2)] * 2),
-                                 lambda a: LaggedDependenceSet(p=1, q=1, lags=a).lags),
     "FilterDesign.sos": (lambda: design_bandpass(_BETA).sos.copy(),
                          lambda a: replace(design_bandpass(_BETA), sos=a).sos),
     "FuzzyPartition.memberships": (lambda: np.full((3, 2), 0.5),
@@ -55,9 +52,12 @@ def test_block_data_is_readonly(stored):
     make, build = FROZEN_ARRAYS[stored]
     given = make()
     kept = build(given)
+    before = kept.copy()
     assert given.flags.writeable  # the caller's array is left alone
     with pytest.raises(ValueError):
         kept[(0,) * kept.ndim] = 1.0
+    given[...] = np.nan  # the record owns a copy: a later write does not reach it
+    np.testing.assert_array_equal(kept, before)
 
 
 @pytest.mark.parametrize("shape, extra, match", [
@@ -210,8 +210,9 @@ def test_write_table_round_trip_bit_exact(tmp_path):
     assert path.read_bytes() == b"id,band,a,b,c,d\r\n3,raw,,0.1,1e+16,-0.0\r\n4,,2,5e-324,1.5,7\r\n"
 
 
-# a CSV file and what _read_table makes of it under features.csv's rules (band
-# skipped, block_id an integer >= 0): the values, or the DataError text after the path
+# a CSV file (text, raw bytes, or None for a directory in its place) and what _read_table
+# makes of it under features.csv's rules (band skipped, block_id an integer >= 0): the
+# values, or the DataError text after the path
 INPUT_RULES = {
     "quoted numbers": ('a,b\n"1.5","2"\n3,4\n', [[1.5, 2.0], [3.0, 4.0]]),
     "spaces around a number": ("a,b\n 1.5 , 2\n3,4\t\n", [[1.5, 2.0], [3.0, 4.0]]),
@@ -247,6 +248,12 @@ INPUT_RULES = {
                                   "bad block id at row 3, column 0"),
     "first bad cell wins": ("block_id,e_1\n0,0.5\n-1,inf\n2,nan\n",
                             "bad block id at row 2, column 0"),
+    "Latin-1 byte in the header": (b"a\xb5V,b,c,d\n1,2,3,4\n5,6,7,8\n",
+                                   "line 1 is not UTF-8 text: invalid start byte b'\\xb5'"),
+    # past the header's and the first row's reads: numpy's body parse meets it
+    "Latin-1 byte deep in the body": (b"a,b\n" + b"1,2\n" * 30000 + b"3,\xe9\n",
+                                      "line 30002 is not UTF-8 text: invalid continuation byte"),
+    "a directory": (None, "not a file"),
 }
 
 
@@ -254,7 +261,10 @@ INPUT_RULES = {
 def test_csv_input_rules(tmp_path, case):
     text, expected = INPUT_RULES[case]
     path = tmp_path / "in.csv"
-    path.write_bytes(text.encode("utf-8"))
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy's "input contained no data" must not escape
         if isinstance(expected, str):

@@ -50,11 +50,11 @@ class TestPearsonSet:
         rng = np.random.default_rng(4)
         data = rng.standard_normal((128, 4))
         for fn in (pearson_matrices, sine_tau_matrices):
-            dep = contracted_set(data, 2, p=2, fn=fn)
-            assert np.all(np.diag(dep.lags[0]) == 1.0)
-            np.testing.assert_array_equal(dep.lags[0], dep.lags[0].T)
+            lags = contracted_set(data, 2, p=2, fn=fn)
+            assert np.all(np.diag(lags[0]) == 1.0)
+            np.testing.assert_array_equal(lags[0], lags[0].T)
             for lag in (1, 2):
-                np.testing.assert_array_equal(lag_matrix(dep, -lag), dep.lags[lag].T)
+                np.testing.assert_array_equal(lag_matrix(lags, -lag), lags[lag].T)
 
     def test_lagged_entries(self):
         # y(t) = x(t-1): linear correlation peaks at lag +1

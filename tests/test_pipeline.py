@@ -317,9 +317,9 @@ class TestRunPipeline:
         # same bytes as dumping every block's freshly estimated, contracted matrices
         fresh = []
         for i, data in enumerate(load_input(cfg).data):
-            dep = contracted_set(data, 2, p=4)
+            lags = contracted_set(data, 2, p=4)
             fresh.append({"block": i, "max_lag": 2,
-                          "matrices": {str(l): lag_matrix(dep, l).tolist() for l in range(-2, 3)},
+                          "matrices": {str(l): lag_matrix(lags, l).tolist() for l in range(-2, 3)},
                           "degenerate_channels": []})
         write_json(tmp_path / "fresh.json", fresh)
         assert path.read_bytes() == (tmp_path / "fresh.json").read_bytes()
@@ -870,6 +870,48 @@ class TestCliInputErrors:
                    "--band", "Beta", "--output", str(tmp_path / "beta.csv")])
         assert rc == 0 and (tmp_path / "beta.csv").exists()
         assert load_csv(data, groups=(2, 2), metadata_path=meta).labels == (0, None, 1, 2)
+
+    @pytest.mark.parametrize("body, match", [
+        (b"a\xb5V,b,c,d\n1,2,3,4\n5,6,7,8\n", "rec.csv: line 1 is not UTF-8 text"),
+        (b"a,b,c,d\n" + b"1,2,3,4\n" * 30000 + b"5,\xb5,7,8\n",
+         "rec.csv: line 30002 is not UTF-8 text"),
+        (None, "rec.csv: not a file"),
+    ], ids=["Latin-1 header", "Latin-1 deep in the body", "a directory"])
+    def test_unreadable_data_csv(self, tmp_path, capsys, body, match):
+        data = tmp_path / "rec.csv"
+        if body is None:
+            data.mkdir()
+        else:
+            data.write_bytes(body)
+        rc = main(["features", "--input", str(data), "--sample-rate", "128", "--block-length",
+                   "2", "--groups", "2", "2", "--output", str(tmp_path / "f.csv")])
+        assert rc == 2
+        assert_one_error_line(capsys, match)
+        assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize("which", ["config", "sidecar", "truth"])
+    @pytest.mark.parametrize("bad", ["not UTF-8", "a directory"])
+    def test_unreadable_json(self, tmp_path, capsys, which, bad):
+        data, meta = self.recording(tmp_path, [0, 1, 1, 2])
+        path = tmp_path / f"{which}.json"
+        if bad == "a directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"seed": 1, "note": "\xb5"}')
+        out = tmp_path / "out"
+        argv = {
+            "config": ["pipeline", "--config", str(path)],
+            "sidecar": ["filter", "--input", data, "--metadata", str(path), "--groups", "2",
+                        "2", "--band", "Beta", "--output", str(out)],
+            "truth": ["evaluate", "--memberships",
+                      write_file(tmp_path / "m.csv", "block_id,e_1,e_2\n0,0.9,0.1\n"),
+                      "--truth", str(path), "--output", str(out)],
+        }[which]
+        assert main(argv) == 2
+        assert_one_error_line(capsys, f"{path}: " + (
+            "not a file" if bad == "a directory" else
+            "invalid JSON: 'utf-8' codec can't decode byte 0xb5 in position 21"))
+        assert not out.exists()
 
     @staticmethod
     def recording(tmp_path, labels):
