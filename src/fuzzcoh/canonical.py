@@ -168,16 +168,15 @@ def extract_features(
     samples in a block, is a ``ConfigError``.  Before any estimate, the
     first block with a flatlined channel raises ``DegenerateBlockError``,
     unless ``skip_degenerate`` excludes and reports every such block.
-    ``dependence_fn(dataset.data[i], max_lag)`` (the rank path by default;
-    the linear-correlation foil plugs in here) gives kept block i's
-    (L+1, m, m) matrices at lags 0..L, in block order; its ``DataError``
-    or ``NumericError``, or a result of another shape, comes back naming
-    the block, its class kept.  On the (B, L+1, m, m) stack of results,
-    kept as ``FeatureSet.lags``, every lag-0 matrix is symmetrised with
-    an exact unit diagonal and ``check_contract`` names the first bad
-    block.  One stacked solve gives the u, v, g_value and best_lag
-    columns, each row bit for bit as ``solve_canonical`` gives it alone;
-    a solve failure is a ``NumericError`` naming the first failing block.
+    ``dependence_fn`` (the rank path by default; the linear-correlation foil
+    plugs in here) maps the (B, T, m) kept blocks, ``dataset.data`` itself if
+    none is excluded, to their (B, L+1, m, m) lags 0..L in one call, or else a
+    ``DataError``; its ``DataError`` or ``NumericError`` comes back naming the
+    first block that fails alone, its class kept.  Every lag-0 matrix of the
+    stack (``FeatureSet.lags``) is symmetrised with an exact unit diagonal and
+    ``check_contract`` names the first bad block.  One stacked solve gives the
+    u, v, g_value and best_lag columns, each row bit for bit as ``solve_canonical``
+    gives it alone; a solve failure is a ``NumericError`` naming the first failing block.
     """
     data, n_samples = dataset.data, dataset.n_samples
     if not 0 <= max_lag <= n_samples - MIN_ALIGNED:
@@ -194,16 +193,19 @@ def extract_features(
         raise DegenerateBlockError(*excluded[0])
     kept = np.flatnonzero(~flat.any(axis=1)).tolist()
     m = dataset.p + dataset.q
-    lags = np.empty((len(kept), max_lag + 1, m, m))
-    for k, i in enumerate(kept):
-        try:
-            out = dependence_fn(data[i], max_lag)
-            if np.shape(out) != lags.shape[1:]:  # assigning it could broadcast silently
-                raise DataError(f"lags has shape {np.shape(out)}, expected {lags.shape[1:]}")
-            lags[k] = out
-        except (DataError, NumericError) as exc:  # the class sets the exit code
-            raise (DataError if isinstance(exc, DataError) else NumericError)(
-                f"block {i}: {exc}") from exc
+    stack = data if len(kept) == len(data) else data[kept]
+    try:
+        lags = np.asarray(dependence_fn(stack, max_lag), dtype=np.float64)
+    except (DataError, NumericError):
+        for k, i in enumerate(kept):  # estimate block by block to name the first that fails
+            try:
+                dependence_fn(stack[k : k + 1], max_lag)
+            except (DataError, NumericError) as exc:  # the class sets the exit code
+                raise (DataError if isinstance(exc, DataError) else NumericError)(
+                    f"block {i}: {exc}") from exc
+        raise
+    if lags.shape != (shape := (len(kept), max_lag + 1, m, m)):
+        raise DataError(f"lags has shape {lags.shape}, expected {shape}")
     l0 = lags[:, 0]
     l0[...] = (l0 + l0.transpose(0, 2, 1)) / 2.0  # symmetric up to roundoff already
     l0[:, np.arange(m), np.arange(m)] = 1.0

@@ -279,6 +279,11 @@ def check_cluster_count(n_objects: int, n_clusters: int) -> None:
         raise ConfigError(f"need more objects than clusters: B={n_objects}, C={n_clusters}")
 
 
+def _weight_sums(w: np.ndarray) -> np.ndarray:
+    """``w.sum(axis=1)`` of (R, B, C) weights, in the same order over B: on a (B, R, C) copy."""
+    return w.transpose(1, 0, 2).copy().sum(axis=0)
+
+
 def _fit_restarts(x, centers, fuzziness, max_iter) -> list:
     """Fit N restarts from initial centers (N, C, dim) as one batch.
 
@@ -312,7 +317,7 @@ def _fit_restarts(x, centers, fuzziness, max_iter) -> list:
             iterations += 1
             # a cluster with no weight gets 0/0 centers, which the partition rejects
             with np.errstate(invalid="ignore"):
-                centers = np.matmul(w.transpose(0, 2, 1), x) / w.sum(axis=1)[:, :, None]
+                centers = np.matmul(w.transpose(0, 2, 1), x) / _weight_sums(w)[:, :, None]
         e_new, d2 = _memberships_from_centers(x, centers, inv_rows[active], split)
         w = _rowpower(e_new, m_rows[active], split)  # the objective's and next update's weights
         rows = len(active)

@@ -1,15 +1,15 @@
-"""Lagged rank-dependence matrices of a block.
+"""Lagged rank-dependence matrices of a stack of blocks.
 
 For each lag the block-level dependence matrix holds, entrywise, the
 sine-transformed Kendall tau between one channel and a lag-shifted
 other channel.  Tau uses the tau-a convention (ties add zero
 concordance) over all sample pairs, so every entry is invariant under
 strictly monotone channel transforms and bounded regardless of heavy
-tails.  ``sine_tau_matrices`` is the per-block estimator.  Its
-(L+1, m, m) array is the only dependence container: ``check_contract``
-applies the contract to a (B, L+1, m, m) stack of them, once per dataset
-in ``canonical.extract_features`` and on a stack of one in
-``canonical.solve_canonical``.
+tails.  ``sine_tau_matrices`` is the estimator, (..., T, m) blocks to their
+(..., L+1, m, m) lags, called once per dataset.  A block's (L+1, m, m) array
+is the only dependence container: ``check_contract`` applies the contract to
+a (B, L+1, m, m) stack of them, once per dataset in ``canonical.extract_features``
+and on a stack of one in ``canonical.solve_canonical``.
 
 One exact kernel serves block matrices and scalar ``kendall_tau``: it
 sums sign products over pairs s < t in fixed-size tiles, with O(m^2 L T^2)
@@ -159,12 +159,15 @@ MIN_ALIGNED = 8  # fewest aligned samples a lag may leave in a block
 
 
 def sine_tau_matrices(data: np.ndarray, max_lag: int) -> np.ndarray:
-    """A block's lagged sine-tau matrices, shape (L+1, m, m), from its (T, m) samples.
+    """Lagged sine-tau matrices of a (..., T, m) block stack, shape (..., L+1, m, m).
 
-    For lag l >= 0 and channels (j, k) the entry is
-    sin(pi/2 * tau(Z_j(t), Z_k(t + l))) over the T - l aligned samples.
+    For lag l >= 0 and channels (j, k) a block's entry is
+    sin(pi/2 * tau(Z_j(t), Z_k(t + l))) over its T - l aligned samples.
     """
-    return np.sin(np.pi / 2.0 * lagged_tau_matrices(data, max_lag))
+    out = np.empty(data.shape[:-2] + (max_lag + 1,) + data.shape[-1:] * 2)
+    for i in np.ndindex(data.shape[:-2]):
+        out[i] = np.sin(np.pi / 2.0 * lagged_tau_matrices(data[i], max_lag))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -172,19 +172,22 @@ class TestExtractFeatures:
     def test_estimator_error_named_with_its_class(self, error):
         # a DataError (exit 2) must not come back as a NumericError (exit 3)
         message = "16777216 samples exceed the Kendall kernel's limit of 2**24 - 1"
+        ds = self.make_dataset(n_blocks=3)
         calls = []
 
         def fails_on_block_1(data, max_lag):
             calls.append(data)
-            if len(calls) == 2:
+            if (data == ds.data[1]).all(axis=(1, 2)).any():
                 raise error(message)
             return sine_tau_matrices(data, max_lag)
 
         with pytest.raises(error) as info:
-            extract_features(self.make_dataset(n_blocks=3), max_lag=2,
-                             dependence_fn=fails_on_block_1)
-        assert type(info.value) is error and len(calls) == 2
+            extract_features(ds, max_lag=2, dependence_fn=fails_on_block_1)
+        assert type(info.value) is error
         assert str(info.value) == f"block 1: {message}"
+        # the stack fails, then blocks 0 and 1 are re-run alone, each a stack of one
+        assert calls[0] is ds.data and [c.shape for c in calls[1:]] == [(1, 64, 8)] * 2
+        np.testing.assert_array_equal(np.concatenate(calls[1:]), ds.data[:2])
 
     @pytest.mark.parametrize("estimator", [sine_tau_matrices, pearson_matrices])
     def test_flat_blocks_found_before_any_estimate(self, estimator):
@@ -195,31 +198,33 @@ class TestExtractFeatures:
         ds = MtsDataset(data=data, p=2, q=2, sample_rate_hz=1.0)
         calls = []
 
-        def counting(block, max_lag):
-            calls.append(block)
-            return estimator(block, max_lag)
+        def counting(stack, max_lag):
+            calls.append(stack)
+            return estimator(stack, max_lag)
 
         with pytest.raises(DegenerateBlockError, match=r"^block 2: constant channel\(s\): ch1$"):
             extract_features(ds, max_lag=2, dependence_fn=counting)
         assert calls == []
         fs = extract_features(ds, max_lag=2, dependence_fn=counting, skip_degenerate=True)
-        assert len(calls) == 4 and fs.block_indices == (0, 1, 3, 4)
+        assert len(calls) == 1 and fs.block_indices == (0, 1, 3, 4)
+        np.testing.assert_array_equal(calls[0], data[[0, 1, 3, 4]])
         assert fs.excluded == ((2, "constant channel(s): ch1"),)
 
     def test_estimator_result_shape_checked(self):
         ds = self.make_dataset(n_blocks=3)
         with pytest.raises(DataError, match=re.escape(
-                "block 0: lags has shape (8, 8), expected (3, 8, 8)")):
+                "lags has shape (8, 8), expected (3, 3, 8, 8)")):
             extract_features(ds, max_lag=2, dependence_fn=lambda data, max_lag: np.eye(8))
+        # one block's matrices for the whole stack would broadcast if assigned
+        with pytest.raises(DataError, match=re.escape(
+                "lags has shape (3, 8, 8), expected (3, 3, 8, 8)")):
+            extract_features(ds, max_lag=2,
+                             dependence_fn=lambda data, max_lag: sine_tau_matrices(data[0], max_lag))
 
     def test_out_of_range_entry_names_its_block(self):
-        calls = []
-
         def too_large_in_block_1(data, max_lag):
-            calls.append(data)
             lags = sine_tau_matrices(data, max_lag)
-            if len(calls) == 2:
-                lags[1, 0, 5] = 1.5
+            lags[1, 1, 0, 5] = 1.5
             return lags
 
         with pytest.raises(DataError, match=re.escape(
@@ -297,9 +302,9 @@ def dataset_of(n_blocks, p, q, T=32):
 
 
 def serve(deps):
-    """A dependence function that hands out the given lag matrices in call order."""
+    """A dependence function that hands out the given lag matrices in call order, one per block."""
     it = iter(deps)
-    return lambda data, max_lag: next(it).copy()
+    return lambda data, max_lag: np.stack([next(it).copy() for _ in data])
 
 
 def rows(fs):

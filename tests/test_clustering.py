@@ -24,6 +24,7 @@ from fuzzcoh.clustering import (
     fcm_fit_batch,
     _lastsum,
     _restart_rng,
+    _weight_sums,
     init_centers,
 )
 
@@ -159,6 +160,14 @@ def test_lastsum_equals_numpy_sum(n):
     a[3, ::2] = -0.0
     for arr in (a, a.reshape(20, 20, n), np.ascontiguousarray(a.T).T):
         assert _lastsum(arr).tobytes() == np.ascontiguousarray(arr).sum(axis=-1).tobytes()
+
+
+@pytest.mark.parametrize("R, B, C", [(1, 1, 2), (3, 13, 2), (60, 120, 6), (7, 301, 5),
+                                     (10, 999, 9)])
+def test_weight_sums_equal_per_restart_sums(R, B, C):
+    w = np.random.default_rng(B).random((R, B, C)) ** 2.5
+    expected = np.stack([w[r].sum(axis=0) for r in range(R)])
+    assert _weight_sums(w).tobytes() == expected.tobytes()
 
 
 def assert_fit_equal(fit, reference):

@@ -83,6 +83,16 @@ class TestSineTransform:
         data[:, 0] *= -1  # negates tau between channel 0 and the others, exactly
         np.testing.assert_array_equal(sine_tau_matrices(data, 3)[:, 0, 1:], -vals[:, 0, 1:])
 
+    def test_stack_equals_per_block(self):
+        data = np.random.default_rng(5).standard_cauchy((2, 3, 40, 4))
+        data[0, 1, :, 2] = 0.5
+        lags = sine_tau_matrices(data, 3)
+        assert lags.shape == (2, 3, 4, 4, 4)
+        for i in np.ndindex(2, 3):
+            expected = np.sin(np.pi / 2.0 * lagged_tau_matrices(data[i], 3))
+            assert lags[i].tobytes() == expected.tobytes()
+            assert sine_tau_matrices(data[i], 3).tobytes() == expected.tobytes()
+
 
 class TestDependenceSet:
     def test_identical_channels_unit_cross(self):

@@ -1,8 +1,38 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import contracted_set, lag_matrix
 
 from fuzzcoh import pearson_matrices, sine_tau_matrices
+from fuzzcoh.pearson import _CHUNK_BYTES
+
+
+def lagged_correlation(data, lag):
+    """One (T, m) block's corr(Z_j(t), Z_k(t + lag)) per (j, k), alone: the oracle."""
+    n = data.shape[0] - lag
+    head = data[:n]
+    tail = data[lag:]
+    hm = head - head.mean(axis=0)
+    tm = tail - tail.mean(axis=0)
+    hs = np.sqrt((hm * hm).sum(axis=0))
+    ts = np.sqrt((tm * tm).sum(axis=0))
+    hs_safe = np.where(hs == 0, 1.0, hs)
+    ts_safe = np.where(ts == 0, 1.0, ts)
+    corr = (hm / hs_safe).T @ (tm / ts_safe)
+    corr[hs == 0, :] = 0.0
+    corr[:, ts == 0] = 0.0
+    return np.clip(corr, -1.0, 1.0)
+
+
+def stack_cases():
+    """(B, T, m) at one block, one chunk, one chunk + 1 and, while it stays small, 300."""
+    for m in (2, 4, 8, 32):
+        for T in (37, 384, 2048):
+            chunk = max(1, _CHUNK_BYTES // (8 * T * m))
+            sizes = {1, chunk, chunk + 1} | ({300} if T * m <= 384 * 8 else set())
+            for B in sorted(sizes):
+                yield B, T, m
 
 
 class TestPearsonSet:
@@ -63,3 +93,42 @@ class TestPearsonSet:
         lags = pearson_matrices(np.column_stack([x[1:], x[:-1]]), 2)
         assert lags[1, 0, 1] == pytest.approx(1.0, abs=1e-9)
         assert abs(lags[0, 0, 1]) < 0.2
+
+
+class TestPearsonStack:
+    """The stack computed time-major in chunks equals the per-block oracle bit for bit."""
+
+    @pytest.mark.parametrize("max_lag", [0, 5])
+    @pytest.mark.parametrize("B, T, m", list(stack_cases()))
+    def test_equals_per_block(self, B, T, m, max_lag):
+        data = np.random.default_rng(B * T + m).standard_cauchy((B, T, m))
+        data[0, :, 0] = 3.0  # a constant channel
+        data[-1, :, m - 1] = 0.1  # an inexact mean: tiny nonzero centred values
+        lags = pearson_matrices(data, max_lag)
+        oracle = np.array([[lagged_correlation(block, lag) for lag in range(max_lag + 1)]
+                           for block in data])
+        assert lags.shape == (B, max_lag + 1, m, m)
+        assert lags.tobytes() == oracle.tobytes()
+
+    def test_block_is_a_stack_of_one(self):
+        data = np.random.default_rng(7).standard_normal((96, 5))
+        assert pearson_matrices(data, 3).tobytes() == pearson_matrices(data[None], 3)[0].tobytes()
+        stacked = np.random.default_rng(8).standard_normal((2, 3, 96, 5))
+        np.testing.assert_array_equal(pearson_matrices(stacked, 2),
+                                      pearson_matrices(stacked.reshape(6, 96, 5), 2).reshape(
+                                          2, 3, 3, 5, 5))
+
+    @pytest.mark.parametrize("estimator", [pearson_matrices, sine_tau_matrices])
+    def test_empty_stack(self, estimator):
+        assert estimator(np.empty((0, 32, 4)), 2).shape == (0, 3, 4, 4)
+
+    @pytest.mark.parametrize("shape", [(300, 384, 8), (40, 2048, 32)])
+    def test_working_set_bounded(self, shape):
+        data = np.random.default_rng(9).standard_normal(shape)
+        tracemalloc.start()
+        try:
+            lags = pearson_matrices(data, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - lags.nbytes <= 2 * 2**20

@@ -303,13 +303,14 @@ class TestRunPipeline:
         )
         calls = []
 
-        def counting(data, max_lag):
-            calls.append(data)
-            return sine_tau_matrices(data, max_lag)
+        def counting(stack, max_lag):
+            calls.append(stack)
+            return sine_tau_matrices(stack, max_lag)
 
         monkeypatch.setitem(DEPENDENCE_FNS, "kendall", counting)
         run_pipeline(cfg)
-        assert len(calls) == 3  # the dump reuses the feature pass, one call per block
+        # the dump reuses the feature pass: one call for the job, on all 3 blocks
+        assert [len(stack) for stack in calls] == [3]
         path = tmp_path / "run" / "raw__all" / "dependence.json"
         dump = json.loads(path.read_text())
         assert len(dump) == 3
