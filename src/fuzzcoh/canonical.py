@@ -27,7 +27,7 @@ _MIN_EIG = 1e-10
 class FeatureSet:
     """Every kept block's leading canonical solution as (B, ...) columns, and the exclusions.
 
-    Row k is block ``block_indices[k]``: ``u`` (B, p) and ``v`` (B, q)
+    Row k is block ``block_indices[k]``: ``u`` (B, p) and ``v`` (B, m - p)
     satisfy the unit within-group dependence constraints, ``g_value``
     (B,) is the squared cross dependence at ``best_lag`` (B,), and
     ``lags`` (B, L+1, m, m) holds the block's dependence matrices at
@@ -164,7 +164,8 @@ def extract_features(
 ) -> FeatureSet:
     """Solve the canonical problem for every block of a (filtered) dataset.
 
-    A ``max_lag`` below 0, or one that leaves fewer than 8 aligned
+    The dataset's X/Y split ``p`` must be chosen; a dataset without one,
+    a ``max_lag`` below 0, or one that leaves fewer than 8 aligned
     samples in a block, is a ``ConfigError``.  Before any estimate, the
     first block with a flatlined channel raises ``DegenerateBlockError``,
     unless ``skip_degenerate`` excludes and reports every such block.
@@ -178,7 +179,10 @@ def extract_features(
     u, v, g_value and best_lag columns, each row bit for bit as ``solve_canonical``
     gives it alone; a solve failure is a ``NumericError`` naming the first failing block.
     """
-    data, n_samples = dataset.data, dataset.n_samples
+    data, n_samples, m = dataset.data, dataset.n_samples, dataset.data.shape[2]
+    if dataset.p is None:
+        raise ConfigError("the dataset has no X/Y split: give groups=(p, q) or select a "
+                          "region pair")
     if not 0 <= max_lag <= n_samples - MIN_ALIGNED:
         raise ConfigError(
             f"max_lag must lie in [0, {n_samples - MIN_ALIGNED}] so that {n_samples}-sample "
@@ -192,7 +196,6 @@ def extract_features(
     if excluded and not skip_degenerate:
         raise DegenerateBlockError(*excluded[0])
     kept = np.flatnonzero(~flat.any(axis=1)).tolist()
-    m = dataset.p + dataset.q
     stack = data if len(kept) == len(data) else data[kept]
     try:
         lags = np.asarray(dependence_fn(stack, max_lag), dtype=np.float64)

@@ -17,6 +17,7 @@ from .exceptions import ConfigError, DataError, NumericError
 from .mts import check_labels, load_csv, read_json, save_csv, write_json
 from .pipeline import (
     DEPENDENCE_FNS,
+    EXAMPLE_NOISE,
     PipelineConfig,
     centers_payload,
     evaluate_partition,
@@ -30,7 +31,7 @@ from .pipeline import (
     write_features_csv,
     write_memberships_csv,
 )
-from .simulate import SimConfig
+from .simulate import NOISE_FAMILIES, SimConfig
 
 
 def _add_io_csv(parser):
@@ -38,8 +39,6 @@ def _add_io_csv(parser):
     parser.add_argument("--metadata", help="JSON sidecar with block_length/labels/sample_rate_hz")
     parser.add_argument("--sample-rate", type=float, help="sampling rate in Hz")
     parser.add_argument("--block-length", type=int, help="samples per block")
-    parser.add_argument("--groups", type=int, nargs=2, metavar=("P", "Q"),
-                        help="channel split: first P columns are X, next Q are Y")
 
 
 def _load_dataset(args):
@@ -47,7 +46,7 @@ def _load_dataset(args):
         args.input,
         sample_rate_hz=args.sample_rate,
         block_length=args.block_length,
-        groups=tuple(args.groups) if args.groups else None,
+        groups=tuple(args.groups) if "groups" in args else None,  # `filter` leaves the split open
         metadata_path=args.metadata,
     )
 
@@ -188,8 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--blocks", type=int, default=300)
     p.add_argument("--block-length", type=int, default=384)
-    p.add_argument("--noise", choices=["normal", "student_t3", "student_t1"],
-                   default="normal")
+    p.add_argument("--noise", choices=NOISE_FAMILIES, default="normal")
     p.add_argument("--out-data", required=True)
     p.add_argument("--out-truth", required=True)
     p.set_defaults(func=_cmd_simulate)
@@ -203,6 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("features", help="extract per-block canonical features")
     _add_io_csv(p)
+    p.add_argument("--groups", type=int, nargs=2, metavar=("P", "Q"), required=True,
+                   help="channel split: first P columns are X, next Q are Y")
     p.add_argument("--band", default=RAW_BAND, help="band name or 'raw' (default raw)")
     p.add_argument("--order", type=int, default=4)
     p.add_argument("--max-lag", type=int, default=5)
@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("reproduce-sim", help="replicated simulation-study curves")
-    p.add_argument("--example", type=int, choices=[1, 2, 3], required=True)
+    p.add_argument("--example", type=int, choices=sorted(EXAMPLE_NOISE), required=True)
     p.add_argument("--scale", type=float, default=1.0,
                    help="block-count scale factor in (0, 1]")
     p.add_argument("--reps", type=int, default=100)

@@ -132,9 +132,9 @@ def kendall_tau(x, y) -> float:
 
 def check_contract(stack: np.ndarray, block_ids: Optional[Sequence[int]] = None) -> None:
     """A ``DataError`` naming the first (L+1, m, m) array of a stack with an entry outside
-    [-1, 1] (a NaN passes) or a lag-0 matrix that is not symmetric with unit diagonal."""
+    [-1, 1] (a NaN too) or a lag-0 matrix that is not symmetric with unit diagonal."""
     l0 = stack[:, 0]
-    bad = np.stack([np.abs(stack).max(axis=(1, 2, 3)) > 1.0 + 1e-12,
+    bad = np.stack([~(np.abs(stack) <= 1.0 + 1e-12).all(axis=(1, 2, 3)),
                     (l0 != l0.transpose(0, 2, 1)).any(axis=(1, 2)),
                     (np.diagonal(l0, axis1=1, axis2=2) != 1.0).any(axis=1)])
     if bad.any():

@@ -26,8 +26,6 @@ __all__ = [
 # truth tag for blocks that alternate between both regimes
 SWITCHING = 2
 
-FUZZY = None  # assignment value for sub-cutoff blocks
-
 
 @dataclass(frozen=True)
 class AssignmentReport:

@@ -3,8 +3,9 @@
 A recording is a long multichannel matrix cut into fixed-length blocks,
 held as one (blocks, samples, channels) array.  Within a block the series
 is treated as stationary; an estimator reads one block, ``data[i]``.
-Channels are split into an X group (first ``p`` columns) and a Y group
-(next ``q`` columns).
+An analysis splits the channels into an X group (the first ``p``
+columns) and a Y group (the rest); a dataset holds ``p`` only once a
+split is chosen (``load_csv(groups=...)``, ``select_regions``, a simulation).
 """
 
 from __future__ import annotations
@@ -54,16 +55,13 @@ def _readonly(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MtsBlock:
-    """One block of a dataset as ``MtsDataset.blocks`` gives it: (T, p+q) ``data``, unchecked.
+    """One block of a dataset as ``MtsDataset.blocks`` gives it: (T, m) ``data``, unchecked.
 
     The package reads ``dataset.data``; this record stays because the
     benchmark tracer counts ``len(dataset.blocks)`` and ``n_samples * n_channels``.
     """
 
     data: np.ndarray
-    p: int
-    q: int
-    sample_rate_hz: float
 
     @property
     def n_samples(self) -> int:
@@ -71,24 +69,24 @@ class MtsBlock:
 
     @property
     def n_channels(self) -> int:
-        return self.p + self.q
+        return self.data.shape[1]
 
 
 @dataclass(frozen=True)
 class MtsDataset:
-    """B equal-length blocks as one read-only float64 ``data`` array of shape (B, T, p+q).
+    """B equal-length blocks as one read-only float64 ``data`` array of shape (B, T, m).
 
-    Block i is ``data[i]``: its first ``p`` channels are the X group, the
-    next ``q`` the Y group, sampled at ``sample_rate_hz``.  ``channel_names`` has p+q
+    Block i is ``data[i]``, sampled at ``sample_rate_hz``.  ``p`` is None
+    until an X/Y split is chosen; then the first ``p`` channels are the X
+    group and the other m - p the Y group.  ``channel_names`` has m
     entries, ``ch<i>`` for channel i when none are given.  ``labels`` holds
     one ground-truth class tag (or None) per block for the evaluation
     protocol, and is None when no block has one.
     """
 
     data: np.ndarray
-    p: int
-    q: int
     sample_rate_hz: float
+    p: Optional[int] = None
     channel_names: Optional[tuple[str, ...]] = None
     labels: Optional[tuple[Optional[int], ...]] = None
 
@@ -97,13 +95,11 @@ class MtsDataset:
         if data.ndim != 3 or not len(data):
             raise DataError(f"dataset data must be (blocks, samples, channels) with at least "
                             f"one block, got shape {data.shape}")
-        if self.p < 1 or self.q < 1:
-            raise DataError(f"need p >= 1 and q >= 1, got p={self.p}, q={self.q}")
+        m = data.shape[2]
+        if self.p is not None and not 1 <= self.p < m:
+            raise DataError(f"need 1 <= p < m = {m}, got p={self.p}")
         if data.shape[1] < 2:
             raise DataError(f"block needs at least 2 samples, got {data.shape[1]}")
-        m = self.p + self.q
-        if data.shape[2] != m:
-            raise DataError(f"block has {data.shape[2]} channels but p+q={m}")
         if not np.isfinite(data).all():
             b, t, c = np.argwhere(~np.isfinite(data))[0]
             raise DataError(f"non-finite value at block {b}, sample {t}, channel {c}")
@@ -124,8 +120,7 @@ class MtsDataset:
     @property
     def blocks(self) -> tuple[MtsBlock, ...]:
         """One ``MtsBlock`` over each ``data[i]``, built on every access."""
-        return tuple(MtsBlock(data=d, p=self.p, q=self.q, sample_rate_hz=self.sample_rate_hz)
-                     for d in self.data)
+        return tuple(MtsBlock(d) for d in self.data)
 
     @property
     def n_blocks(self) -> int:
@@ -448,11 +443,11 @@ def load_csv(
     The file must have one header row naming the channels and a numeric
     body.  Blocks come from a fixed ``block_length``, as one reshape of
     the body (``segment_rows``); without one the whole file is a single
-    block.  Channel groups come from
-    ``groups=(p, q)``: the first p columns are X, the next q are Y.
-    ``select_regions`` regroups by channel name.  Missing groups, or
-    groups that do not cover the header's channels, are a
-    ``ConfigError`` raised before the body is parsed.
+    block.  ``groups=(p, q)`` chooses the X/Y split: the first p columns
+    are X, the next q are Y, and groups that do not cover the header's
+    channels are a ``ConfigError`` raised before the body is parsed.
+    Without groups the dataset has no split (``p`` is None) until
+    ``select_regions`` chooses one by channel name.
 
     An optional JSON metadata sidecar may supply ``block_length`` (an
     integer), ``sample_rate_hz`` (a number) and ``labels``; a value of
@@ -474,17 +469,15 @@ def load_csv(
         sample_rate_hz = meta["sample_rate_hz"]
     if sample_rate_hz is None:
         raise ConfigError("sample_rate_hz missing (argument or metadata)")
-
-    width = len(read_header(path))  # the body is parsed only once the groups fit
-    if groups is None:
-        raise ConfigError("groups=(p,q) is required")
-    p, q = int(groups[0]), int(groups[1])
-    if p + q != width:
-        raise ConfigError(f"groups ({p},{q}) do not cover the {width} channels")
+    if groups is not None:  # the body is parsed only once the groups fit
+        width = len(read_header(path))
+        if sum(groups) != width:
+            raise ConfigError(f"groups ({groups[0]},{groups[1]}) do not cover the {width} channels")
 
     header, values = _read_table(path)
     data = values[None] if block_length is None else segment_rows(values, int(block_length))
-    return MtsDataset(data=data, p=p, q=q, sample_rate_hz=float(sample_rate_hz),
+    return MtsDataset(data=data, sample_rate_hz=float(sample_rate_hz),
+                      p=None if groups is None else int(groups[0]),
                       channel_names=tuple(header), labels=labels)
 
 
@@ -507,7 +500,7 @@ def save_csv(dataset: MtsDataset, path, metadata_path=None) -> None:
 def select_regions(
     dataset: MtsDataset, region_map: RegionMap, pair: tuple[str, str]
 ) -> MtsDataset:
-    """Restrict a dataset to two regions: X = first region, Y = second.
+    """Restrict a dataset to two regions and split it there: X = first region, Y = second.
 
     Channel order is deterministic: region-A channels in map order, then
     region-B channels.  Block structure and labels are preserved: the
@@ -521,5 +514,4 @@ def select_regions(
     if missing:
         raise ConfigError(f"channels named in regions but absent from dataset: {missing}")
     return replace(dataset, data=dataset.data[:, :, [names.index(ch) for ch in wanted]],
-                   p=len(region_map.regions[a]), q=len(region_map.regions[b]),
-                   channel_names=wanted)
+                   p=len(region_map.regions[a]), channel_names=wanted)

@@ -41,7 +41,6 @@ from .mts import (
     check_fields,
     load_csv,
     read_block_table,
-    read_header,
     save_csv,
     select_regions,
     write_json,
@@ -109,6 +108,10 @@ class PipelineConfig(JsonConfig):
                 raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
         if (self.csv is None) == (self.sim is None):
             raise ConfigError("exactly one input source required: 'csv' or 'sim'")
+        if self.sim is not None:  # a simulated run takes these from its sim block
+            for key in ("metadata", "sample_rate_hz", "block_length", "groups"):
+                if getattr(self, key) is not None:
+                    raise ConfigError(f"{key} applies to CSV input only, not to 'sim'")
         if self.csv is not None and not Path(self.csv).exists():
             raise ConfigError(f"input file not found: {self.csv}")
         if self.metadata is not None and not Path(self.metadata).exists():
@@ -142,6 +145,8 @@ class PipelineConfig(JsonConfig):
             raise ConfigError("regions and region pairs must be given together")
         if self.pairs:  # unknown or repeated regions fail here, before any input is read
             RegionMap(regions=self.regions, pairs=self.pairs)
+        elif self.csv is not None and self.groups is None:
+            raise ConfigError("CSV input needs groups=(p, q) or regions with pairs")
 
 
 # ---------------------------------------------------------------------------
@@ -254,17 +259,11 @@ def _sim_config(config: PipelineConfig) -> SimConfig:
 def load_input(config: PipelineConfig) -> MtsDataset:
     if config.sim is not None:
         return gen_dataset(_sim_config(config))
-    groups = config.groups
-    if groups is None:
-        if not config.pairs:
-            raise ConfigError("CSV input needs groups=(p, q) or regions with pairs")
-        # provisional split; region selection re-partitions per pair
-        groups = (1, len(read_header(config.csv)) - 1)
     return require_blocks(load_csv(
         config.csv,
         sample_rate_hz=config.sample_rate_hz,
         block_length=config.block_length,
-        groups=groups,
+        groups=config.groups,
         metadata_path=config.metadata,
     ), config.csv)
 

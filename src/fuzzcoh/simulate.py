@@ -309,9 +309,8 @@ def _gen_blocks(config: SimConfig, kinds: Sequence[int],
             mixed = np.where(d[:, None, None] == 1, a1[None], a0[None])  # (T, m, r)
             clean = np.einsum("tmr,tr->tm", mixed, lat)
         out[...] = clean + config.noise_scale * noise
-    return MtsDataset(data=data, p=config.n_x, q=config.n_y,
-                      sample_rate_hz=config.sample_rate_hz, channel_names=names,
-                      labels=tuple(kinds))
+    return MtsDataset(data=data, sample_rate_hz=config.sample_rate_hz, p=config.n_x,
+                      channel_names=names, labels=tuple(kinds))
 
 
 def apportion(n: int, proportions: Sequence[float]) -> list[int]:
@@ -328,7 +327,8 @@ def apportion(n: int, proportions: Sequence[float]) -> list[int]:
 def gen_dataset(config: SimConfig) -> MtsDataset:
     """Generate the full dataset: shuffled kinds, per-block seed streams.
 
-    Block labels carry the truth kind (0, 1, 2 = switching).  Blocks are
+    The first ``n_x`` channels are the X group and block labels carry
+    the truth kind (0, 1, 2 = switching).  Blocks are
     generated from per-position derived streams, so a parallel map over
     positions reproduces the sequential output exactly.
     """

@@ -290,7 +290,7 @@ def contracted_set(data, max_lag, p, fn=None):
     as ``extract_features`` leaves them after the dependence-set contract."""
     from fuzzcoh import MtsDataset, extract_features, sine_tau_matrices
 
-    dataset = MtsDataset(data=data[None], p=p, q=data.shape[1] - p, sample_rate_hz=128.0)
+    dataset = MtsDataset(data=data[None], p=p, sample_rate_hz=128.0)
     return extract_features(dataset, max_lag=max_lag, dependence_fn=fn or sine_tau_matrices).lags[0]
 
 

@@ -28,7 +28,7 @@ def magnitude(design, freq_hz):
 
 def one_block(data, sample_rate_hz=S):
     """A one-block dataset over the (T, m) samples; the first channel is X."""
-    return MtsDataset(data=data[None], p=1, q=data.shape[1] - 1, sample_rate_hz=sample_rate_hz)
+    return MtsDataset(data=data[None], p=1, sample_rate_hz=sample_rate_hz)
 
 
 def filter_block(data, design):
@@ -187,7 +187,7 @@ class TestScipyOracle:
         design = design_bandpass(band(name), order=order)
         for T in (design.min_block_length(), 200, 1024):  # shortest block, capped and full pad
             blocks = tuple(noise_block(T, channels=3, seed=T + b) for b in range(4))
-            filtered = filter_dataset(MtsDataset(data=np.stack(blocks), p=1, q=2,
+            filtered = filter_dataset(MtsDataset(data=np.stack(blocks), p=1,
                                                  sample_rate_hz=S), design)
             for block, out in zip(blocks, filtered.data):
                 expected = signal.sosfiltfilt(np.array(design.sos), block, axis=0,

@@ -7,6 +7,7 @@ from conftest import grid_oracle_best_g, lag_matrix, reference_solve_canonical
 from scipy import linalg as sla
 
 from fuzzcoh import (
+    ConfigError,
     DataError,
     DegenerateBlockError,
     MtsDataset,
@@ -74,8 +75,12 @@ class TestSolveCanonical:
         (_breaks(lambda a: a.__setitem__((0, 0, 1), 0.3)), 2, "lag-0 matrix must be symmetric"),
         (_breaks(lambda a: a.__setitem__((0, 2, 2), 0.9)), 2,
          "lag-0 matrix must have unit diagonal"),
+        (_breaks(lambda a: a.__setitem__((0, [0, 1], [1, 0]), np.nan)), 2,
+         "dependence entries outside [-1, 1]"),
+        (_breaks(lambda a: a.__setitem__((1, 0, 3), np.nan)), 2,
+         "dependence entries outside [-1, 1]"),
     ], ids=["not 3-D", "no lags", "not square", "p = 0", "p = m", "entry past 1",
-            "asymmetric lag 0", "lag-0 diagonal not 1"])
+            "asymmetric lag 0", "lag-0 diagonal not 1", "NaN at lag 0", "NaN at lag 1"])
     def test_input_checked(self, lags, p, message):
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             solve_canonical(lags, p)
@@ -150,7 +155,7 @@ class TestExtractFeatures:
         data = np.random.default_rng(seed).standard_normal((n_blocks, T, 8))
         if flatline_block is not None:
             data[flatline_block, :, 2] = 0.0
-        return MtsDataset(data=data, p=4, q=4, sample_rate_hz=128.0)
+        return MtsDataset(data=data, p=4, sample_rate_hz=128.0)
 
     def test_feature_dimensions(self):
         ds = self.make_dataset(n_blocks=5)
@@ -195,7 +200,7 @@ class TestExtractFeatures:
         # but nonzero; the block is still found flat from its samples
         data = np.random.default_rng(6).standard_cauchy((5, 37, 4))
         data[2, :, 1] = 0.1
-        ds = MtsDataset(data=data, p=2, q=2, sample_rate_hz=1.0)
+        ds = MtsDataset(data=data, p=2, sample_rate_hz=1.0)
         calls = []
 
         def counting(stack, max_lag):
@@ -231,6 +236,23 @@ class TestExtractFeatures:
                 "block 1: dependence entries outside [-1, 1]")):
             extract_features(self.make_dataset(n_blocks=3), max_lag=2,
                              dependence_fn=too_large_in_block_1)
+
+    @pytest.mark.parametrize("lag", [0, 1])
+    def test_nan_entry_names_its_block(self, lag):
+        def nan_in_block_1(data, max_lag):
+            lags = sine_tau_matrices(data, max_lag)
+            lags[1, lag, 0, 5] = np.nan
+            return lags
+
+        with pytest.raises(DataError, match=re.escape(
+                "block 1: dependence entries outside [-1, 1]")):
+            extract_features(self.make_dataset(n_blocks=3), max_lag=2,
+                             dependence_fn=nan_in_block_1)
+
+    def test_unsplit_dataset_rejected(self):
+        ds = replace(self.make_dataset(), p=None)
+        with pytest.raises(ConfigError, match="the dataset has no X/Y split"):
+            extract_features(ds, max_lag=2)
 
     def test_flatline_excluded_with_skip(self):
         ds = self.make_dataset(n_blocks=4, flatline_block=2)
@@ -298,7 +320,7 @@ def mixed_stack(p, q, max_lag):
 
 def dataset_of(n_blocks, p, q, T=32):
     data = np.random.default_rng(0).standard_normal((T, p + q))
-    return MtsDataset(data=np.stack([data] * n_blocks), p=p, q=q, sample_rate_hz=128.0)
+    return MtsDataset(data=np.stack([data] * n_blocks), p=p, sample_rate_hz=128.0)
 
 
 def serve(deps):
@@ -359,7 +381,7 @@ class TestStackedSolve:
     @pytest.mark.parametrize("estimator", [sine_tau_matrices, pearson_matrices])
     def test_estimated_sets_equal_per_block(self, estimator):
         rng = np.random.default_rng(21)
-        ds = MtsDataset(data=rng.standard_cauchy((12, 96, 6)), p=3, q=3, sample_rate_hz=1.0)
+        ds = MtsDataset(data=rng.standard_cauchy((12, 96, 6)), p=3, sample_rate_hz=1.0)
         fs = extract_features(ds, max_lag=4, dependence_fn=estimator)
         for feat, data in zip(rows(fs), ds.data, strict=True):
             lags = estimator(data, 4)
@@ -385,9 +407,23 @@ class TestStackedSolve:
         with pytest.raises(NumericError, match=r"^block 2: P_XX\(0\) remains singular"):
             extract_features(dataset_of(5, 3, 1), max_lag=1, dependence_fn=serve(deps))
 
-    def test_failed_svd_named_as_per_block(self):
+    def test_failed_svd_named_as_per_block(self, monkeypatch):
+        # the contract lets only finite entries through, so an SVD that does not
+        # converge is simulated: it fails on a matrix with a singular value of 1,
+        # which only lag 2 of block 3 has (X1 leads Y1 by two samples, exactly)
         deps = [stationary_var_instance(2, 2, 2, s) for s in range(6)]
-        deps[3][2, 0, 3] = np.nan  # passes the contract; the lag -2 and 2 SVDs fail
+        assert max(reference_solve_canonical(d, 2)[2] for d in deps) < 0.99
+        deps[3] = np.zeros((3, 4, 4))
+        deps[3][0] = np.eye(4)
+        deps[3][2, 0, 2] = 1.0
+        svd = np.linalg.svd
+
+        def fails_at_one(a, *args, **kwargs):
+            if (svd(a, compute_uv=False)[..., 0] > 0.999).any():
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", fails_at_one)
         with pytest.raises(NumericError) as reference:
             reference_solve_canonical(deps[3], 2)
         with pytest.raises(NumericError) as batched:

@@ -435,6 +435,17 @@ def crisp_partition(features, labels, n_clusters, m=2.0, eps=1e-6):
 
 
 class TestFsi:
+    @pytest.mark.parametrize("n_features, n_members, match", [
+        (4, 3, "4 feature rows vs 3 membership rows"),
+        (2, 2, "need at least 3 objects, got 2"),
+    ])
+    def test_bad_input_rejected(self, n_features, n_members, match):
+        part = FuzzyPartition(memberships=np.full((n_members, 2), 0.5), centers=np.zeros((2, 2)),
+                              fuzziness=2.0, objective_trace=(1.0,), iterations=1,
+                              converged=True, seed=0)
+        with pytest.raises(ConfigError, match=f"^{re.escape(match)}$"):
+            fsi(np.zeros((n_features, 2)), part)
+
     def test_distant_blobs_high_index(self):
         x, labels = two_blobs(10, 3, gap=50.0, sigma=0.5, seed=0)
         value = fsi(x, crisp_partition(x, labels, 2))

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -240,6 +241,17 @@ class TestDependenceSet:
 
 
 class TestRepairPsd:
+    @pytest.mark.parametrize("matrix, match", [
+        (np.ones((2, 3)), "need a square matrix, got shape (2, 3)"),
+        (np.ones(3), "need a square matrix, got shape (3,)"),
+        ([[1.0, 0.5], [0.2, 1.0]], "matrix is not symmetric within 1e-10"),
+        ([[1.0, 0.0], [0.0, 0.0]], "PSD repair requires a strictly positive diagonal"),
+        ([[-1.0, 0.0], [0.0, 1.0]], "PSD repair requires a strictly positive diagonal"),
+    ])
+    def test_bad_input_rejected(self, matrix, match):
+        with pytest.raises(DataError, match=f"^{re.escape(match)}$"):
+            repair_psd(matrix)
+
     def test_identity_unchanged(self):
         np.testing.assert_array_equal(repair_psd(np.eye(4)), np.eye(4))
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from conftest import brute_force_rand_index, brute_force_simulation_protocol
@@ -94,6 +96,16 @@ class TestRandIndex:
         with pytest.raises(ConfigError):
             rand_index([1, 2], [1, 2, 3])
 
+    @pytest.mark.parametrize("pred, truth, match", [
+        ([1], [1], "need at least 2 objects, got 1"),
+        ([], [], "need at least 2 objects, got 0"),
+        ([1, 2], [1, 2, 3], "label shapes differ: (2,) vs (3,)"),
+        ([[1, 2]], [[1, 2]], "label shapes differ: (1, 2) vs (1, 2)"),
+    ])
+    def test_bad_labelling_rejected(self, pred, truth, match):
+        with pytest.raises(ConfigError, match=f"^{re.escape(match)}$"):
+            rand_index(pred, truth)
+
 
 class TestSimulationAccuracy:
     def test_perfect_run(self):
@@ -130,6 +142,16 @@ class TestSimulationAccuracy:
         e = [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8], [0.4, 0.3, 0.3]]
         with pytest.raises(ConfigError, match="binary"):
             simulation_accuracy(as_memberships(e), [0, 1, 0, SWITCHING])
+
+    @pytest.mark.parametrize("kinds, match", [
+        ([0, 1, 0], "3 truth entries for 4 blocks"),
+        ([0, 1, 0, 1, 2], "5 truth entries for 4 blocks"),
+        ([0, 1, 3, -1], "truth kinds must be 0, 1 or 2, got extra [-1, 3]"),
+    ])
+    def test_bad_truth_rejected(self, kinds, match):
+        e = [[0.9, 0.1], [0.1, 0.9], [0.8, 0.2], [0.5, 0.5]]
+        with pytest.raises(ConfigError, match=f"^{re.escape(match)}$"):
+            simulation_accuracy(as_memberships(e), kinds)
 
     def test_rand_variants_reported(self):
         e = [[0.95, 0.05], [0.05, 0.95], [0.52, 0.48], [0.9, 0.1]]

@@ -31,10 +31,10 @@ _BETA = BandSpec("Beta", 12.0, 30.0, 128.0)
 # (array passed in, object built from it, the array the object stores)
 FROZEN_ARRAYS = {
     "MtsBlock.data": (lambda: np.zeros((5, 2)),
-                      lambda a: MtsDataset(data=a[None], p=1, q=1,
+                      lambda a: MtsDataset(data=a[None], p=1,
                                            sample_rate_hz=1.0).blocks[0].data),
     "MtsDataset.data": (lambda: np.zeros((2, 10, 2)),
-                        lambda a: MtsDataset(data=a, p=1, q=1, sample_rate_hz=1.0).data),
+                        lambda a: MtsDataset(data=a, p=1, sample_rate_hz=1.0).data),
     "FilterDesign.sos": (lambda: design_bandpass(_BETA).sos.copy(),
                          lambda a: replace(design_bandpass(_BETA), sos=a).sos),
     "FuzzyPartition.memberships": (lambda: np.full((3, 2), 0.5),
@@ -63,10 +63,10 @@ def test_block_data_is_readonly(stored):
 @pytest.mark.parametrize("shape, extra, match", [
     ((10, 2), {}, "must be (blocks, samples, channels)"),
     ((0, 10, 2), {}, "at least one block"),
-    ((2, 10, 3), {}, "block has 3 channels but p+q=2"),
+    ((2, 10, 3), {"p": 3}, "need 1 <= p < m = 3, got p=3"),
     ((2, 10, 2), {"labels": (0, 1, 1)}, "3 labels for 2 blocks"),
     ((2, 10, 2), {"channel_names": ("a",)}, "channel_names has 1 entries, expected 2"),
-    ((2, 10, 2), {"p": 0}, "need p >= 1 and q >= 1, got p=0, q=1"),
+    ((2, 10, 2), {"p": 0}, "need 1 <= p < m = 2, got p=0"),
     ((2, 1, 2), {}, "block needs at least 2 samples, got 1"),
     ((3, 10, 2), {"nan_at": (1, 7, 1)}, "non-finite value at block 1, sample 7, channel 1"),
     ((2, 10, 2), {"sample_rate_hz": 0.0}, "sample_rate_hz must be positive, got 0.0"),
@@ -77,11 +77,12 @@ def test_dataset_validation(shape, extra, match):
         data[extra.pop("nan_at")] = np.nan
         data[2, 0, 0] = np.inf  # only the first non-finite value is named
     with pytest.raises(DataError, match=re.escape(match)):
-        MtsDataset(**{"data": data, "p": 1, "q": 1, "sample_rate_hz": 1.0, **extra})
+        MtsDataset(**{"data": data, "p": 1, "sample_rate_hz": 1.0, **extra})
 
 
 def test_dataset_defaults():
-    ds = MtsDataset(data=np.zeros((2, 10, 2)), p=1, q=1, sample_rate_hz=1.0, labels=(None, None))
+    assert MtsDataset(data=np.zeros((2, 10, 2)), sample_rate_hz=1.0).p is None  # no split yet
+    ds = MtsDataset(data=np.zeros((2, 10, 2)), p=1, sample_rate_hz=1.0, labels=(None, None))
     assert ds.labels is None and ds.channel_names == ("ch0", "ch1")
     assert (ds.n_blocks, ds.n_samples) == (2, 10) and not ds.data.flags.writeable
     assert [(b.n_samples, b.n_channels) for b in ds.blocks] == [(10, 2), (10, 2)]
@@ -116,7 +117,7 @@ def test_csv_non_numeric_and_ragged(tmp_path):
 
 
 @pytest.mark.parametrize("groups, match", [
-    (None, "groups=(p,q) is required"),
+    ((2, 1), "groups (2,1) do not cover the 2 channels"),
     ((1, 2), "groups (1,2) do not cover the 2 channels"),
 ])
 def test_groups_checked_before_the_body_is_parsed(tmp_path, groups, match):
@@ -125,6 +126,13 @@ def test_groups_checked_before_the_body_is_parsed(tmp_path, groups, match):
     write_csv(path, ["a", "b"], [[1.0, 2.0], [3.0, "oops"]])
     with pytest.raises(ConfigError, match=re.escape(match)):
         load_csv(path, sample_rate_hz=1.0, block_length=2, groups=groups)
+
+
+def test_split_set_only_by_groups(tmp_path):
+    path = tmp_path / "ok.csv"
+    write_csv(path, ["a", "b", "c"], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    assert load_csv(path, sample_rate_hz=1.0).p is None
+    assert load_csv(path, sample_rate_hz=1.0, groups=(2, 1)).p == 2
 
 
 def test_csv_blank_lines_skipped(tmp_path):
@@ -154,6 +162,28 @@ def test_csv_body_parsed_into_flat_buffer(tmp_path):
     assert peak <= 1.5 * data.nbytes
 
 
+@pytest.mark.parametrize("rows, block_length, error, match", [
+    (11, 1, ConfigError, "block_length must be >= 2, got 1"),
+    (11, 0, ConfigError, "block_length must be >= 2, got 0"),
+    (3, 4, DataError, "only 3 rows, need at least one block of 4"),
+])
+def test_segmentation_rejects(rows, block_length, error, match):
+    with pytest.raises(error, match=f"^{re.escape(match)}$"):
+        segment_rows(np.zeros((rows, 2)), block_length)
+
+
+@pytest.mark.parametrize("sidecar", [None, {"block_length": 2}, {"sample_rate_hz": None}])
+def test_csv_needs_a_sample_rate(tmp_path, sidecar):
+    path = tmp_path / "ok.csv"
+    write_csv(path, ["a", "b"], [[1.0, 2.0], [3.0, 4.0]])
+    meta = None
+    if sidecar is not None:
+        meta = tmp_path / "meta.json"
+        meta.write_text(json.dumps(sidecar), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"^sample_rate_hz missing \(argument or metadata\)$"):
+        load_csv(path, metadata_path=meta)
+
+
 def test_segmentation_drops_remainder():
     values = np.arange(22, dtype=float).reshape(11, 2)
     with pytest.warns(UserWarning, match="3 trailing rows"):
@@ -178,7 +208,7 @@ def test_round_trip_bit_identical(tmp_path):
     rng = np.random.default_rng(3)
     data = np.stack([rng.standard_normal((16, 3)) * 10.0 ** rng.integers(-8, 8)
                      for _ in range(3)])
-    ds = MtsDataset(data=data, p=2, q=1, sample_rate_hz=128.0, channel_names=("a", "b", "c"),
+    ds = MtsDataset(data=data, p=2, sample_rate_hz=128.0, channel_names=("a", "b", "c"),
                     labels=tuple(i % 2 for i in range(3)))
     out = tmp_path / "out.csv"
     meta = tmp_path / "out.json"
@@ -301,14 +331,16 @@ class TestRegions:
 
     def make_dataset(self):
         rng = np.random.default_rng(0)
-        return MtsDataset(data=rng.standard_normal((1, 12, 4)), p=2, q=2, sample_rate_hz=8.0,
+        return MtsDataset(data=rng.standard_normal((1, 12, 4)), p=2, sample_rate_hz=8.0,
                           channel_names=("f1", "f2", "t1", "o1"), labels=(1,))
 
     def test_select_pair_order(self):
         ds = self.make_dataset()
         sel = select_regions(ds, self.MAP, ("RT", "LF"))
         assert sel.channel_names == ("t1", "f1", "f2")
-        assert (sel.p, sel.q) == (1, 2)
+        assert sel.p == 1 and ds.p == 2
+        unsplit = select_regions(replace(ds, p=None), self.MAP, ("RT", "LF"))
+        assert unsplit.p == 1 and unsplit.data.tobytes() == sel.data.tobytes()
         np.testing.assert_array_equal(sel.blocks[0].data[:, 1], ds.blocks[0].data[:, 0])
         assert sel.labels == (1,)
 

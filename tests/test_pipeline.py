@@ -18,6 +18,7 @@ from fuzzcoh.cli import main
 from fuzzcoh.dependence import sine_tau_matrices
 from fuzzcoh.pipeline import (
     DEPENDENCE_FNS,
+    evaluate_partition,
     load_input,
     read_features_csv,
     read_memberships_csv,
@@ -45,6 +46,35 @@ class TestPipelineConfig:
     def test_missing_csv_rejected(self):
         with pytest.raises(ConfigError, match="not found"):
             PipelineConfig(seed=0, output_dir="x", csv="nope.csv")
+
+    @pytest.mark.parametrize("setting, match", [
+        ({"metadata": "absent.json"}, "metadata file not found: "),
+        ({"bands": []}, "at least one band required"),
+        ({"groups": None}, "CSV input needs groups=(p, q) or regions with pairs"),
+    ])
+    def test_csv_config_checked_when_built(self, tmp_path, setting, match):
+        # each check fires before any input is read: the body's bad cell is never parsed
+        data = write_file(tmp_path / "rec.csv", "a,b\n1,x\n")
+        if "metadata" in setting:
+            setting = {"metadata": str(tmp_path / setting["metadata"])}
+        raw = {"seed": 0, "output_dir": str(tmp_path / "out"), "csv": data, "groups": [1, 1],
+               **setting}
+        with pytest.raises(ConfigError, match=f"^{re.escape(match)}"):
+            PipelineConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("setting, key", [
+        ({"metadata": "rec.json"}, "metadata"),
+        ({"sample_rate_hz": 3.0}, "sample_rate_hz"),
+        ({"block_length": 17}, "block_length"),
+        ({"groups": [2, 6]}, "groups"),
+        ({"groups": [2, 6], "block_length": 17, "sample_rate_hz": 3.0}, "sample_rate_hz"),
+    ])
+    def test_sim_refuses_csv_keys(self, tmp_path, setting, key):
+        if "metadata" in setting:  # an existing sidecar is refused too
+            setting = {"metadata": write_file(tmp_path / setting["metadata"], "{}")}
+        with pytest.raises(ConfigError, match=f"^{key} applies to CSV input only, not to 'sim'$"):
+            PipelineConfig.from_dict({"seed": 1, "output_dir": "o", "sim": {"n_blocks": 8},
+                                      **setting})
 
     def test_band_table_override(self):
         cfg = PipelineConfig(
@@ -136,13 +166,17 @@ class TestPipelineConfig:
             PipelineConfig.from_dict(raw)
         assert not (tmp_path / "out").exists()
 
-    def test_fields_normalised(self):
+    def test_fields_normalised(self, tmp_path):
         cfg = PipelineConfig.from_dict({
             "seed": np.int64(3), "output_dir": "x", "sim": SIM_SMALL, "bands": ["raw"],
-            "c_grid": [np.int64(2), 3], "m_grid": [2, 1.5], "fuzziness": 2, "groups": [4, 4],
+            "c_grid": [np.int64(2), 3], "m_grid": [2, 1.5], "fuzziness": 2,
             "regions": {"A": ["X1"], "B": ["Y1"]}, "pairs": [["A", "B"]],
         })
-        assert (cfg.bands, cfg.pairs, cfg.groups) == (("raw",), (("A", "B"),), (4, 4))
+        assert (cfg.bands, cfg.pairs) == (("raw",), (("A", "B"),))
+        data = write_file(tmp_path / "rec.csv", "a,b\n1,2\n")
+        csv_cfg = PipelineConfig.from_dict({"seed": 3, "output_dir": "x", "csv": data,
+                                            "groups": [np.int64(1), 1]})
+        assert csv_cfg.groups == (1, 1) and [type(g) for g in csv_cfg.groups] == [int, int]
         assert [type(c) for c in cfg.c_grid] == [int, int]
         assert [type(m) for m in cfg.m_grid] == [float, float] and cfg.m_grid == (2.0, 1.5)
         assert cfg.regions == {"A": ("X1",), "B": ("Y1",)}
@@ -219,8 +253,8 @@ class TestRunPipeline:
         assert set(conn["clusters"][0]["y_weights"]) == {"Y1", "Y2"}
 
     def test_csv_region_pairs_match_sim_run(self, tmp_path):
-        # without groups, a CSV run splits its channels provisionally and each pair
-        # regroups them: the jobs match those of the same data simulated in the run
+        # without groups, a CSV run has no X/Y split until each pair chooses one:
+        # the jobs match those of the same data simulated in the run
         from fuzzcoh import SimConfig, gen_dataset, save_csv
 
         sim = {"seed": 5, "n_blocks": 8, "block_length": 256, "proportions": [0.5, 0.5, 0.0]}
@@ -396,7 +430,7 @@ print("numpy.ma" in sys.modules)
     def test_unnamed_channels_are_ch_i_everywhere(self, tmp_path):
         data = np.random.default_rng(0).standard_normal((4, 64, 3))
         data[1, :, 2] = 1.0
-        ds = MtsDataset(data=data, p=2, q=1, sample_rate_hz=128.0)
+        ds = MtsDataset(data=data, p=2, sample_rate_hz=128.0)
         cfg = PipelineConfig(seed=0, output_dir=str(tmp_path), sim=SIM_SMALL, max_lag=2,
                              skip_degenerate=True)
         pipeline._run_job((ds, "raw", None, None, cfg))
@@ -407,6 +441,16 @@ print("numpy.ma" in sys.modules)
         assert (list(cluster["x_weights"]), list(cluster["y_weights"])) == (["ch0", "ch1"], ["ch2"])
         save_csv(ds, tmp_path / "data.csv")
         assert (tmp_path / "data.csv").read_text().splitlines()[0] == "ch0,ch1,ch2"
+
+
+@pytest.mark.parametrize("labels", [None, (0, 1, None), (None, None, 2, 1)])
+def test_truth_with_an_unlabelled_block_is_not_scored(labels):
+    e = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])
+    payload = evaluate_partition(e, labels, [0, 1, 2], 0.7, simulated=True)
+    assert payload["accuracy"] is None and payload["rand_index"] is None
+    assert "protocol" not in payload and "n_switching" not in payload
+    assert [b["assignment"] for b in payload["per_block"]] == [0, 1, "FUZZY"]
+    assert payload["fuzzy_fraction"] == 1 / 3
 
 
 class TestReproduceSim:
@@ -429,6 +473,16 @@ class TestReproduceSim:
             reproduce_sim(example=4, scale=0.1, n_reps=1)
         with pytest.raises(ConfigError):
             reproduce_sim(example=1, scale=0.0, n_reps=1)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"example": 4}, "example must be 1, 2 or 3, got 4"),
+        ({"scale": 1.5}, "scale must lie in (0, 1], got 1.5"),
+        ({"n_reps": 0}, "n_reps must be >= 1, got 0"),
+    ])
+    def test_bad_arg_named(self, monkeypatch, kwargs, match):
+        monkeypatch.setattr(pipeline, "gen_dataset", lambda sim: pytest.fail("simulated"))
+        with pytest.raises(ConfigError, match=f"^{re.escape(match)}$"):
+            reproduce_sim(**{"example": 1, "scale": 0.05, "n_reps": 2, **kwargs})
 
     @pytest.mark.parametrize("m_values, match", [
         ((), "m_values is empty"),
@@ -525,10 +579,18 @@ class TestCli:
         out = tmp_path / "beta.csv"
         rc = main([
             "filter", "--input", str(data), "--sample-rate", "128",
-            "--block-length", "256", "--groups", "4", "4",
-            "--band", "Beta", "--output", str(out),
+            "--block-length", "256", "--band", "Beta", "--output", str(out),
         ])
         assert rc == 0 and out.exists()
+
+    def test_features_needs_groups_before_the_body(self, tmp_path, capsys):
+        data = write_file(tmp_path / "bad.csv", "a,b\n1,x\n3,4\n")
+        with pytest.raises(SystemExit) as info:
+            main(["features", "--input", data, "--sample-rate", "1", "--block-length", "2",
+                  "--output", str(tmp_path / "f.csv")])
+        assert info.value.code == 2
+        assert "the following arguments are required: --groups" in capsys.readouterr().err
+        assert not (tmp_path / "f.csv").exists()
 
     def test_reproduce_sim_subcommand(self, tmp_path):
         out = tmp_path / "curves.csv"
@@ -838,7 +900,7 @@ class TestCliInputErrors:
     ])
     def test_malformed_sidecar_labels(self, tmp_path, capsys, labels, match):
         data, meta = self.recording(tmp_path, labels)
-        rc = main(["filter", "--input", data, "--metadata", meta, "--groups", "2", "2",
+        rc = main(["filter", "--input", data, "--metadata", meta,
                    "--band", "Beta", "--output", str(tmp_path / "beta.csv")])
         assert rc == 2
         assert_one_error_line(capsys, match)
@@ -857,7 +919,7 @@ class TestCliInputErrors:
         if isinstance(sidecar, dict):
             sidecar = {**json.loads(Path(meta).read_text(encoding="utf-8")), **sidecar}
         write_file(Path(meta), json.dumps(sidecar))
-        rc = main(["filter", "--input", data, "--metadata", meta, "--groups", "2", "2",
+        rc = main(["filter", "--input", data, "--metadata", meta,
                    "--band", "Beta", "--output", str(tmp_path / "beta.csv")])
         assert rc == 2
         assert_one_error_line(capsys, match)
@@ -867,10 +929,10 @@ class TestCliInputErrors:
         from fuzzcoh import load_csv
 
         data, meta = self.recording(tmp_path, [0, None, 1, 2])
-        rc = main(["filter", "--input", data, "--metadata", meta, "--groups", "2", "2",
+        rc = main(["filter", "--input", data, "--metadata", meta,
                    "--band", "Beta", "--output", str(tmp_path / "beta.csv")])
         assert rc == 0 and (tmp_path / "beta.csv").exists()
-        assert load_csv(data, groups=(2, 2), metadata_path=meta).labels == (0, None, 1, 2)
+        assert load_csv(data, metadata_path=meta).labels == (0, None, 1, 2)
 
     @pytest.mark.parametrize("body, match", [
         (b"a\xb5V,b,c,d\n1,2,3,4\n5,6,7,8\n", "rec.csv: line 1 is not UTF-8 text"),
@@ -902,8 +964,8 @@ class TestCliInputErrors:
         out = tmp_path / "out"
         argv = {
             "config": ["pipeline", "--config", str(path)],
-            "sidecar": ["filter", "--input", data, "--metadata", str(path), "--groups", "2",
-                        "2", "--band", "Beta", "--output", str(out)],
+            "sidecar": ["filter", "--input", data, "--metadata", str(path), "--band", "Beta",
+                        "--output", str(out)],
             "truth": ["evaluate", "--memberships",
                       write_file(tmp_path / "m.csv", "block_id,e_1,e_2\n0,0.9,0.1\n"),
                       "--truth", str(path), "--output", str(out)],

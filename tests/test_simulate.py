@@ -186,6 +186,21 @@ class TestSimConfig:
          "mixing_a0 must be a numeric matrix"),
         ({"mixing_a0": [[1.5] * 5] * 8, "mixing_a1": [[True] * 5] * 8},
          "mixing_a1 must be a numeric matrix"),
+        ({"damping": 1.0}, "damping must exceed 1 for stationarity, got 1.0"),
+        ({"noise_family": "cauchy"}, "noise_family must be one of ('normal', 'student_t3', "
+                                     "'student_t1'), got 'cauchy'"),
+        ({"proportions": [0.5, 0.5, 0.5]}, "proportions must sum to 1, got (0.5, 0.5, 0.5)"),
+        ({"proportions": [1.5, -0.5, 0.0]},
+         "proportions must be non-negative, got (1.5, -0.5, 0.0)"),
+        ({"fuzzy_switch_prob": 1.0}, "fuzzy_switch_prob must lie in (0, 1), got 1.0"),
+        ({"fuzzy_switch_rate": 0.6}, "fuzzy_switch_rate must lie in (0, 0.5], got 0.6"),
+        ({"target_freqs": [2.0, 6.0, 10.0, 64.0]}, "target frequency 64.0 Hz outside (0, Nyquist)"),
+        ({"n_blocks": 0}, "need n_blocks >= 1 and block_length >= 2"),
+        ({"block_length": 1}, "need n_blocks >= 1 and block_length >= 2"),
+        ({"n_y": 0}, "need n_x >= 1 and n_y >= 1"),
+        ({"mixing_a0": [[1.5] * 5] * 8}, "give both mixing matrices or neither"),
+        ({"mixing_a0": [[1.5] * 5] * 7, "mixing_a1": [[1.5] * 5] * 7},
+         "mixing_a0 has shape (7, 5), expected (8, 5)"),
     ])
     def test_bad_field_rejected_when_built(self, setting, match):
         raw = {"seed": 0, "n_blocks": 4, "block_length": 64, **setting}
