@@ -19,8 +19,7 @@ from .mts import MtsDataset
 
 __all__ = ["FeatureSet", "solve_canonical", "extract_features"]
 
-_RIDGE = 1e-6
-_MIN_EIG = 1e-10
+_FAILURES = (DataError, NumericError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -51,25 +50,15 @@ class FeatureSet:
         return len(self.block_indices)
 
 
-def _inv_sqrt_psd(mats: np.ndarray, what: str) -> np.ndarray:
-    """Symmetric inverse square roots of a (B, n, n) stack, with a ridge retry per matrix."""
+def _inv_sqrt_psd(mats: np.ndarray) -> np.ndarray:
+    """Symmetric inverse square roots of a (B, n, n) stack of positive definite matrices.
+
+    Each is a diagonal block of a lag-0 matrix whose eigenvalues are >= 1e-8, as
+    ``needs_psd_repair`` found it or ``repair_psd`` left it; by Cauchy interlacing
+    the block's smallest eigenvalue is at least that, so 1/sqrt stays finite.
+    """
     w, v = np.linalg.eigh(mats)
-    for k in np.flatnonzero(w.min(axis=1) < _MIN_EIG).tolist():
-        w[k], v[k] = np.linalg.eigh(mats[k] + _RIDGE * np.eye(mats.shape[1]))
-        if w[k].min() < _MIN_EIG:
-            raise NumericError(
-                f"{what} remains singular after PSD repair and ridge "
-                f"(min eigenvalue {w[k].min():.3e})"
-            )
     return (v * (1.0 / np.sqrt(w))[:, None, :]) @ v.transpose(0, 2, 1)
-
-
-def _lag_order(max_lag: int):
-    """Tie-break order: smaller |lag| first, then the non-negative lag."""
-    yield 0
-    for l in range(1, max_lag + 1):
-        yield l
-        yield -l
 
 
 # Exactness: every batched numpy call below (eigh, matmul, svd) runs the
@@ -78,33 +67,25 @@ def _lag_order(max_lag: int):
 # for bit.  Two steps are kept scalar on purpose: each lag's leading
 # singular value is squared as a Python float (libm pow, as ``float(s) **
 # 2``; numpy's ``square`` multiplies and can differ by one ULP), and the
-# best lag is the first maximum in ``_lag_order`` order.
+# best lag is the first maximum in tie-break order: smaller |lag| first,
+# then the non-negative lag.
 def _solve_stack(lags: np.ndarray, p: int):
     """``(u, v, g_value, best_lag)`` columns of every block of a (B, L+1, m, m) lag stack."""
     n_blocks = lags.shape[0]
-    lag_of = list(_lag_order(lags.shape[1] - 1))
+    lag_of = [0] + [sign * l for l in range(1, lags.shape[1]) for sign in (1, -1)]
     p0 = lags[:, 0].copy()
     for k in np.flatnonzero(needs_psd_repair(p0)).tolist():
         p0[k] = repair_psd(p0[k])  # only the blocks that need it; a no-op elsewhere
-    wx = _inv_sqrt_psd(p0[:, :p, :p], "P_XX(0)")
-    wy = _inv_sqrt_psd(p0[:, p:, p:], "P_YY(0)")
-    # K(l) = wx P_XY(l) wy in _lag_order order: 0, 1, -1, 2, -2, ...;
+    wx = _inv_sqrt_psd(p0[:, :p, :p])
+    wy = _inv_sqrt_psd(p0[:, p:, p:])
+    # K(l) = wx P_XY(l) wy in tie-break order: 0, 1, -1, 2, -2, ...;
     # P_XY(-l) is the transposed view of P_YX(l)
     cross = np.empty((n_blocks, len(lag_of), p, lags.shape[-1] - p))
     cross[:, 0] = wx @ p0[:, :p, p:]
     cross[:, 1::2] = wx[:, None] @ lags[:, 1:, :p, p:]
     cross[:, 2::2] = wx[:, None] @ lags[:, 1:, p:, :p].swapaxes(-1, -2)
     k_mats = cross @ wy[:, None]
-    try:
-        left, sing, right_t = np.linalg.svd(k_mats)
-    except np.linalg.LinAlgError:  # name the first matrix that fails on its own
-        for k_block in k_mats:
-            for k, lag in zip(k_block, lag_of):
-                try:
-                    np.linalg.svd(k)
-                except np.linalg.LinAlgError as exc:
-                    raise NumericError(f"SVD failed at lag {lag}: {exc}") from exc
-        raise
+    left, sing, right_t = np.linalg.svd(k_mats)
     g_all = [[s ** 2 for s in row] for row in sing[:, :, 0].tolist()]
     best = [max(range(len(lag_of)), key=g.__getitem__) for g in g_all]
     rows = np.arange(n_blocks)
@@ -120,6 +101,24 @@ def _solve_stack(lags: np.ndarray, p: int):
     return u, v, g_value, np.array(lag_of)[best]
 
 
+def _per_block(kept: list[int], fn: Callable, stack: np.ndarray, *args):
+    """``fn(stack, *args)`` on the (B, ...) stack of blocks ``kept``.  If it fails, ``fn``
+    runs on each block alone, as a stack of one, and the first failure comes back as
+    ``block i: ...``, its class kept; a ``LinAlgError`` becomes a ``NumericError``."""
+    try:
+        return fn(stack, *args)
+    except _FAILURES as exc:
+        failure, prefix = exc, ""  # raised as it is if no block fails alone
+        for k, i in enumerate(kept):
+            try:
+                fn(stack[k : k + 1], *args)
+            except _FAILURES as one:
+                failure, prefix = one, f"block {i}: "
+                break
+        kind = DataError if isinstance(failure, DataError) else NumericError
+        raise kind(f"{prefix}{failure}") from failure
+
+
 def solve_canonical(lags: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, float, int]:
     """One block's ``(u, v, g_value, best_lag)``, maximizing the squared cross dependence.
 
@@ -127,7 +126,8 @@ def solve_canonical(lags: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, f
     0..L, the first ``p`` channels the X group; the matrix at -l is the
     transpose of the one at l.  A ``DataError`` rejects another shape, a p
     outside [1, m), or an array that breaks the contract ``check_contract``
-    applies to ``extract_features``'s stack.
+    applies to ``extract_features``'s stack; a ``LinAlgError`` of the solve
+    is a ``NumericError``.
 
     The lag-0 matrix is PSD-repaired jointly (its XX and YY sub-blocks
     supply the whitening and its XY block the lag-0 cross term, keeping
@@ -152,7 +152,10 @@ def solve_canonical(lags: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, f
     if not 1 <= p < lags.shape[1]:
         raise DataError(f"need 1 <= p < m = {lags.shape[1]}, got p={p}")
     check_contract(lags[None])
-    u, v, g_value, best_lag = _solve_stack(lags[None], p)
+    try:
+        u, v, g_value, best_lag = _solve_stack(lags[None], p)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(str(exc)) from exc
     return u[0], v[0], float(g_value[0]), int(best_lag[0])
 
 
@@ -171,13 +174,13 @@ def extract_features(
     unless ``skip_degenerate`` excludes and reports every such block.
     ``dependence_fn`` (the rank path by default; the linear-correlation foil
     plugs in here) maps the (B, T, m) kept blocks, ``dataset.data`` itself if
-    none is excluded, to their (B, L+1, m, m) lags 0..L in one call, or else a
-    ``DataError``; its ``DataError`` or ``NumericError`` comes back naming the
-    first block that fails alone, its class kept.  Every lag-0 matrix of the
-    stack (``FeatureSet.lags``) is symmetrised with an exact unit diagonal and
-    ``check_contract`` names the first bad block.  One stacked solve gives the
-    u, v, g_value and best_lag columns, each row bit for bit as ``solve_canonical``
-    gives it alone; a solve failure is a ``NumericError`` naming the first failing block.
+    none is excluded, to their (B, L+1, m, m) lags 0..L in one call.  Every lag-0
+    matrix of the stack (``FeatureSet.lags``) is symmetrised with an exact unit
+    diagonal and ``check_contract`` applied once.  One stacked solve gives the u, v,
+    g_value and best_lag columns, each row bit for bit as ``solve_canonical`` gives it
+    alone.  A ``DataError``, ``NumericError`` or ``LinAlgError`` of the estimate, the
+    contract or the solve re-runs that step block by block and names the first block
+    that fails alone, its class kept (a ``LinAlgError`` is a ``NumericError``).
     """
     data, n_samples, m = dataset.data, dataset.n_samples, dataset.data.shape[2]
     if dataset.p is None:
@@ -197,30 +200,13 @@ def extract_features(
         raise DegenerateBlockError(*excluded[0])
     kept = np.flatnonzero(~flat.any(axis=1)).tolist()
     stack = data if len(kept) == len(data) else data[kept]
-    try:
-        lags = np.asarray(dependence_fn(stack, max_lag), dtype=np.float64)
-    except (DataError, NumericError):
-        for k, i in enumerate(kept):  # estimate block by block to name the first that fails
-            try:
-                dependence_fn(stack[k : k + 1], max_lag)
-            except (DataError, NumericError) as exc:  # the class sets the exit code
-                raise (DataError if isinstance(exc, DataError) else NumericError)(
-                    f"block {i}: {exc}") from exc
-        raise
+    lags = np.asarray(_per_block(kept, dependence_fn, stack, max_lag), dtype=np.float64)
     if lags.shape != (shape := (len(kept), max_lag + 1, m, m)):
         raise DataError(f"lags has shape {lags.shape}, expected {shape}")
     l0 = lags[:, 0]
     l0[...] = (l0 + l0.transpose(0, 2, 1)) / 2.0  # symmetric up to roundoff already
     l0[:, np.arange(m), np.arange(m)] = 1.0
-    check_contract(lags, kept)
-    try:
-        u, v, g_value, best_lag = _solve_stack(lags, dataset.p)
-    except (DataError, NumericError):
-        for k, i in enumerate(kept):  # solve block by block to name the first that fails
-            try:
-                _solve_stack(lags[k : k + 1], dataset.p)
-            except (DataError, NumericError) as exc:
-                raise NumericError(f"block {i}: {exc}") from exc
-        raise
+    _per_block(kept, check_contract, lags)
+    u, v, g_value, best_lag = _per_block(kept, _solve_stack, lags, dataset.p)
     return FeatureSet(u=u, v=v, g_value=g_value, best_lag=best_lag,
                       block_indices=tuple(kept), lags=lags, excluded=excluded)

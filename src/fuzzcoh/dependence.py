@@ -9,7 +9,7 @@ tails.  ``sine_tau_matrices`` is the estimator, (..., T, m) blocks to their
 (..., L+1, m, m) lags, called once per dataset.  A block's (L+1, m, m) array
 is the only dependence container: ``check_contract`` applies the contract to
 a (B, L+1, m, m) stack of them, once per dataset in ``canonical.extract_features``
-and on a stack of one in ``canonical.solve_canonical``.
+(which names a failing block) and on a stack of one in ``canonical.solve_canonical``.
 
 One exact kernel serves block matrices and scalar ``kendall_tau``: it
 sums sign products over pairs s < t in fixed-size tiles, with O(m^2 L T^2)
@@ -22,8 +22,6 @@ channels' flat sign planes, the head against the tail l whole rows on.
 """
 
 from __future__ import annotations
-
-from typing import Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -130,9 +128,9 @@ def kendall_tau(x, y) -> float:
 # block-level lagged dependence
 # ---------------------------------------------------------------------------
 
-def check_contract(stack: np.ndarray, block_ids: Optional[Sequence[int]] = None) -> None:
-    """A ``DataError`` naming the first (L+1, m, m) array of a stack with an entry outside
-    [-1, 1] (a NaN too) or a lag-0 matrix that is not symmetric with unit diagonal."""
+def check_contract(stack: np.ndarray) -> None:
+    """A ``DataError`` naming the rule the first (L+1, m, m) array of a stack breaks: an entry
+    outside [-1, 1] (a NaN too), or a lag-0 matrix not symmetric with unit diagonal."""
     l0 = stack[:, 0]
     bad = np.stack([~(np.abs(stack) <= 1.0 + 1e-12).all(axis=(1, 2, 3)),
                     (l0 != l0.transpose(0, 2, 1)).any(axis=(1, 2)),
@@ -141,7 +139,7 @@ def check_contract(stack: np.ndarray, block_ids: Optional[Sequence[int]] = None)
         k = int(bad.any(axis=0).argmax())
         why = ("dependence entries outside [-1, 1]", "lag-0 matrix must be symmetric",
                "lag-0 matrix must have unit diagonal")[int(bad[:, k].argmax())]
-        raise DataError(why if block_ids is None else f"block {block_ids[k]}: {why}")
+        raise DataError(why)
 
 
 def lagged_tau_matrices(data: np.ndarray, max_lag: int) -> np.ndarray:
@@ -194,7 +192,9 @@ def repair_psd(matrix: np.ndarray) -> np.ndarray:
     positive diagonal, so semidefiniteness is preserved).  The clip and
     rescale iterate, at most ``_PSD_MAX_ITER`` times, until the minimum
     eigenvalue clears ``_PSD_EPS``, which makes the operation exactly
-    idempotent: an already-repaired matrix is returned unchanged.
+    idempotent: an already-repaired matrix is returned unchanged.  The rescale
+    can hold the minimum a hair below the floor on every pass (9.99999994e-9
+    with a duplicated channel), so the last pass alone clips to twice the floor.
     """
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -205,17 +205,18 @@ def repair_psd(matrix: np.ndarray) -> np.ndarray:
     if np.any(diag0 <= 0):
         raise DataError("PSD repair requires a strictly positive diagonal")
     out = a
-    for _ in range(_PSD_MAX_ITER):
+    for n_pass in range(_PSD_MAX_ITER + 1):
         try:
             w, v = np.linalg.eigh(out)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"eigendecomposition failed during PSD repair: {exc}") from exc
         if w.min() >= _PSD_EPS:
             return out
-        w = np.clip(w, _PSD_EPS, None)
+        if n_pass == _PSD_MAX_ITER:
+            raise NumericError(f"PSD repair did not converge in {_PSD_MAX_ITER} iterations")
+        w = np.clip(w, _PSD_EPS * (2.0 if n_pass == _PSD_MAX_ITER - 1 else 1.0), None)
         out = (v * w) @ v.T
         out = (out + out.T) / 2.0
         scale = np.sqrt(diag0 / np.diag(out))
         out = out * np.outer(scale, scale)
         out = (out + out.T) / 2.0
-    raise NumericError(f"PSD repair did not converge in {_PSD_MAX_ITER} iterations")

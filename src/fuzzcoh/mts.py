@@ -200,6 +200,12 @@ def read_json(path, what: str):
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
 
 
+def check_groups(groups: tuple[int, int]) -> None:
+    """A ``ConfigError`` unless the X/Y split ``groups=(p, q)`` has a channel on each side."""
+    if min(groups) < 1:
+        raise ConfigError(f"groups ({groups[0]},{groups[1]}) need at least one channel on each side")
+
+
 def check_labels(labels, source) -> list:
     """``labels`` from a sidecar or truth file: a list of integers or nulls.
 
@@ -444,8 +450,9 @@ def load_csv(
     body.  Blocks come from a fixed ``block_length``, as one reshape of
     the body (``segment_rows``); without one the whole file is a single
     block.  ``groups=(p, q)`` chooses the X/Y split: the first p columns
-    are X, the next q are Y, and groups that do not cover the header's
-    channels are a ``ConfigError`` raised before the body is parsed.
+    are X, the next q are Y, and groups with an empty side, or that do not
+    cover the header's channels, are a ``ConfigError`` raised before the
+    body is parsed.
     Without groups the dataset has no split (``p`` is None) until
     ``select_regions`` chooses one by channel name.
 
@@ -470,6 +477,7 @@ def load_csv(
     if sample_rate_hz is None:
         raise ConfigError("sample_rate_hz missing (argument or metadata)")
     if groups is not None:  # the body is parsed only once the groups fit
+        check_groups(groups)
         width = len(read_header(path))
         if sum(groups) != width:
             raise ConfigError(f"groups ({groups[0]},{groups[1]}) do not cover the {width} channels")

@@ -39,6 +39,7 @@ from .mts import (
     MtsDataset,
     RegionMap,
     check_fields,
+    check_groups,
     load_csv,
     read_block_table,
     save_csv,
@@ -112,6 +113,8 @@ class PipelineConfig(JsonConfig):
             for key in ("metadata", "sample_rate_hz", "block_length", "groups"):
                 if getattr(self, key) is not None:
                     raise ConfigError(f"{key} applies to CSV input only, not to 'sim'")
+        if self.groups is not None:
+            check_groups(self.groups)
         if self.csv is not None and not Path(self.csv).exists():
             raise ConfigError(f"input file not found: {self.csv}")
         if self.metadata is not None and not Path(self.metadata).exists():

@@ -128,6 +128,16 @@ def test_groups_checked_before_the_body_is_parsed(tmp_path, groups, match):
         load_csv(path, sample_rate_hz=1.0, block_length=2, groups=groups)
 
 
+@pytest.mark.parametrize("groups", [(2, 0), (0, 2), (-1, 3)])
+def test_groups_with_an_empty_side_refused_before_the_body(tmp_path, groups):
+    # (-1, 3) covers the 2 channels; the body's bad cell is never parsed
+    path = tmp_path / "q0.csv"
+    path.write_text("a,b\n1,x\n")
+    match = f"groups ({groups[0]},{groups[1]}) need at least one channel on each side"
+    with pytest.raises(ConfigError, match=f"^{re.escape(match)}$"):
+        load_csv(path, sample_rate_hz=1.0, groups=groups)
+
+
 def test_split_set_only_by_groups(tmp_path):
     path = tmp_path / "ok.csv"
     write_csv(path, ["a", "b", "c"], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])

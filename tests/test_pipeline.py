@@ -62,6 +62,14 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError, match=f"^{re.escape(match)}"):
             PipelineConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("groups", [[2, 0], [0, 2], [-1, 3]])
+    def test_groups_with_an_empty_side_refused_when_built(self, tmp_path, groups):
+        data = write_file(tmp_path / "rec.csv", "a,b\n1,x\n")
+        match = f"groups ({groups[0]},{groups[1]}) need at least one channel on each side"
+        with pytest.raises(ConfigError, match=f"^{re.escape(match)}$"):
+            PipelineConfig.from_dict({"seed": 0, "output_dir": str(tmp_path / "out"),
+                                      "csv": data, "groups": groups})
+
     @pytest.mark.parametrize("setting, key", [
         ({"metadata": "rec.json"}, "metadata"),
         ({"sample_rate_hz": 3.0}, "sample_rate_hz"),
@@ -590,6 +598,14 @@ class TestCli:
                   "--output", str(tmp_path / "f.csv")])
         assert info.value.code == 2
         assert "the following arguments are required: --groups" in capsys.readouterr().err
+        assert not (tmp_path / "f.csv").exists()
+
+    def test_features_groups_with_an_empty_side_before_the_body(self, tmp_path, capsys):
+        data = write_file(tmp_path / "bad.csv", "a,b,c\n1,x,3\n")
+        rc = main(["features", "--input", data, "--sample-rate", "1", "--groups", "-1", "4",
+                   "--output", str(tmp_path / "f.csv")])
+        assert rc == 2
+        assert_one_error_line(capsys, "groups (-1,4) need at least one channel on each side")
         assert not (tmp_path / "f.csv").exists()
 
     def test_reproduce_sim_subcommand(self, tmp_path):
