@@ -45,9 +45,36 @@ __all__ = [
 ]
 
 
+def _root(a: np.ndarray) -> np.ndarray:
+    """The last array in ``a``'s chain of bases: ``a`` itself when its base is not an array."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, which its caller has just made and alone holds, read-only down to its root.
+
+    A record given the result keeps it without a copy (``_readonly``).
+    """
+    _root(a).flags.writeable = False
+    a.flags.writeable = False
+    return a
+
+
 def _readonly(a) -> np.ndarray:
-    """A read-only C-contiguous float64 copy of ``a``: the record owns it, and a later
-    write to ``a``, which stays writeable, cannot reach behind the record's checks."""
+    """``a`` as a read-only C-contiguous float64 array that a record may keep.
+
+    A read-only float64 C-contiguous ndarray whose root owns its memory and is
+    read-only too (``_frozen``) is kept as it is.  Anything else is copied, so
+    a later write to ``a``, which stays writeable, cannot reach behind the
+    record's checks.
+    """
+    if (type(a) is np.ndarray and a.dtype == np.float64 and a.flags.c_contiguous
+            and a.flags.aligned and not a.flags.writeable):
+        root = _root(a)
+        if root.base is None and not root.flags.writeable:
+            return a
     own = np.array(a, dtype=np.float64, order="C")
     own.flags.writeable = False
     return own
@@ -82,6 +109,11 @@ class MtsDataset:
     entries, ``ch<i>`` for channel i when none are given.  ``labels`` holds
     one ground-truth class tag (or None) per block for the evaluation
     protocol, and is None when no block has one.
+
+    ``data`` is kept as given when it is read-only down to its root, as the
+    loader, the simulator, ``select_regions`` and ``contaminate`` hand it
+    over, and copied otherwise (``_readonly``), so a later write to a
+    caller's array cannot reach the dataset.
     """
 
     data: np.ndarray
@@ -483,6 +515,7 @@ def load_csv(
             raise ConfigError(f"groups ({groups[0]},{groups[1]}) do not cover the {width} channels")
 
     header, values = _read_table(path)
+    values = _frozen(values)  # the dataset keeps the parsed body itself
     data = values[None] if block_length is None else segment_rows(values, int(block_length))
     return MtsDataset(data=data, sample_rate_hz=float(sample_rate_hz),
                       p=None if groups is None else int(groups[0]),
@@ -521,5 +554,6 @@ def select_regions(
     missing = [ch for ch in wanted if ch not in names]
     if missing:
         raise ConfigError(f"channels named in regions but absent from dataset: {missing}")
-    return replace(dataset, data=dataset.data[:, :, [names.index(ch) for ch in wanted]],
-                   p=len(region_map.regions[a]), channel_names=wanted)
+    columns = np.take(dataset.data, [names.index(ch) for ch in wanted], axis=2)  # C order
+    return replace(dataset, data=_frozen(columns), p=len(region_map.regions[a]),
+                   channel_names=wanted)

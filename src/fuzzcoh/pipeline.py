@@ -414,6 +414,22 @@ def _run_job(args) -> dict:
     }
 
 
+_SHARED: tuple = ()  # in a pool worker: the run's selected datasets, filter designs and config
+
+
+def _share(*run) -> None:
+    """Pool initializer: a worker gets the run's inputs once, not with every job."""
+    global _SHARED
+    _SHARED = run
+
+
+def _pool_job(key: tuple) -> dict:
+    """The (band, pair) job ``key`` in a pool worker, on the inputs ``_share`` gave it."""
+    band, pair = key
+    selected, designs, config = _SHARED
+    return _run_job((selected[pair], band, designs[band], pair, config))
+
+
 def run_pipeline(config: PipelineConfig) -> dict:
     """Run every (band, pair) job, then write the run summary.
 
@@ -427,7 +443,9 @@ def run_pipeline(config: PipelineConfig) -> dict:
     Before the first job, the block count is checked against the smallest
     C and the distance budget, each band's filter is designed once and
     checked against the block length, and each pair's channels are
-    selected once; the jobs of a pair share its dataset.
+    selected once; the jobs of a pair share its dataset, and the
+    full-channel dataset is dropped.  Pool workers get the selected datasets
+    once, when they start.
     """
     out_dir = Path(config.output_dir)
     pairs: list[Optional[tuple[str, str]]] = list(config.pairs) or [None]
@@ -448,13 +466,15 @@ def run_pipeline(config: PipelineConfig) -> dict:
     selected = {pair: dataset if pair is None else
                 select_regions(dataset, RegionMap(regions=config.regions), pair)
                 for pair in pairs}
-    units = [(selected[pair], band, designs[band], pair, config)
-             for band in config.bands for pair in pairs]
-    if config.jobs > 1 and len(units) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(pool.map(_run_job, units))  # ordered by job key
+    del dataset
+    keys = [(band, pair) for band in config.bands for pair in pairs]
+    if config.jobs > 1 and len(keys) > 1:
+        with ProcessPoolExecutor(max_workers=config.jobs, initializer=_share,
+                                 initargs=(selected, designs, config)) as pool:
+            rows = list(pool.map(_pool_job, keys))  # ordered by job key
     else:
-        rows = [_run_job(u) for u in units]
+        rows = [_run_job((selected[pair], band, designs[band], pair, config))
+                for band, pair in keys]
 
     summary = {"seed": config.seed, "dependence": config.dependence, "runs": rows}
     write_json(out_dir / "summary.json", summary)
@@ -467,6 +487,26 @@ def run_pipeline(config: PipelineConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 EXAMPLE_NOISE = {1: "normal", 2: "student_t3", 3: "student_t1"}
+
+
+def _replication(sim: SimConfig, m_values: tuple[float, ...]) -> dict:
+    """One replication's (accuracy, pure-pair score, switching-flag rate) per (m, estimator).
+
+    Its dataset and features are dropped on return, before the next one is generated.
+    """
+    dataset = gen_dataset(sim)
+    kinds = np.array(dataset.labels, dtype=int)
+    scores = {}
+    for est, dep_fn in DEPENDENCE_FNS.items():
+        features = extract_features(dataset, max_lag=5, dependence_fn=dep_fn).d_matrix
+        for m, part in zip(m_values, fcm_fit_batch(features, 2, m_values, seed=sim.seed)):
+            if isinstance(part, NumericError):
+                raise part
+            report = simulation_accuracy(part.memberships, kinds)
+            sw = report.n_switching
+            scores[(m, est)] = (report.accuracy, report.rand_index_pure,
+                                report.n_switching_correct / sw if sw else 0.0)
+    return scores
 
 
 def reproduce_sim(
@@ -501,17 +541,8 @@ def reproduce_sim(
         rep_seed = int(np.random.SeedSequence([seed, rep]).generate_state(1)[0])
         overrides = dict(sim_overrides or {})
         overrides.update(seed=rep_seed, n_blocks=n_blocks, noise_family=EXAMPLE_NOISE[example])
-        dataset = gen_dataset(SimConfig.from_dict(overrides))
-        kinds = np.array(dataset.labels, dtype=int)
-        for est, dep_fn in DEPENDENCE_FNS.items():
-            features = extract_features(dataset, max_lag=5, dependence_fn=dep_fn).d_matrix
-            for m, part in zip(m_values, fcm_fit_batch(features, 2, m_values, seed=rep_seed)):
-                if isinstance(part, NumericError):
-                    raise part
-                report = simulation_accuracy(part.memberships, kinds)
-                sw = report.n_switching
-                scores[(m, est)].append((report.accuracy, report.rand_index_pure,
-                                         report.n_switching_correct / sw if sw else 0.0))
+        for key, score in _replication(SimConfig.from_dict(overrides), m_values).items():
+            scores[key].append(score)
 
     rows = []
     for m in m_values:

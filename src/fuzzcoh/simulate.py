@@ -16,7 +16,7 @@ import numpy as np
 
 from .evaluation import SWITCHING
 from .exceptions import ConfigError, DataError
-from .mts import JsonConfig, MtsDataset, check_fields
+from .mts import JsonConfig, MtsDataset, _frozen, check_fields
 
 __all__ = [
     "SimConfig",
@@ -41,6 +41,9 @@ _PURE0, _PURE1 = 0, 1
 
 # the latents default_mixing weights up on X and on Y in regime 0
 _DOMINANT_X, _DOMINANT_Y = 1, 3
+
+# bytes of latent series whose mean and deviation _ar2_latents takes at once
+_STATS_BYTES = 2**18
 
 
 @dataclass(frozen=True)
@@ -137,27 +140,37 @@ def ar2_coefficients(freq_hz: float, damping: float, sample_rate_hz: float) -> t
 
 def _ar2_latents(eps: np.ndarray, phi1: np.ndarray, phi2: np.ndarray,
                  burn_in: int) -> np.ndarray:
-    """Standardized AR(2) series, one per row of the innovations ``eps``.
+    """Standardized AR(2) series, one per column of the time-major innovations ``eps``.
 
-    Row i follows x_t = phi1[i] x_{t-1} + phi2[i] x_{t-2} + eps_t, run for
-    every row at once in the transposed direct form II of
-    ``scipy.signal.lfilter([1], [1, -phi1, -phi2], eps)``: y = eps + z0,
-    z0 = z1 + phi1 y, z1 = phi2 y.  That form rounds as lfilter does; the
-    expanded sum does not.  The first ``burn_in`` samples are discarded and
-    each series is standardized to zero mean and unit variance.
+    Column i follows x_t = phi1[i] x_{t-1} + phi2[i] x_{t-2} + eps_t, run for
+    every column at once, in place over the rows of ``eps``, in the transposed
+    direct form II of ``scipy.signal.lfilter([1], [1, -phi1, -phi2], eps)``:
+    y = eps + z0, z0 = z1 + phi1 y, z1 = phi2 y.  That form rounds as lfilter
+    does; the expanded sum does not.  The first ``burn_in`` samples are
+    discarded: the result is the time-major view ``eps[burn_in:]``, each
+    column standardized in place to zero mean and unit variance.  A series'
+    mean and deviation are taken over a contiguous copy of it, in chunks of
+    at most ``_STATS_BYTES``, so they round as they do for the series alone.
     """
-    y = eps.T.copy()  # one row per time step, overwritten by the output
-    z0, z1, t = np.zeros(len(eps)), np.zeros(len(eps)), np.empty(len(eps))
-    for row in y:
+    n = eps.shape[1]
+    z0, z1, t = np.zeros(n), np.zeros(n), np.empty(n)
+    for row in eps:  # one time step of every series
         np.add(row, z0, row)
         np.multiply(phi1, row, t)
         np.add(z1, t, z0)
         np.multiply(phi2, row, z1)
-    series = np.ascontiguousarray(y[burn_in:].T)
-    sd = series.std(axis=1, keepdims=True)
+    series = eps[burn_in:]
+    mean, sd = np.empty(n), np.empty(n)
+    step = max(1, _STATS_BYTES // (len(series) * series.itemsize))
+    for c in range(0, n, step):
+        rows = series[:, c:c + step].T.copy()  # one series per row
+        mean[c:c + step] = rows.mean(axis=1)
+        sd[c:c + step] = rows.std(axis=1)
     if (sd == 0).any():  # length 1 edge case
         raise DataError("degenerate AR series")
-    return (series - series.mean(axis=1, keepdims=True)) / sd
+    series -= mean
+    series /= sd
+    return series
 
 
 def gen_ar2(
@@ -182,8 +195,8 @@ def gen_ar2(
     if rng is None:
         rng = np.random.default_rng(seed)
     phi1, phi2 = ar2_coefficients(freq_hz, damping, sample_rate_hz)
-    eps = rng.standard_normal((1, length + burn_in))
-    return _ar2_latents(eps, np.array([phi1]), np.array([phi2]), burn_in)[0]
+    eps = rng.standard_normal((length + burn_in, 1))
+    return _ar2_latents(eps, np.array([phi1]), np.array([phi2]), burn_in)[:, 0]
 
 
 def default_mixing(
@@ -230,14 +243,17 @@ def _mixing_for(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _noise(rng: np.random.Generator, family: str, shape) -> np.ndarray:
+def _noise(rng: np.random.Generator, family: str, out: np.ndarray) -> np.ndarray:
+    """``out``, a C-contiguous array, filled with the noise one draw of its shape gives."""
     if family == "normal":
-        return rng.standard_normal(shape)
+        return rng.standard_normal(out=out)
     if family == "student_t3":
-        return rng.standard_t(3, size=shape)
-    if family == "student_t1":
-        return rng.standard_t(1, size=shape)  # Cauchy
-    raise ConfigError(f"unknown noise family {family!r}")
+        out[...] = rng.standard_t(3, size=out.shape)
+    elif family == "student_t1":
+        out[...] = rng.standard_t(1, size=out.shape)  # Cauchy
+    else:
+        raise ConfigError(f"unknown noise family {family!r}")
+    return out
 
 
 def switching_indicator(
@@ -272,35 +288,30 @@ def _gen_blocks(config: SimConfig, kinds: Sequence[int],
                 seed_keys: Sequence[Sequence[int]]) -> MtsDataset:
     """A dataset of blocks of the given kinds, each drawn from the stream of its seed key.
 
-    Each stream gives the latent innovations (one row per target
+    Each stream gives the latent innovations (one series per target
     frequency, as one ``gen_ar2`` call per frequency would draw them), then
-    the indicator (switching blocks only), then the noise.  The AR(2)
-    recursion then runs once over the latents of every block.  The labels
-    are the kinds.
+    the indicator (switching blocks only), then the noise, drawn into the
+    block's row of the data.  The AR(2) recursion then runs once over the
+    latents of every block, and each block's clean signal is added to its
+    noise in place.  The labels are the kinds.
     """
     a0, a1 = _mixing_for(config)
-    T, n_latents = config.block_length, len(config.target_freqs)
-    eps = np.empty((len(kinds), n_latents, T + config.burn_in))
-    draws = []
-    for kind, key, out in zip(kinds, seed_keys, eps):
+    T, n_latents, m = config.block_length, len(config.target_freqs), config.n_x + config.n_y
+    eps = np.empty((T + config.burn_in, len(kinds) * n_latents))  # time-major, block-major columns
+    data = np.empty((len(kinds), T, m))
+    switches = []
+    for b, (kind, key, out) in enumerate(zip(kinds, seed_keys, data)):
         rng = np.random.default_rng(list(key))
-        rng.standard_normal(out=out)
-        d = None
-        if kind == SWITCHING:
-            d = switching_indicator(T, rng, prob_zero=config.fuzzy_switch_prob,
-                                    switch_rate=config.fuzzy_switch_rate)
-        draws.append((d, _noise(rng, config.noise_family, (T, config.n_x + config.n_y))))
+        eps[:, b * n_latents:(b + 1) * n_latents] = rng.standard_normal((n_latents, len(eps))).T
+        switches.append(None if kind != SWITCHING else switching_indicator(
+            T, rng, prob_zero=config.fuzzy_switch_prob, switch_rate=config.fuzzy_switch_rate))
+        _noise(rng, config.noise_family, out)
     phi1, phi2 = np.array([ar2_coefficients(f, config.damping, config.sample_rate_hz)
                            for f in config.target_freqs]).T
-    latents = _ar2_latents(eps.reshape(-1, eps.shape[-1]), np.tile(phi1, len(kinds)),
-                           np.tile(phi2, len(kinds)), config.burn_in)
-    names = tuple(f"X{i + 1}" for i in range(config.n_x)) + tuple(
-        f"Y{i + 1}" for i in range(config.n_y)
-    )
-    data = np.empty((len(kinds), T, config.n_x + config.n_y))
-    for kind, lat, (d, noise), out in zip(kinds, latents.reshape(len(kinds), n_latents, T),
-                                          draws, data):
-        lat = np.ascontiguousarray(lat.T)  # (T, latents)
+    latents = _ar2_latents(eps, np.tile(phi1, len(kinds)), np.tile(phi2, len(kinds)),
+                           config.burn_in)
+    for b, (kind, d, out) in enumerate(zip(kinds, switches, data)):
+        lat = np.ascontiguousarray(latents[:, b * n_latents:(b + 1) * n_latents])  # (T, latents)
         if kind == _PURE0:
             clean = lat @ a0.T
         elif kind == _PURE1:
@@ -308,8 +319,12 @@ def _gen_blocks(config: SimConfig, kinds: Sequence[int],
         else:
             mixed = np.where(d[:, None, None] == 1, a1[None], a0[None])  # (T, m, r)
             clean = np.einsum("tmr,tr->tm", mixed, lat)
-        out[...] = clean + config.noise_scale * noise
-    return MtsDataset(data=data, sample_rate_hz=config.sample_rate_hz, p=config.n_x,
+        out *= config.noise_scale
+        out += clean  # clean + noise_scale * noise: both operations commute exactly
+    names = tuple(f"X{i + 1}" for i in range(config.n_x)) + tuple(
+        f"Y{i + 1}" for i in range(config.n_y)
+    )
+    return MtsDataset(data=_frozen(data), sample_rate_hz=config.sample_rate_hz, p=config.n_x,
                       channel_names=names, labels=tuple(kinds))
 
 
@@ -374,7 +389,8 @@ def contaminate(
     cols = [names.index(ch) for ch in channels]
     data = dataset.data.copy()
     if scale != 0.0:
+        noise = np.empty((dataset.n_samples, len(cols)))
         for b, block in enumerate(data):
             rng = np.random.default_rng([seed, _NS_CONTAM, b])
-            block[:, cols] += scale * _noise(rng, family, (dataset.n_samples, len(cols)))
-    return replace(dataset, data=data)
+            block[:, cols] += scale * _noise(rng, family, noise)
+    return replace(dataset, data=_frozen(data))

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from fuzzcoh import (BandSpec, ConfigError, DataError, FuzzyPartition, MtsDataset, RegionMap,
-                     SimConfig, design_bandpass, load_csv, save_csv, select_regions)
+                     SimConfig, contaminate, design_bandpass, gen_dataset, load_csv, save_csv,
+                     select_regions)
 from fuzzcoh.mts import _read_table, segment_rows, write_table
 
 
@@ -58,6 +59,67 @@ def test_block_data_is_readonly(stored):
         kept[(0,) * kept.ndim] = 1.0
     given[...] = np.nan  # the record owns a copy: a later write does not reach it
     np.testing.assert_array_equal(kept, before)
+
+
+def test_readonly_view_of_a_writeable_array_is_copied():
+    given = np.zeros((2, 10, 2))
+    view = given.view()
+    view.flags.writeable = False  # read-only, but its root is not
+    ds = MtsDataset(data=view, p=1, sample_rate_hz=1.0)
+    given[...] = np.nan
+    assert not np.shares_memory(ds.data, given) and np.isfinite(ds.data).all()
+
+
+def test_readonly_array_over_a_readonly_root_is_kept():
+    body = np.arange(40.0).reshape(20, 2).copy()  # owns its memory, as a parsed body does
+    body.flags.writeable = False
+    blocks = segment_rows(body, 10)  # a reshape view: its base is the body, not None
+    ds = MtsDataset(data=blocks, p=1, sample_rate_hz=1.0)
+    assert ds.data is blocks
+    assert replace(ds, labels=(0, 1)).data is ds.data  # a read-only dataset array is shared
+    reversed_rows = body.reshape(2, 10, 2)[:, ::-1]  # not C-contiguous: copied into C order
+    assert MtsDataset(data=reversed_rows, sample_rate_hz=1.0).data.flags.c_contiguous
+    raw = np.frombuffer(body.tobytes()).reshape(2, 10, 2)  # read-only over a bytes object
+    assert not np.shares_memory(MtsDataset(data=raw, sample_rate_hz=1.0).data, raw)
+
+
+def test_datasets_are_readonly_and_independent(tmp_path):
+    generated = gen_dataset(SimConfig(seed=4, n_blocks=4, block_length=32))
+    save_csv(generated, tmp_path / "sim.csv")
+    loaded = load_csv(tmp_path / "sim.csv", sample_rate_hz=128.0, block_length=32)
+    regions = RegionMap(regions={"x": ("X2", "X1"), "y": ("Y3",)})
+    made = {"generated": (generated, None), "loaded": (loaded, None),
+            "selected": (select_regions(loaded, regions, ("x", "y")), loaded),
+            "contaminated": (contaminate(loaded, ["X1"], seed=1), loaded),
+            "contaminated at scale 0": (contaminate(loaded, ["X1"], scale=0.0), loaded)}
+    again = {"generated": gen_dataset(SimConfig(seed=4, n_blocks=4, block_length=32)),
+             "loaded": load_csv(tmp_path / "sim.csv", sample_rate_hz=128.0, block_length=32)}
+    for name, (ds, source) in made.items():
+        assert not ds.data.flags.writeable, name
+        with pytest.raises(ValueError):
+            ds.data[0, 0, 0] = 1.0
+        if source is not None:  # a derived dataset holds its own array
+            assert not np.shares_memory(ds.data, source.data), name
+        if name in again:  # a second load or generation is a second array
+            np.testing.assert_array_equal(ds.data, again[name].data)
+            assert not np.shares_memory(ds.data, again[name].data), name
+
+
+def test_load_csv_peak_at_most_1_25_times_the_data(tmp_path):
+    # the dataset keeps the parsed body; numpy's parser over-allocates the body
+    # by up to a quarter while it grows, and 23,040 rows end early in a step
+    data = np.random.default_rng(2).standard_normal((60 * 384, 8))
+    path = tmp_path / "body.csv"
+    np.savetxt(path, data, delimiter=",", header=",".join(f"ch{i}" for i in range(8)),
+               comments="", fmt="%.17g")
+    tracemalloc.start()
+    try:
+        ds = load_csv(path, sample_rate_hz=128.0, block_length=384)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(ds.data.reshape(-1, 8), data)
+    assert peak <= 1.25 * data.nbytes
 
 
 @pytest.mark.parametrize("shape, extra, match", [

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -278,6 +279,28 @@ class TestRunPipeline:
                          "connectivity_summary.json"):
                 sim_bytes = (tmp_path / "sim" / job / name).read_bytes()
                 assert (tmp_path / "csv" / job / name).read_bytes() == sim_bytes, (job, name)
+
+    def test_two_pair_run_peak_under_three_times_the_data(self, tmp_path):
+        # jobs 1, so every stage runs in this process: the recording, then the two
+        # pairs' datasets without it, then a Beta job's filter (3.1x its pair's
+        # data) set the peak, 2.6x the recording
+        from fuzzcoh import SimConfig, gen_dataset
+
+        recording = gen_dataset(SimConfig(seed=3, n_blocks=60, block_length=384))
+        save_csv(recording, tmp_path / "rec.csv")
+        cfg = PipelineConfig(
+            seed=1, output_dir=str(tmp_path / "run"), csv=str(tmp_path / "rec.csv"),
+            sample_rate_hz=128.0, block_length=384, bands=("raw", "Beta"),
+            regions={"a": ["X1", "X2"], "b": ["Y1", "Y2"], "c": ["X3", "Y3"]},
+            pairs=(("a", "b"), ("a", "c")), dependence="pearson", n_clusters=2, fuzziness=1.5,
+            n_restarts=2)
+        tracemalloc.start()
+        try:
+            run_pipeline(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * recording.data.nbytes
 
     def test_skip_degenerate_run_reports_excluded_blocks(self, tmp_path):
         table = np.random.default_rng(0).standard_normal((8 * 32, 4))

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,7 @@ class TestAr2:
 
     @pytest.mark.parametrize("length, freq, damping, burn_in", [
         (384, 2.0, 1.05, 500), (64, 40.0, 1.01, 0), (2, 20.0, 3.0, 7), (1000, 31.9, 40.0, 50),
+        (40_000, 6.0, 1.05, 500),  # one series longer than the latents' statistics chunk
     ])
     def test_equals_lfilter(self, length, freq, damping, burn_in):
         # oracle: scipy's direct-form filter over the same innovations
@@ -248,33 +250,71 @@ class TestGenDataset:
         assert ds.blocks[0].n_channels == 8
         assert ds.n_blocks == 300
 
-    @pytest.mark.parametrize("noise_family, switch_rate", [("normal", 0.5), ("student_t1", 0.1)])
-    def test_blocks_equal_per_block_lfilter_construction(self, noise_family, switch_rate):
+    @staticmethod
+    def assert_per_block_lfilter_construction(cfg):
         # oracle: each block built alone from its stream, one lfilter call per latent
         from fuzzcoh.simulate import _mixing_for
 
-        cfg = SimConfig(seed=6, n_blocks=10, block_length=80, noise_family=noise_family,
-                        fuzzy_switch_rate=switch_rate, burn_in=40)
+        T, burn_in = cfg.block_length, cfg.burn_in
         a0, a1 = _mixing_for(cfg)
         ds = gen_dataset(cfg)
-        for b, (block, label) in enumerate(zip(ds.blocks, ds.labels)):
-            rng = np.random.default_rng([6, 7, b])
+        for b, (block, label) in enumerate(zip(ds.data, ds.labels)):
+            rng = np.random.default_rng([cfg.seed, 7, b])
             columns = []
             for f in cfg.target_freqs:
                 phi1, phi2 = ar2_coefficients(f, cfg.damping, cfg.sample_rate_hz)
                 series = signal.lfilter([1.0], [1.0, -phi1, -phi2],
-                                        rng.standard_normal(80 + 40))[40:]
+                                        rng.standard_normal(T + burn_in))[burn_in:]
                 columns.append((series - series.mean()) / series.std())
             latents = np.column_stack(columns)
             if label == 2:
-                d = switching_indicator(80, rng, cfg.fuzzy_switch_prob, switch_rate)
+                d = switching_indicator(T, rng, cfg.fuzzy_switch_prob, cfg.fuzzy_switch_rate)
                 mixed = np.where(d[:, None, None] == 1, a1[None], a0[None])
                 clean = np.einsum("tmr,tr->tm", mixed, latents)
             else:
                 clean = latents @ (a1 if label else a0).T
-            noise = (rng.standard_normal(clean.shape) if noise_family == "normal"
-                     else rng.standard_t(1, size=clean.shape))
-            np.testing.assert_array_equal(block.data, clean + noise)
+            noise = {"normal": lambda: rng.standard_normal(clean.shape),
+                     "student_t3": lambda: rng.standard_t(3, size=clean.shape),
+                     "student_t1": lambda: rng.standard_t(1, size=clean.shape)}[cfg.noise_family]()
+            assert block.tobytes() == (clean + cfg.noise_scale * noise).tobytes(), b
+
+    @pytest.mark.parametrize("noise_family, switch_rate", [("normal", 0.5), ("student_t1", 0.1)])
+    def test_blocks_equal_per_block_lfilter_construction(self, noise_family, switch_rate):
+        self.assert_per_block_lfilter_construction(SimConfig(
+            seed=6, n_blocks=10, block_length=80, noise_family=noise_family,
+            fuzzy_switch_rate=switch_rate, burn_in=40))
+
+    @pytest.mark.parametrize("setting", [
+        {"burn_in": 0},
+        {"block_length": 2},
+        {"n_blocks": 1},
+        {"noise_family": "student_t3"},
+        {"n_x": 3, "n_y": 5},
+        {"n_x": 5, "n_y": 2},
+        {"proportions": (1.0, 0.0, 0.0)},
+        {"noise_scale": 0.3, "seed": 11},
+        {"stats_series": 3},  # the latents' means and deviations in chunks of 3 series
+    ], ids=lambda setting: "-".join(f"{k}={v}" for k, v in setting.items()))
+    def test_edge_configs_equal_per_block_lfilter_construction(self, setting, monkeypatch):
+        from fuzzcoh import simulate
+
+        setting = {"seed": 6, "n_blocks": 10, "block_length": 80, "burn_in": 40, **setting}
+        if "stats_series" in setting:
+            monkeypatch.setattr(simulate, "_STATS_BYTES",
+                                8 * setting["block_length"] * setting.pop("stats_series"))
+        self.assert_per_block_lfilter_construction(SimConfig(**setting))
+
+    def test_peak_at_most_3_5_times_its_data(self):
+        # the data, the time-major innovations (1.44x the data here), which the
+        # recursion turns into the latents in place, and small temporaries
+        cfg = SimConfig(seed=1, n_blocks=120, block_length=384)
+        tracemalloc.start()
+        try:
+            ds = gen_dataset(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * ds.data.nbytes
 
     def test_apportionment(self):
         assert apportion(60, (0.4, 0.4, 0.2)) == [24, 24, 12]

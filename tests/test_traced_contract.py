@@ -1,9 +1,9 @@
 """What the traced benchmark (bench/tracing.py) relies on in the library.
 
-The tracer wraps module globals by name and pickles ``_run_job`` by
-name into pool workers; these tests read its patch table without
-editing it and check that every patched name exists, and that each
-artifact is written exactly once through the patched writers.
+The tracer wraps module globals by name, and a pool worker calls the
+wrapped ``_run_job`` it inherits by fork; these tests read its patch
+table without editing it and check that every patched name exists, and
+that each artifact is written exactly once through the patched writers.
 """
 
 from dataclasses import replace
