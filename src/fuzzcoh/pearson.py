@@ -22,8 +22,15 @@ _CHUNK_BYTES = 2**18  # per time-major array of a chunk, which holds at least on
 
 
 def _normalised(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Columns of ``x`` centred and scaled to unit norm (a zero one left as is), and which are 0."""
+    """Columns of ``x`` centred and scaled to unit norm (a zero one left as is), and which are 0.
+
+    Each centred column is first scaled by the power of two that brings its largest magnitude
+    into [0.5, 1), so its squares neither overflow nor underflow; the power cancels exactly in
+    the quotient, so a column whose squares fit anyway keeps its bits.
+    """
     centred = x - x.mean(axis=0)
+    top = np.maximum(centred.max(axis=0), -centred.min(axis=0))  # no |centred| temporary
+    np.ldexp(centred, -np.frexp(top)[1], out=centred)
     norm = np.sqrt((centred * centred).sum(axis=0))
     centred /= np.where(norm == 0, 1.0, norm)
     return centred, norm == 0

@@ -4,7 +4,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import grid_oracle_best_g, lag_matrix, reference_solve_canonical
-from scipy import linalg as sla
 
 from fuzzcoh import (
     ConfigError,
@@ -20,6 +19,8 @@ from fuzzcoh import (
 from fuzzcoh import SimConfig, canonical, gen_dataset
 from fuzzcoh.cli import main
 from fuzzcoh.dependence import needs_psd_repair, repair_psd
+
+sla = pytest.importorskip("scipy.linalg")  # the oracle: without scipy the module skips
 
 
 def scalar_dep(xy0, xy1, yx1=0.1):

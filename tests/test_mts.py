@@ -107,19 +107,21 @@ def test_datasets_are_readonly_and_independent(tmp_path):
 
 def test_load_csv_peak_at_most_1_25_times_the_data(tmp_path):
     # the dataset keeps the parsed body; numpy's parser over-allocates the body
-    # by up to a quarter while it grows, and 23,040 rows end early in a step
-    data = np.random.default_rng(2).standard_normal((60 * 384, 8))
-    path = tmp_path / "body.csv"
-    np.savetxt(path, data, delimiter=",", header=",".join(f"ch{i}" for i in range(8)),
-               comments="", fmt="%.17g")
-    tracemalloc.start()
-    try:
-        ds = load_csv(path, sample_rate_hz=128.0, block_length=384)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    np.testing.assert_array_equal(ds.data.reshape(-1, 8), data)
-    assert peak <= 1.25 * data.nbytes
+    # by up to a quarter while it grows, and 23,040 rows end early in a step;
+    # 300 blocks of 1024 samples are the paper's scale
+    for n_blocks, block_length in ((60, 384), (300, 1024)):
+        data = np.random.default_rng(2).standard_normal((n_blocks * block_length, 8))
+        path = tmp_path / "body.csv"
+        np.savetxt(path, data, delimiter=",", header=",".join(f"ch{i}" for i in range(8)),
+                   comments="", fmt="%.17g")
+        tracemalloc.start()
+        try:
+            ds = load_csv(path, sample_rate_hz=128.0, block_length=block_length)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(ds.data.reshape(-1, 8), data)
+        assert peak <= 1.25 * data.nbytes, n_blocks
 
 
 @pytest.mark.parametrize("shape, extra, match", [

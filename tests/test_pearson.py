@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import contracted_set, lag_matrix
 
-from fuzzcoh import pearson_matrices, sine_tau_matrices
+from fuzzcoh import load_csv, pearson_matrices, sine_tau_matrices
 from fuzzcoh.pearson import _CHUNK_BYTES
 
 
@@ -85,6 +85,16 @@ class TestPearsonSet:
             np.testing.assert_array_equal(lags[0], lags[0].T)
             for lag in (1, 2):
                 np.testing.assert_array_equal(lag_matrix(lags, -lag), lags[lag].T)
+
+    def test_a_huge_cell_leaves_no_channel_all_zero(self, tmp_path):
+        # the square of 1e200 overflows: unless the centred channel is rescaled first,
+        # its norm is inf and every correlation of the block's X3 is 0
+        table = np.random.default_rng(4).standard_normal((4 * 64, 6))
+        table[100, 2] = 1e200
+        path = tmp_path / "rec.csv"
+        np.savetxt(path, table, delimiter=",", header="X1,X2,X3,Y1,Y2,Y3", comments="")
+        lags = pearson_matrices(load_csv(path, sample_rate_hz=128.0, block_length=64).data, 3)
+        assert (lags != 0).any(axis=-1).all() and (lags != 0).any(axis=-2).all()
 
     def test_lagged_entries(self):
         # y(t) = x(t-1): linear correlation peaks at lag +1

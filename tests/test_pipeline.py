@@ -243,6 +243,24 @@ class TestRunPipeline:
             run_pipeline(cfg)
         assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
 
+    @pytest.mark.parametrize("dependence", ["kendall", "pearson"])
+    @pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
+    def test_channel_scaled_by_a_power_of_two(self, tmp_path, dependence, k):
+        # scaling a channel by 2**k is exact in binary floating point, and the ranks, the
+        # filter and both estimators are scale-free, so no artifact may change a bit
+        from fuzzcoh import SimConfig, gen_dataset
+
+        dataset = gen_dataset(SimConfig.from_dict({"seed": 2, **SIM_SMALL}))
+        scaled = dataset.data.copy()
+        scaled[:, :, 2] = np.ldexp(scaled[:, :, 2], k)
+        for name, data in (("one", dataset.data), ("scaled", scaled)):
+            save_csv(replace(dataset, data=data), tmp_path / f"{name}.csv")
+            run_pipeline(PipelineConfig(
+                seed=1, output_dir=str(tmp_path / name), csv=str(tmp_path / f"{name}.csv"),
+                sample_rate_hz=128.0, block_length=256, groups=(4, 4), bands=("raw", "Beta"),
+                dependence=dependence, n_restarts=2))
+        assert tree_digest(tmp_path / "scaled") == tree_digest(tmp_path / "one")
+
     def test_region_pair_jobs(self, tmp_path):
         cfg = PipelineConfig(
             seed=5, output_dir=str(tmp_path / "run"),
@@ -577,6 +595,9 @@ class TestCli:
         ])
         assert rc == 0
         assert json.loads(grid.read_text())["selected"]["C"] in (2, 3)
+        rc = main(["validate", "--features", str(feats), "--output", str(grid)])
+        assert rc == 0
+        assert len(json.loads(grid.read_text())["cells"]) == 30  # the default 5 x 6 grid
 
         ev = tmp_path / "evaluation.json"
         rc = main([
@@ -597,10 +618,12 @@ class TestCli:
             "fuzziness": 1.5,
             "n_restarts": 2,
         }))
-        rc = main(["pipeline", "--config", str(cfg_path), "--dependence", "pearson"])
+        rc = main(["pipeline", "--config", str(cfg_path), "--dependence", "pearson",
+                   "--band", "raw", "--band", "Beta", "--jobs", "2"])
         assert rc == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["dependence"] == "pearson"
+        assert [row["band"] for row in summary["runs"]] == ["raw", "Beta"]
 
     def test_filter_roundtrip(self, tmp_path):
         data = tmp_path / "data.csv"
@@ -613,6 +636,16 @@ class TestCli:
             "--block-length", "256", "--band", "Beta", "--output", str(out),
         ])
         assert rc == 0 and out.exists()
+        # features of the filtered CSV are those of `features --band Beta` but for the band
+        rows = {}
+        for name, source in (("filtered", [str(out)]), ("band", [str(data), "--band", "Beta"])):
+            feats = tmp_path / f"{name}.csv"
+            assert main(["features", "--input", *source, "--sample-rate", "128",
+                         "--block-length", "256", "--groups", "4", "4",
+                         "--output", str(feats)]) == 0
+            with open(feats, newline="") as fh:
+                rows[name] = [row[:1] + row[2:] for row in csv.reader(fh)]
+        assert len(rows["band"]) == 5 and rows["filtered"] == rows["band"]
 
     def test_features_needs_groups_before_the_body(self, tmp_path, capsys):
         data = write_file(tmp_path / "bad.csv", "a,b\n1,x\n3,4\n")
@@ -683,20 +716,21 @@ class TestCli:
         assert rc == 3
 
     def test_skip_degenerate_flag(self, tmp_path):
+        # one flat block: the first at 7.0, or the middle one at 0.1, whose inexact mean
+        # leaves tiny nonzero centred values; the flag drops only it, without it exit 3
         data = tmp_path / "flat.csv"
-        rng = np.random.default_rng(0)
-        table = rng.standard_normal((96, 4))
-        table[:32, 1] = 7.0  # only the first block is degenerate
-        np.savetxt(data, table, delimiter=",", header="a,b,c,d", comments="", fmt="%.6f")
         out = tmp_path / "f.csv"
-        rc = main([
-            "features", "--input", str(data), "--sample-rate", "128",
-            "--block-length", "32", "--groups", "2", "2", "--skip-degenerate",
-            "--output", str(out),
-        ])
-        assert rc == 0
-        feats, ids = read_features_csv(out)
-        assert ids == [1, 2]
+        args = ["features", "--input", str(data), "--sample-rate", "128",
+                "--block-length", "32", "--groups", "2", "2", "--output", str(out)]
+        for rows, channel, value, kept in ((slice(0, 32), 1, 7.0, [1, 2]),
+                                           (slice(32, 64), 2, 0.1, [0, 2])):
+            table = np.random.default_rng(0).standard_normal((96, 4))
+            table[rows, channel] = value
+            np.savetxt(data, table, delimiter=",", header="a,b,c,d", comments="", fmt="%.6f")
+            for dependence in ("kendall", "pearson"):
+                assert main([*args, "--dependence", dependence, "--skip-degenerate"]) == 0
+                assert read_features_csv(out)[1] == kept
+            assert main(args) == 3
 
 
 def write_file(path, text):
@@ -845,6 +879,7 @@ class TestCliInputErrors:
         assert main(["pipeline", "--config", str(cfg)]) == 2
         assert_one_error_line(capsys, "need more objects than clusters: B=0, C=2")
         assert not (tmp_path / "out" / "summary.json").exists()
+        assert not list((tmp_path / "out").glob("*__*"))  # nor a job directory
         out = tmp_path / "f.csv"
         assert main(["features", "--input", str(data), "--sample-rate", "128",
                      "--block-length", "32", "--groups", "2", "2", "--max-lag", "2",
@@ -978,7 +1013,10 @@ class TestCliInputErrors:
         (b"a,b,c,d\n" + b"1,2,3,4\n" * 30000 + b"5,\xb5,7,8\n",
          "rec.csv: line 30002 is not UTF-8 text"),
         (None, "rec.csv: not a file"),
-    ], ids=["Latin-1 header", "Latin-1 deep in the body", "a directory"])
+        (b"a,b,c,d\n1,2,3,4\n\n5,x,7,8\n", "rec.csv: non-numeric cell at row 3, column 1"),
+        (b"a,b,c,d\n1,2,3,4\n5,6,7,8,9\n", "rec.csv: row 2: expected 4 cells, got 5"),
+    ], ids=["Latin-1 header", "Latin-1 deep in the body", "a directory",
+            "a bad cell after a blank line", "a long row"])
     def test_unreadable_data_csv(self, tmp_path, capsys, body, match):
         data = tmp_path / "rec.csv"
         if body is None:
