@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import csv
 import functools
-import itertools
 import json
 import math
 import numbers
-import re
 import typing
 import warnings
 from dataclasses import dataclass, field, replace
@@ -361,39 +359,42 @@ def read_header(path) -> list[str]:
         return _header(csv.reader(fh), path)
 
 
-def _file_row(path, k: int) -> int:
-    """The row number (from 1, after the header, blank lines counted) of body record ``k``.
+def _number(cell: str) -> Optional[float]:
+    """``cell`` as numpy's parser reads it, or None: Python's ``float`` but for its digit
+    separators (``1_000``) and non-ASCII digits, which numpy refuses."""
+    try:
+        return float(cell) if cell.strip().isascii() and "_" not in cell else None
+    except ValueError:
+        return None
 
-    ``k`` counts non-blank records from 0, as numpy's parser does: a quoted
-    cell that spans lines is one record.
+
+def _fault(path, header: list[str], skip, block_ids, cause: str) -> DataError:
+    """The ``DataError`` for the first fault of a CSV body, found by reading it again with ``csv``.
+
+    Rows count from 1 after the header, blank lines counted; a quoted line
+    break stays inside its row.  The first ragged row or non-numeric cell
+    is named, else the first non-finite value or bad block id, else a body
+    without data rows; a body with none of these gets ``cause``.
     """
+    width, late, filled = len(header), None, False
     with _open_csv(path) as fh:
         reader = csv.reader(fh)
         next(reader)
-        filled = (r for r, record in enumerate(reader, start=1) if record)
-        return next(itertools.islice(filled, k, None))
-
-
-def _width_error(path, k: int, width: int, got: int) -> DataError:
-    return DataError(f"{path}: row {_file_row(path, k)}: expected {width} cells, got {got}")
-
-
-def _body_error(path, exc: ValueError, width: int) -> DataError:
-    """The ``DataError`` for numpy's error on a non-numeric cell or a ragged row.
-
-    numpy counts rows among non-blank lines (from 0 for a cell, from 1 for
-    a row) and columns from 1.
-    """
-    msg = str(exc)
-    if cell := re.fullmatch(r"could not convert string (.*) to float64 at row (\d+), column (\d+)\.",
-                            msg):
-        text, k, c = cell.groups()  # numpy quotes the cell as repr() does
-        return DataError(f"{path}: non-numeric cell at row {_file_row(path, int(k))}, "
-                         f"column {int(c) - 1}: {text}")
-    if ragged := re.match(r"the number of columns changed from \d+ to (\d+) at row (\d+);", msg):
-        got, r = map(int, ragged.groups())
-        return _width_error(path, r - 1, width, got)
-    raise exc
+        for r, record in enumerate(reader, start=1):
+            filled = filled or bool(record)
+            if record and len(record) != width:
+                return DataError(f"{path}: row {r}: expected {width} cells, got {len(record)}")
+            for c, (name, cell) in enumerate(zip(header, record)):
+                if name in skip:
+                    continue
+                if (v := _number(cell)) is None:
+                    return DataError(f"{path}: non-numeric cell at row {r}, column {c}: {cell!r}")
+                at = f"at row {r}, column {c}: {v!r}"
+                if late is None and not math.isfinite(v):
+                    late = DataError(f"{path}: non-finite value {at}")
+                elif late is None and name in block_ids and not (v >= 0 and v == math.floor(v)):
+                    late = DataError(f"{path}: bad block id {at} (need an integer >= 0)")
+    return late or DataError(f"{path}: " + (cause if filled else "no data rows"))
 
 
 @_utf8
@@ -405,36 +406,26 @@ def _read_table(path, skip: Sequence[str] = (), block_ids: Sequence[str] = ()):
     or non-finite cell, a bad block id, or an empty body raises a
     ``DataError`` naming the first such row (from 1, after the header,
     blank lines counted) and column (from 0).  numpy's C parser reads the
-    body into one float64 array; blank lines are skipped.
+    body into one float64 array, blank lines skipped; only a body it
+    refuses, or whose array fails a check, is read again to name the fault
+    (``_fault``).
     """
     header = read_header(path)
     cols = [c for c, h in enumerate(header) if h not in skip]
-    body = dict(delimiter=",", quotechar='"', comments=None, encoding="utf-8", skiprows=1, ndmin=2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # numpy's notes on blank lines and no data
-        first = np.loadtxt(path, dtype=str, max_rows=1, **body)
-        if not first.size:
-            raise DataError(f"{path}: no data rows")
-        if first.shape[1] != len(header):  # numpy checks every other row against this one
-            raise _width_error(path, 0, len(header), first.shape[1])
         try:  # a skipped cell is not parsed
-            values = np.loadtxt(path, converters={c: lambda _: 0.0 for c, h in enumerate(header)
-                                                  if h in skip}, **body)
+            values = np.loadtxt(path, delimiter=",", quotechar='"', comments=None, encoding="utf-8",
+                                skiprows=1, ndmin=2, converters={c: lambda _: 0.0 for c, h in
+                                                                 enumerate(header) if h in skip})
         except ValueError as exc:
-            raise _body_error(path, exc, len(header)) from None
+            raise _fault(path, header, skip, block_ids, str(exc)) from None
+    if (not values.size or values.shape[1] != len(header) or not np.isfinite(values).all()
+            or not all(np.all((v >= 0) & (v == np.floor(v)))
+                       for v, h in zip(values.T, header) if h in block_ids)):
+        raise _fault(path, header, skip, block_ids, "body fails its checks")
     if len(cols) < len(header):
         values = values[:, cols]
-    ok = np.isfinite(values)
-    for j, c in enumerate(cols):
-        if header[c] in block_ids:
-            ok[:, j] &= (values[:, j] >= 0) & (values[:, j] == np.floor(values[:, j]))
-    if not ok.all():
-        i, j = np.unravel_index(ok.argmin(), ok.shape)
-        v = float(values[i, j])
-        at = f"at row {_file_row(path, int(i))}, column {cols[j]}: {v!r}"
-        if not math.isfinite(v):
-            raise DataError(f"{path}: non-finite value {at}")
-        raise DataError(f"{path}: bad block id {at} (need an integer >= 0)")
     return [header[c] for c in cols], values
 
 

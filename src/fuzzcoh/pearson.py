@@ -21,26 +21,32 @@ __all__ = ["pearson_matrices"]
 _CHUNK_BYTES = 2**18  # per time-major array of a chunk, which holds at least one block
 
 
-def _normalised(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _exponents(x: np.ndarray) -> np.ndarray:
+    """The binary exponent of each column's largest magnitude (0 for a zero column)."""
+    return np.frexp(np.maximum(x.max(axis=0), -x.min(axis=0)))[1]  # no |x| temporary
+
+
+def _normalised(x: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Columns of ``x`` centred and scaled to unit norm (a zero one left as is), and which are 0.
 
-    Each centred column is first scaled by the power of two that brings its largest magnitude
-    into [0.5, 1), so its squares neither overflow nor underflow; the power cancels exactly in
-    the quotient, so a column whose squares fit anyway keeps its bits.
+    Each column is first scaled by 2**-e, which brings its block's largest magnitude into
+    [0.5, 1), so its sum cannot overflow; each centred column then by the power of two that does
+    the same for it, so its squares neither overflow nor underflow.  The powers cancel exactly
+    in the quotient, so a column that fits anyway keeps its bits.
     """
-    centred = x - x.mean(axis=0)
-    top = np.maximum(centred.max(axis=0), -centred.min(axis=0))  # no |centred| temporary
-    np.ldexp(centred, -np.frexp(top)[1], out=centred)
+    centred = np.ldexp(x, -e)
+    centred -= centred.mean(axis=0)
+    np.ldexp(centred, -_exponents(centred), out=centred)
     norm = np.sqrt((centred * centred).sum(axis=0))
     centred /= np.where(norm == 0, 1.0, norm)
     return centred, norm == 0
 
 
-def _lag_correlations(x: np.ndarray, lag: int, m: int) -> np.ndarray:
+def _lag_correlations(x: np.ndarray, e: np.ndarray, lag: int, m: int) -> np.ndarray:
     """The (c, m, m) correlations at ``lag`` of a time-major chunk of c blocks, (T, c * m)."""
     n, c = len(x) - lag, x.shape[1] // m
-    head, zero_h = _normalised(x[:n])
-    tail, zero_t = _normalised(x[lag:])
+    head, zero_h = _normalised(x[:n], e)
+    tail, zero_t = _normalised(x[lag:], e)
     corr = head.reshape(n, c, m).transpose(1, 2, 0) @ tail.reshape(n, c, m).transpose(1, 0, 2)
     zero = zero_h.reshape(c, m, 1) | zero_t.reshape(c, 1, m)
     return np.clip(np.where(zero, 0.0, corr), -1.0, 1.0)
@@ -58,6 +64,7 @@ def pearson_matrices(data: np.ndarray, max_lag: int) -> np.ndarray:
     step = max(1, _CHUNK_BYTES // (8 * T * m))
     for a in range(0, len(blocks), step):
         x = blocks[a : a + step].transpose(1, 0, 2).reshape(T, -1)  # a view for one block
+        e = _exponents(x)
         for lag in range(max_lag + 1):
-            out[a : a + step, lag] = _lag_correlations(x, lag, m)
+            out[a : a + step, lag] = _lag_correlations(x, e, lag, m)
     return out.reshape(data.shape[:-2] + out.shape[1:])

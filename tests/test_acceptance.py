@@ -36,8 +36,6 @@ from fuzzcoh.clustering import DEFAULT_M_GRID
 from fuzzcoh.dependence import _concordance_sums
 from fuzzcoh.pipeline import DEPENDENCE_FNS
 
-signal = pytest.importorskip("scipy.signal")  # the oracle: without scipy the module skips
-
 
 def verdict(num, name, ok, detail):
     line = f"ACCEPTANCE {num:>2} [{name}]: {'PASS' if ok else 'FAIL'} ({detail})"
@@ -177,6 +175,7 @@ def test_criterion_5_rand_index_oracle():
 
 
 def test_criterion_6_spectral_fidelity():
+    signal = pytest.importorskip("scipy.signal")  # the oracle: skips without scipy
     errors = {}
     for target in (2.0, 6.0, 10.0, 20.0, 40.0):
         spectra = []

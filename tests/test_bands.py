@@ -12,8 +12,6 @@ from fuzzcoh import (
     filter_dataset,
 )
 
-signal = pytest.importorskip("scipy.signal")  # the oracle: without scipy the module skips
-
 S = 128.0
 
 
@@ -23,6 +21,7 @@ def band(name):
 
 
 def magnitude(design, freq_hz):
+    signal = pytest.importorskip("scipy.signal")  # the oracle: skips without scipy
     w, h = signal.sosfreqz(design.sos, worN=8192, fs=S)
     return float(np.abs(h[np.argmin(np.abs(w - freq_hz))]))
 
@@ -84,6 +83,7 @@ class TestDesign:
 class TestFilterBlock:
     def test_out_of_band_mass_matches_transfer_oracle(self):
         # oracle: integrate |H|^4 (forward-backward) over the frequency grid
+        signal = pytest.importorskip("scipy.signal")  # the oracle: skips without scipy
         design = design_bandpass(band("Beta"), order=4)
         w, h = signal.sosfreqz(design.sos, worN=65536, fs=S)
         gain = np.abs(h) ** 4
@@ -163,6 +163,7 @@ class TestScipyOracle:
 
     @pytest.mark.parametrize("name", sorted(DEFAULT_BANDS))
     def test_design_equals_butter(self, name):
+        signal = pytest.importorskip("scipy.signal")  # the oracle: skips without scipy
         for order in range(2, 13):
             design = design_bandpass(band(name), order=order)
             low, high = DEFAULT_BANDS[name]
@@ -172,6 +173,7 @@ class TestScipyOracle:
             assert design.max_pole_radius == float(np.abs(poles).max())
 
     def test_design_equals_butter_at_other_rates(self):
+        signal = pytest.importorskip("scipy.signal")  # the oracle: skips without scipy
         rng = np.random.default_rng(5)
         for fs in (250.0, 256.0):
             for _ in range(6):
@@ -185,6 +187,7 @@ class TestScipyOracle:
     @pytest.mark.parametrize("name, order", [("Delta", 4), ("Theta", 3), ("Beta", 4),
                                              ("Gamma", 6)])
     def test_filter_dataset_equals_sosfiltfilt(self, name, order):
+        signal = pytest.importorskip("scipy.signal")  # the oracle: skips without scipy
         design = design_bandpass(band(name), order=order)
         for T in (design.min_block_length(), 200, 1024):  # shortest block, capped and full pad
             blocks = tuple(noise_block(T, channels=3, seed=T + b) for b in range(4))

@@ -16,11 +16,10 @@ from fuzzcoh import (
     sine_tau_matrices,
     solve_canonical,
 )
-from fuzzcoh import SimConfig, canonical, gen_dataset
+from fuzzcoh import SimConfig, canonical, design_bandpass, filter_dataset, gen_dataset
+from fuzzcoh.bands import default_band
 from fuzzcoh.cli import main
 from fuzzcoh.dependence import needs_psd_repair, repair_psd
-
-sla = pytest.importorskip("scipy.linalg")  # the oracle: without scipy the module skips
 
 
 def scalar_dep(xy0, xy1, yx1=0.1):
@@ -40,6 +39,7 @@ def stationary_var_instance(p, q, max_lag, seed):
     m = p + q
     a = rng.standard_normal((m, m))
     a *= 0.7 / max(abs(np.linalg.eigvals(a)))
+    sla = pytest.importorskip("scipy.linalg")  # the oracle: skips without scipy
     cov0 = sla.solve_discrete_lyapunov(a, np.eye(m))
     cov0 = (cov0 + cov0.T) / 2
     scale = 1.0 / np.sqrt(np.diag(cov0))
@@ -196,6 +196,23 @@ class TestExtractFeatures:
         # the stack fails, then blocks 0 and 1 are re-run alone, each a stack of one
         assert calls[0] is ds.data and [c.shape for c in calls[1:]] == [(1, 64, 8)] * 2
         np.testing.assert_array_equal(np.concatenate(calls[1:]), ds.data[:2])
+
+    @pytest.mark.parametrize("band", ["raw", "Beta"])
+    @pytest.mark.parametrize("estimator", [sine_tau_matrices, pearson_matrices])
+    def test_block_permutation_permutes_the_rows(self, estimator, band):
+        # every row is its block's own: permuting the blocks permutes the rows bit for bit
+        # (FCM is not invariant under a permutation of its rows, so the check stops here)
+        ds = gen_dataset(SimConfig(seed=3, n_blocks=12, block_length=256))
+        order = np.random.default_rng(1).permutation(ds.n_blocks)
+        shuffled = replace(ds, data=ds.data[order], labels=None)
+        if band != "raw":
+            design = design_bandpass(default_band(band, ds.sample_rate_hz))
+            ds, shuffled = filter_dataset(ds, design), filter_dataset(shuffled, design)
+        rows = extract_features(ds, max_lag=5, dependence_fn=estimator)
+        permuted = extract_features(shuffled, max_lag=5, dependence_fn=estimator)
+        assert permuted.block_indices == rows.block_indices
+        for name in ("d_matrix", "g_value", "best_lag", "lags"):
+            assert getattr(permuted, name).tobytes() == getattr(rows, name)[order].tobytes(), name
 
     @pytest.mark.parametrize("estimator", [sine_tau_matrices, pearson_matrices])
     def test_flat_blocks_found_before_any_estimate(self, estimator):

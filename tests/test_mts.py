@@ -354,7 +354,7 @@ INPUT_RULES = {
                             "bad block id at row 2, column 0"),
     "Latin-1 byte in the header": (b"a\xb5V,b,c,d\n1,2,3,4\n5,6,7,8\n",
                                    "line 1 is not UTF-8 text: invalid start byte b'\\xb5'"),
-    # past the header's and the first row's reads: numpy's body parse meets it
+    # past the header's read: numpy's body parse meets it, and the fault scan again
     "Latin-1 byte deep in the body": (b"a,b\n" + b"1,2\n" * 30000 + b"3,\xe9\n",
                                       "line 30002 is not UTF-8 text: invalid continuation byte"),
     "a directory": (None, "not a file"),
@@ -378,6 +378,22 @@ def test_csv_input_rules(tmp_path, case):
         else:
             np.testing.assert_array_equal(
                 _read_table(path, skip=("band",), block_ids=("block_id",))[1], expected)
+
+
+@pytest.mark.parametrize("case", [c for c, (_, rule) in INPUT_RULES.items()
+                                  if isinstance(rule, str)])
+def test_csv_faults_named_whatever_numpy_says(tmp_path, monkeypatch, case):
+    # the reader names each fault from the file itself, never from the text of numpy's error
+    loadtxt = np.loadtxt
+
+    def reworded(*args, **kwargs):
+        try:
+            return loadtxt(*args, **kwargs)
+        except ValueError as exc:
+            raise ValueError("numpy could not read this") from exc
+
+    monkeypatch.setattr(np, "loadtxt", reworded)
+    test_csv_input_rules(tmp_path, case)
 
 
 def test_metadata_sidecar_labels(tmp_path):

@@ -95,6 +95,13 @@ class TestPearsonSet:
         np.savetxt(path, table, delimiter=",", header="X1,X2,X3,Y1,Y2,Y3", comments="")
         lags = pearson_matrices(load_csv(path, sample_rate_hz=128.0, block_length=64).data, 3)
         assert (lags != 0).any(axis=-1).all() and (lags != 0).any(axis=-2).all()
+        # a whole channel near the float64 maximum: its block sum overflows unless the channel
+        # is scaled before its mean too; scaled by 2**-1000 the block has the same matrices
+        block = np.random.default_rng(6).standard_normal((384, 4))
+        block[:, 1] = (np.abs(block[:, 1]) + 1) * 1e306
+        small = block.copy()
+        small[:, 1] = np.ldexp(block[:, 1], -1000)
+        assert pearson_matrices(block, 3).tobytes() == pearson_matrices(small, 3).tobytes()
 
     def test_lagged_entries(self):
         # y(t) = x(t-1): linear correlation peaks at lag +1

@@ -17,8 +17,6 @@ from fuzzcoh.simulate import (
     truth_payload,
 )
 
-signal = pytest.importorskip("scipy.signal")  # the oracle: without scipy the module skips
-
 
 class TestAr2:
     def test_deterministic(self):
@@ -33,6 +31,7 @@ class TestAr2:
 
     def test_spectral_peak_near_target(self):
         # single realization: periodogram argmax within 1 Hz of the target
+        signal = pytest.importorskip("scipy.signal")  # the oracle: skips without scipy
         x = gen_ar2(4096, 10.0, damping=1.05, seed=1)
         freqs, power = signal.periodogram(x, fs=128.0)
         assert abs(freqs[np.argmax(power)] - 10.0) <= 1.0
@@ -56,6 +55,7 @@ class TestAr2:
     ])
     def test_equals_lfilter(self, length, freq, damping, burn_in):
         # oracle: scipy's direct-form filter over the same innovations
+        signal = pytest.importorskip("scipy.signal")  # the oracle: skips without scipy
         phi1, phi2 = ar2_coefficients(freq, damping, 128.0)
         eps = np.random.default_rng(length).standard_normal(length + burn_in)
         series = signal.lfilter([1.0], [1.0, -phi1, -phi2], eps)[burn_in:]
@@ -254,6 +254,7 @@ class TestGenDataset:
     @staticmethod
     def assert_per_block_lfilter_construction(cfg):
         # oracle: each block built alone from its stream, one lfilter call per latent
+        signal = pytest.importorskip("scipy.signal")  # the oracle: skips without scipy
         from fuzzcoh.simulate import _mixing_for
 
         T, burn_in = cfg.block_length, cfg.burn_in
